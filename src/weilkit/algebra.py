@@ -8,14 +8,15 @@ codimension one.  Every construction path runs the full axiom check:
 * existence of a unit (solved for as a linear system),
 * locality: the nilpotent radical is computed as the kernel of the trace
   form of the regular representation (valid in characteristic zero), then
-  verified constructively (each radical element has a nilpotent
-  multiplication operator, the radical is an ideal, and its codimension
-  is exactly one),
+  verified constructively (each radical element is nilpotent, the radical
+  is an ideal, and its codimension is exactly one),
 * nilpotency of the ideal, which also yields the height.
 
 After verification the basis is normalised so that basis element 0 is the
 unit and elements 1..s-1 span the maximal ideal; the scalar part of an
-element is then literally its coordinate 0.  All scalars in this module are
+element is then literally its coordinate 0.  Every product goes through
+one kernel, :func:`mul`, over the sparse structure constants that are
+indexed once per table.  All scalars in this module are
 exact ``Fraction``s with no tolerances; elements may carry floats only in
 flow integration, which never feeds back into verification.
 """
@@ -23,14 +24,15 @@ flow integration, which never feeds back into verification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .poly import Exponents, Polynomial, grlex_key, monomial_str
+from .poly import Exponents, Polynomial, format_scalar, grlex_key, monomial_str
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
+Products = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
 class AlgebraAxiomError(ValueError):
@@ -70,13 +72,15 @@ class WeilAlgebra:
     ``table[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j.  Basis element 0 is the unit; elements
     1..dim-1 span the maximal ideal.  ``height`` is the smallest k with
-    m^(k+1) = 0 and ``width`` is dim(m/m^2).
+    m^(k+1) = 0 and ``width`` is dim(m/m^2).  ``products`` is the sparse
+    index of ``table`` that :func:`mul` reads.
     """
 
     labels: tuple[str, ...]
     table: Table
     height: int
     width: int
+    products: Products = field(compare=False)
 
     @property
     def dim(self) -> int:
@@ -120,17 +124,10 @@ class WeilAlgebra:
         """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
         if u.algebra is not self and u.algebra != self:
             raise ValueError("element belongs to a different algebra")
-        s = self.dim
-        mat = [[Fraction(0)] * s for _ in range(s)]
-        for i, ui in enumerate(u.coeffs):
-            if ui == 0:
-                continue
-            for q in range(s):
-                row = self.table[i][q]
-                for p in range(s):
-                    if row[p]:
-                        mat[p][q] += ui * row[p]
-        return mat
+        columns = [
+            mul(self.products, u.coeffs, e, Fraction(0)) for e in linalg.identity(self.dim)
+        ]
+        return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -166,20 +163,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            table = self.algebra.table
-            s = self.algebra.dim
-            out = [Fraction(0)] * s
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b == 0:
-                        continue
-                    ab = a * b
-                    row = table[i][j]
-                    for k in range(s):
-                        if row[k]:
-                            out[k] = out[k] + ab * row[k]
+            out = mul(self.algebra.products, self.coeffs, other.coeffs, Fraction(0))
             return AlgebraElement(self.algebra, tuple(out))
         if isinstance(other, (int, Fraction, float)):
             c = _scalar(other)
@@ -232,7 +216,7 @@ def format_element(u: AlgebraElement) -> str:
         if c == 0:
             continue
         mag = abs(c)
-        mag_str = _coeff_str(mag)
+        mag_str = format_scalar(mag)
         if i == 0:
             body = mag_str
         elif mag == 1:
@@ -240,20 +224,44 @@ def format_element(u: AlgebraElement) -> str:
         else:
             body = f"{mag_str}*{labels[i]}"
         if not pieces:
-            pieces.append(body if _is_positive(c) else f"-{body}")
+            pieces.append(body if c > 0 else f"-{body}")
         else:
-            pieces.append(f"{'+' if _is_positive(c) else '-'} {body}")
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(pieces) if pieces else "0"
 
 
-def _is_positive(c) -> bool:
-    return c > 0
+# ------------------------------------------------------------ product kernel
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return f"{c:.12g}"
+def _sparse_products(table) -> Products:
+    """Index the non-zero structure constants: ``products[i][j]`` lists the
+    pairs (k, table[i][j][k]) with a non-zero constant, in ascending k."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
+        for row in table
+    )
+
+
+def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
+    """Coordinates of u*v, for coordinate vectors u and v over the basis.
+
+    This is the one place where the package multiplies through structure
+    constants.  ``zero`` is the additive identity of the coordinates (a
+    Fraction, or a zero Polynomial for symbolic chart coordinates); zero
+    coordinates are skipped by truthiness.  Terms accumulate in the order
+    i, then j, then k, so float products round the same way on every path.
+    """
+    out = [zero] * len(products)
+    nonzero_v = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = products[i]
+        for j, b in nonzero_v:
+            ab = a * b
+            for k, c in row[j]:
+                out[k] = out[k] + ab * c
+    return out
 
 
 # ----------------------------------------------------------------- raw tables
@@ -275,23 +283,6 @@ def _table_from(raw) -> list[list[list[Fraction]]]:
     return table
 
 
-def _table_mul(table, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    s = len(table)
-    out = [Fraction(0)] * s
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            ab = a * b
-            row = table[i][j]
-            for k in range(s):
-                if row[k]:
-                    out[k] += ab * row[k]
-    return out
-
-
 def _check_commutative(table, labels) -> None:
     s = len(table)
     for i in range(s):
@@ -302,31 +293,19 @@ def _check_commutative(table, labels) -> None:
                 )
 
 
-def _check_associative(table, labels) -> None:
+def _check_associative(table, products, labels) -> None:
     s = len(table)
+    units = linalg.identity(s)
     for i in range(s):
         for j in range(s):
-            ij = table[i][j]
             for l in range(s):
-                left = [Fraction(0)] * s
-                for k in range(s):
-                    if ij[k]:
-                        row = table[k][l]
-                        for p in range(s):
-                            if row[p]:
-                                left[p] += ij[k] * row[p]
-                right = _table_mul(table, _unit_vector(s, i), table[j][l])
+                left = mul(products, table[i][j], units[l], Fraction(0))
+                right = mul(products, units[i], table[j][l], Fraction(0))
                 if left != right:
                     raise NotAssociativeError(
                         f"({labels[i]}*{labels[j]})*{labels[l]} != "
                         f"{labels[i]}*({labels[j]}*{labels[l]})"
                     )
-
-
-def _unit_vector(s: int, i: int) -> list[Fraction]:
-    v = [Fraction(0)] * s
-    v[i] = Fraction(1)
-    return v
 
 
 def _find_unit(table) -> list[Fraction] | None:
@@ -353,27 +332,13 @@ def _trace_form_kernel(table) -> list[list[Fraction]]:
     return linalg.nullspace(gram, s)
 
 
-def _multiplication_matrix(table, u: Sequence[Fraction]) -> list[list[Fraction]]:
-    s = len(table)
-    mat = [[Fraction(0)] * s for _ in range(s)]
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for q in range(s):
-            row = table[i][q]
-            for p in range(s):
-                if row[p]:
-                    mat[p][q] += ui * row[p]
-    return mat
-
-
-def _is_nilpotent_matrix(mat) -> bool:
-    power = mat
-    for _ in range(len(mat)):
-        if linalg.is_zero_matrix(power):
-            return True
-        power = linalg.mat_mul(power, mat)
-    return linalg.is_zero_matrix(power)
+def _is_nilpotent(products, vec: Sequence[Fraction]) -> bool:
+    # Multiplication by x is nilpotent on the s-dimensional algebra iff
+    # x^s = 0: with a unit and associativity, M_x^s is multiplication by x^s.
+    power = vec
+    for _ in range(len(vec) - 1):
+        power = mul(products, power, vec, Fraction(0))
+    return not any(power)
 
 
 def _in_span(rref_basis: list[list[Fraction]], vec: Sequence[Fraction]) -> bool:
@@ -402,13 +367,14 @@ def from_structure_constants(
     if len(raw_table) != len(labels):
         raise ValueError("label count does not match table size")
     table = _table_from(raw_table)
+    products = _sparse_products(table)
     s = len(table)
 
     _check_commutative(table, labels)
     unit = _find_unit(table)
     if unit is None:
         raise NoUnitError("no element satisfies u*a = a for every basis element a")
-    _check_associative(table, labels)
+    _check_associative(table, products, labels)
 
     radical = _trace_form_kernel(table)
     if len(radical) != s - 1:
@@ -417,11 +383,11 @@ def from_structure_constants(
             "the algebra contains a nontrivial idempotent or semisimple part"
         )
     for vec in radical:
-        if not _is_nilpotent_matrix(_multiplication_matrix(table, vec)):
+        if not _is_nilpotent(products, vec):
             raise NotNilpotentError("candidate maximal ideal contains a non-nilpotent element")
     for vec in radical:
-        for i in range(s):
-            product = _table_mul(table, _unit_vector(s, i), vec)
+        for e in linalg.identity(s):
+            product = mul(products, e, vec, Fraction(0))
             if not _in_span(radical, product):
                 raise NotLocalError("nilpotent elements do not form an ideal")
 
@@ -439,10 +405,11 @@ def from_structure_constants(
         row = []
         for j in range(s):
             col_j = [change[p][j] for p in range(s)]
-            product = _table_mul(table, col_i, col_j)
+            product = mul(products, col_i, col_j, Fraction(0))
             row.append(tuple(linalg.mat_vec(inverse, product)))
         new_table.append(tuple(row))
     new_table = tuple(new_table)
+    new_products = _sparse_products(new_table)
 
     if is_identity:
         new_labels = labels
@@ -451,12 +418,14 @@ def from_structure_constants(
             _combination_label([vec[p] for p in range(s)], labels) for vec in radical
         )
 
-    height = _ideal_height(new_table)
+    height = _ideal_height(new_products)
     m_dim = s - 1
-    m2_dim = len(_ideal_power_basis(new_table, 2))
+    m2_dim = len(_ideal_power_basis(new_products, 2))
     width = m_dim - m2_dim
 
-    return WeilAlgebra(labels=new_labels, table=new_table, height=height, width=width)
+    return WeilAlgebra(
+        labels=new_labels, table=new_table, height=height, width=width, products=new_products
+    )
 
 
 def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
@@ -465,7 +434,7 @@ def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str
         if c == 0:
             continue
         mag = abs(c)
-        body = name if mag == 1 else f"{_coeff_str(mag)}*{name}"
+        body = name if mag == 1 else f"{format_scalar(mag)}*{name}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -473,36 +442,35 @@ def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str
     return "".join(pieces) if pieces else "0"
 
 
-def _ideal_power_basis(table: Table, power: int) -> list[list[Fraction]]:
+def _ideal_power_basis(products: Products, power: int) -> list[list[Fraction]]:
     """RREF basis of m^power in a normalised table (m spanned by e_1..e_{s-1})."""
-    s = len(table)
-    current = [_unit_vector(s, i) for i in range(1, s)]
+    current = linalg.identity(len(products))[1:]
     if not current:
         return []
     generators = list(current)
     for _ in range(power - 1):
-        products = []
+        spanning = []
         for u in current:
             for v in generators:
-                w = _table_mul(table, u, v)
+                w = mul(products, u, v, Fraction(0))
                 if any(x != 0 for x in w):
-                    products.append(w)
-        if not products:
+                    spanning.append(w)
+        if not spanning:
             return []
-        current, _ = linalg.rref(products)
+        current, _ = linalg.rref(spanning)
         current = [row for row in current if any(x != 0 for x in row)]
         if not current:
             return []
     return current
 
 
-def _ideal_height(table: Table) -> int:
-    s = len(table)
+def _ideal_height(products: Products) -> int:
+    s = len(products)
     if s == 1:
         return 0
     k = 1
     while True:
-        if not _ideal_power_basis(table, k + 1):
+        if not _ideal_power_basis(products, k + 1):
             return k
         k += 1
         if k > s:

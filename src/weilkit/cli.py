@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import AlgebraAxiomError, InfiniteDimensionalError, WeilAlgebra, format_element
 from .derivations import derivation_basis, lie_structure
@@ -40,7 +39,7 @@ from .jsonio import (
     scalar_to_json,
 )
 from .nearpoints import NearPoint, chart_variable_names
-from .poly import PolynomialParseError
+from .poly import PolynomialParseError, format_scalar
 
 
 def _use_color() -> bool:
@@ -61,12 +60,6 @@ def _load_json_file(path: str):
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
-
-
-def _format_scalar(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return f"{float(x):.12g}"
 
 
 def _format_value(components, labels, names) -> str:
@@ -156,7 +149,7 @@ def _cmd_derivations(args) -> int:
     for i in range(lie.rank):
         for j in range(i + 1, lie.rank):
             terms = [
-                f"d{k}" if c == 1 else f"-d{k}" if c == -1 else f"{_format_scalar(c)}·d{k}"
+                f"d{k}" if c == 1 else f"-d{k}" if c == -1 else f"{format_scalar(c)}·d{k}"
                 for k, c in enumerate(lie.constants[i][j])
                 if c != 0
             ]
@@ -255,7 +248,7 @@ def _cmd_foliation(args) -> int:
         print(line)
     print("generators (chart coordinates):")
     for idx, gen in enumerate(sample.generators):
-        print(f"  d{idx}*: ({', '.join(_format_scalar(x) for x in gen)})")
+        print(f"  d{idx}*: ({', '.join(format_scalar(x) for x in gen)})")
     print(f"rank at point: {sample.rank}")
     if inv["pairs"]:
         print("involutivity ([di*,dj*] = [di,dj]*):")

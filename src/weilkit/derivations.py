@@ -6,6 +6,12 @@ computed exactly as the nullspace of the homogeneous Leibniz system over the
 rationals, so its dimension r is exact; r is also the dimension of the
 foliation the derivations induce on near-point charts.
 
+Verification happens once, at the trust boundary: the public
+``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
+Results computed here (the solved basis, brackets, sums, scalar multiples
+and module multiples) are derivations by construction (Kolář, Michor and
+Slovák, ch. VIII) and are built without the re-check.
+
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
 flow integration, never for anything exact.
@@ -13,12 +19,13 @@ flow integration, never for anything exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, WeilAlgebra
+from .algebra import AlgebraElement, WeilAlgebra, mul
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -32,8 +39,10 @@ class Derivation:
     """Derivation of a local algebra as a matrix on its basis.
 
     ``matrix[k][j]`` is the coefficient of basis element k in the image of
-    basis element j.  Construction verifies D(1) = 0, the Leibniz identity
-    on every basis pair, and preservation of the maximal ideal, all exactly.
+    basis element j.  The public constructor verifies D(1) = 0, the Leibniz
+    identity on every basis pair, and preservation of the maximal ideal, all
+    exactly.  Derivations this module computes from verified ones are
+    derivations by construction and skip that check.
     """
 
     algebra: WeilAlgebra
@@ -69,7 +78,7 @@ class Derivation:
         if not isinstance(other, Derivation):
             return NotImplemented
         _check_same_algebra(self, other)
-        return Derivation(
+        return _trusted(
             self.algebra,
             _freeze([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]),
         )
@@ -78,10 +87,19 @@ class Derivation:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         c = Fraction(scalar)
-        return Derivation(self.algebra, _freeze([[c * x for x in row] for row in self.matrix]))
+        return _trusted(self.algebra, _freeze([[c * x for x in row] for row in self.matrix]))
 
     def __neg__(self) -> "Derivation":
         return Fraction(-1) * self
+
+
+def _trusted(algebra: WeilAlgebra, matrix: RationalMatrix) -> Derivation:
+    """A Derivation built without ``__post_init__``, for a matrix that is a
+    derivation by construction."""
+    d = object.__new__(Derivation)
+    object.__setattr__(d, "algebra", algebra)
+    object.__setattr__(d, "matrix", matrix)
+    return d
 
 
 def _freeze(mat) -> RationalMatrix:
@@ -97,33 +115,16 @@ def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
     """First basis pair (i, j) where D(a_i a_j) != D(a_i)a_j + a_i D(a_j),
     or None when the Leibniz identity holds exactly everywhere."""
     s = algebra.dim
-    table = algebra.table
+    units = linalg.identity(s)
     columns = [[matrix[k][j] for k in range(s)] for j in range(s)]
     for i in range(s):
         for j in range(i, s):
-            lhs = [
-                sum((table[i][j][k] * columns[k][p] for k in range(s) if table[i][j][k]), Fraction(0))
-                for p in range(s)
-            ]
-            rhs_a = _mul_coords(table, columns[i], j)
-            rhs_b = _mul_coords(table, columns[j], i)
+            lhs = linalg.mat_vec(matrix, algebra.table[i][j])
+            rhs_a = mul(algebra.products, columns[i], units[j], Fraction(0))
+            rhs_b = mul(algebra.products, columns[j], units[i], Fraction(0))
             if any(lhs[p] != rhs_a[p] + rhs_b[p] for p in range(s)):
                 return (i, j)
     return None
-
-
-def _mul_coords(table, coords, basis_index):
-    # Coordinates of (Σ coords_m a_m) * a_basis_index.
-    s = len(table)
-    out = [Fraction(0)] * s
-    for m, c in enumerate(coords):
-        if c == 0:
-            continue
-        row = table[m][basis_index]
-        for p in range(s):
-            if row[p]:
-                out[p] += c * row[p]
-    return out
 
 
 def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
@@ -168,16 +169,16 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     ]
     if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
         matrices = [_freeze([[-x for x in row] for row in matrices[0]])]
-    return [Derivation(algebra, mat) for mat in matrices]
+    return [_trusted(algebra, mat) for mat in matrices]
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator D1 D2 - D2 D1; always a derivation, re-verified exactly."""
+    """Commutator D1 D2 - D2 D1, a derivation by construction."""
     _check_same_algebra(d1, d2)
     m1 = [list(row) for row in d1.matrix]
     m2 = [list(row) for row in d2.matrix]
     comm = linalg.mat_sub(linalg.mat_mul(m1, m2), linalg.mat_mul(m2, m1))
-    return Derivation(d1.algebra, _freeze(comm))
+    return _trusted(d1.algebra, _freeze(comm))
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
@@ -187,7 +188,7 @@ def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
         raise ValueError("element and derivation belong to different algebras")
     mult = d.algebra.multiplication_matrix(a)
     scaled = linalg.mat_mul(mult, [list(row) for row in d.matrix])
-    return Derivation(d.algebra, _freeze(scaled))
+    return _trusted(d.algebra, _freeze(scaled))
 
 
 @dataclass(frozen=True)
@@ -255,21 +256,23 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
 
 def jacobi_residual(lie: LieStructure) -> Fraction:
     """Largest absolute Jacobi defect of the structure constants (0 for a
-    genuine Lie algebra)."""
+    genuine Lie algebra).
+
+    The constants are antisymmetric, so the Jacobiator is alternating in
+    (i, j, k) and only i < j < k needs to be evaluated.
+    """
     g = lie.constants
     r = lie.rank
     worst = Fraction(0)
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    total = sum(
-                        g[i][j][m] * g[m][k][l]
-                        + g[j][k][m] * g[m][i][l]
-                        + g[k][i][m] * g[m][j][l]
-                        for m in range(r)
-                    )
-                    worst = max(worst, abs(total))
+    for i, j, k in itertools.combinations(range(r), 3):
+        for l in range(r):
+            total = sum(
+                g[i][j][m] * g[m][k][l]
+                + g[j][k][m] * g[m][i][l]
+                + g[k][i][m] * g[m][j][l]
+                for m in range(r)
+            )
+            worst = max(worst, abs(total))
     return worst
 
 

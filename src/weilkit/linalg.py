@@ -51,10 +51,6 @@ def mat_scale(c: Fraction, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
     m = [list(row) for row in rows]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, WeilAlgebra, eval_in_algebra
+from .algebra import AlgebraElement, WeilAlgebra, eval_in_algebra, mul
 from .poly import Exponents, Polynomial
 
 
@@ -230,21 +230,8 @@ class _SymbolicElement:
         )
 
     def __mul__(self, other: "_SymbolicElement") -> "_SymbolicElement":
-        table = self.algebra.table
-        s = self.algebra.dim
-        nvars = self.comps[0].nvars
-        out = [Polynomial.zero(nvars) for _ in range(s)]
-        for i, a in enumerate(self.comps):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.comps):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                row = table[i][j]
-                for k in range(s):
-                    if row[k]:
-                        out[k] = out[k] + row[k] * ab
+        zero = Polynomial.zero(self.comps[0].nvars)
+        out = mul(self.algebra.products, self.comps, other.comps, zero)
         return _SymbolicElement(self.algebra, tuple(out))
 
     def __rmul__(self, scalar) -> "_SymbolicElement":

@@ -240,11 +240,11 @@ class Polynomial:
         for exp, coeff in reversed(self.terms()):
             mono = monomial_str(exp, variables)
             if mono == "1":
-                body = _fraction_str(abs(coeff))
+                body = format_scalar(abs(coeff))
             elif abs(coeff) == 1:
                 body = mono
             else:
-                body = f"{_fraction_str(abs(coeff))}*{mono}"
+                body = f"{format_scalar(abs(coeff))}*{mono}"
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -262,8 +262,13 @@ def monomial_str(exponents: Exponents, variables: Sequence[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def format_scalar(x) -> str:
+    """Display form of a coefficient: ``4`` or ``-1/2`` for a Fraction, 12
+    significant digits for a float.  The JSON wire format is
+    ``jsonio.fraction_to_str``, which always prints the denominator."""
+    if isinstance(x, Fraction):
+        return str(x)
+    return f"{float(x):.12g}"
 
 
 # ------------------------------------------------------------------- parsing

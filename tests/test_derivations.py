@@ -16,6 +16,7 @@ from weilkit import (
     dual_numbers,
     exp_flow,
     from_structure_constants,
+    LieStructure,
     jacobi_residual,
     leibniz_residual,
     lie_structure,
@@ -204,6 +205,29 @@ def test_lie_structure_jacobi():
     for A in (dual_numbers(), truncated_polynomial_algebra(1, 2), truncated_polynomial_algebra(2, 1)):
         lie = lie_structure(derivation_basis(A))
         assert jacobi_residual(lie) == 0
+
+
+def test_jacobi_residual_matches_full_sum():
+    # Random antisymmetric constants are generally not a Lie algebra; the
+    # i < j < k loop must find the same worst defect as all index triples.
+    rng = random.Random(31)
+    r = 4
+    g = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            for k in range(r):
+                g[i][j][k] = rand_fraction(rng)
+                g[j][i][k] = -g[i][j][k]
+    full = max(
+        abs(sum(g[i][j][m] * g[m][k][l] + g[j][k][m] * g[m][i][l] + g[k][i][m] * g[m][j][l]
+                for m in range(r)))
+        for i in range(r) for j in range(r) for k in range(r) for l in range(r)
+    )
+    basis = tuple(derivation_basis(truncated_polynomial_algebra(2, 1)))
+    assert len(basis) == r
+    lie = LieStructure(basis, tuple(tuple(tuple(row) for row in plane) for plane in g))
+    assert full > 0
+    assert jacobi_residual(lie) == full
 
 
 def test_lie_structure_not_closed():

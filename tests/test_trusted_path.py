@@ -1,0 +1,139 @@
+"""Derivations built without the public check, and the one product kernel.
+
+Brackets, sums, scalar multiples, negatives and module multiples skip the
+Leibniz check of the public constructor because they are derivations by
+construction; these tests re-verify them.  Every product of the package
+goes through ``algebra.mul``; these tests compare it with the raw-table
+reference of ``support``.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import weilkit.linalg as la
+from weilkit import (
+    bracket,
+    chart_components,
+    derivation_basis,
+    from_structure_constants,
+    leibniz_residual,
+    module_scale,
+    truncated_polynomial_algebra,
+)
+from support import rand_element, rand_fraction, rand_invertible, rand_poly, raw_table_mul
+
+
+def _scrambled(A, rng):
+    """The same algebra as a structure-constants table over a random basis,
+    so that normalisation has to find the unit and relabel."""
+    s = A.dim
+    change = rand_invertible(rng, s)
+    inverse = la.invert([row[:] for row in change])
+    columns = [[change[p][i] for p in range(s)] for i in range(s)]
+    table = [
+        [la.mat_vec(inverse, raw_table_mul(A.table, columns[i], columns[j])) for j in range(s)]
+        for i in range(s)
+    ]
+    return from_structure_constants([f"f{i}" for i in range(s)], table)
+
+
+def _algebras():
+    m3 = truncated_polynomial_algebra(2, 2)
+    return {"m3": m3, "scrambled-m3": _scrambled(m3, random.Random(41))}
+
+
+ALGEBRAS = _algebras()
+
+
+@pytest.fixture(params=sorted(ALGEBRAS))
+def algebra(request):
+    return ALGEBRAS[request.param]
+
+
+def test_scrambled_algebra_is_relabelled():
+    assert ALGEBRAS["scrambled-m3"].labels != tuple(f"f{i}" for i in range(6))
+    assert ALGEBRAS["scrambled-m3"].labels[0] == "1"
+
+
+def test_trusted_results_are_derivations(algebra):
+    rng = random.Random(7)
+    basis = derivation_basis(algebra)
+    assert len(basis) == 10
+    results = list(basis)
+    for _ in range(6):
+        d1, d2 = rng.choice(basis), rng.choice(basis)
+        results += [
+            bracket(d1, d2),
+            d1 + d2,
+            rand_fraction(rng) * d1,
+            -d2,
+            module_scale(rand_element(rng, algebra), d1),
+        ]
+    s = algebra.dim
+    for d in results:
+        assert leibniz_residual(algebra, d.matrix) is None
+        assert all(d.matrix[k][0] == 0 for k in range(s))  # kills the unit
+        assert all(x == 0 for x in d.matrix[0])  # preserves the maximal ideal
+
+
+def _coefficients(rng, s, kind):
+    if kind == "fraction":
+        return [rand_fraction(rng) for _ in range(s)]
+    return [rng.uniform(-2.0, 2.0) for _ in range(s)]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float"])
+def test_element_products_match_reference(algebra, kind):
+    rng = random.Random(11)
+    s = algebra.dim
+    for _ in range(20):
+        u = _coefficients(rng, s, kind)
+        v = _coefficients(rng, s, kind)
+        product = algebra.element(u) * algebra.element(v)
+        assert list(product.coeffs) == raw_table_mul(algebra.table, u, v)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float"])
+def test_multiplication_matrix_matches_reference(algebra, kind):
+    rng = random.Random(13)
+    s = algebra.dim
+    for _ in range(5):
+        u = _coefficients(rng, s, kind)
+        mat = algebra.multiplication_matrix(algebra.element(u))
+        for q in range(s):
+            column = raw_table_mul(algebra.table, u, [Fraction(int(p == q)) for p in range(s)])
+            assert [mat[p][q] for p in range(s)] == column
+
+
+def _reference_eval(table, f, args):
+    s = len(table)
+    unit = [Fraction(int(k == 0)) for k in range(s)]
+    total = [Fraction(0)] * s
+    for exponents, coeff in f.terms():
+        term = [coeff * x for x in unit]
+        for arg, e in zip(args, exponents):
+            for _ in range(e):
+                term = raw_table_mul(table, term, arg)
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float"])
+def test_chart_components_match_reference(algebra, kind):
+    rng = random.Random(17)
+    s, n = algebra.dim, 2
+    for _ in range(3):
+        f = rand_poly(rng, n, degree=3)
+        gs = chart_components(f, algebra, n)
+        args = [_coefficients(rng, s, kind) for _ in range(n)]
+        coords = [x for arg in args for x in arg]
+        got = [g.evaluate(coords) for g in gs]
+        want = _reference_eval(algebra.table, f, args)
+        if kind == "fraction":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
