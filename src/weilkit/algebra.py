@@ -2,7 +2,8 @@
 
 A :class:`WeilAlgebra` is a commutative unital algebra of finite dimension
 over the rationals whose nilpotent elements form a maximal ideal of
-codimension one.  Every construction path runs the full axiom check:
+codimension one.  Only tables that come from outside are verified, by
+:func:`from_structure_constants`, which runs the full axiom check:
 
 * commutativity and associativity of the structure-constant tensor,
 * existence of a unit (solved for as a linear system),
@@ -12,13 +13,18 @@ codimension one.  Every construction path runs the full axiom check:
   is an ideal, and its codimension is exactly one),
 * nilpotency of the ideal, which also yields the height.
 
-After verification the basis is normalised so that basis element 0 is the
-unit and elements 1..s-1 span the maximal ideal; the scalar part of an
-element is then literally its coordinate 0.  Every product goes through
-one kernel, :func:`mul`, over the sparse structure constants that are
-indexed once per table.  All scalars in this module are
-exact ``Fraction``s with no tolerances; elements may carry floats only in
-flow integration, which never feeds back into verification.
+The monomial constructions skip it: a quotient of a polynomial ring by a
+monomial ideal that contains a pure power of every variable is a Weil
+algebra by construction, and its standard monomials in graded-lex order
+already form a normalised basis.
+
+Either way basis element 0 is the unit and elements 1..s-1 span the
+maximal ideal; the scalar part of an element is then literally its
+coordinate 0.  Every product goes through one kernel, :func:`mul`, over
+the sparse structure constants that are indexed once per table.  All
+scalars in this module are exact ``Fraction``s with no tolerances;
+elements may carry floats only in flow integration, which never feeds
+back into verification.
 """
 
 from __future__ import annotations
@@ -358,8 +364,10 @@ def from_structure_constants(
 ) -> WeilAlgebra:
     """Verify a multiplication table and return the normalised algebra.
 
-    Raises NotCommutativeError, NotAssociativeError, NoUnitError,
-    NotLocalError or NotNilpotentError when the corresponding axiom fails.
+    This is the one verifier, for tables that come from outside; the
+    monomial constructions build their algebras without it.  Raises
+    NotCommutativeError, NotAssociativeError, NoUnitError, NotLocalError or
+    NotNilpotentError when the corresponding axiom fails.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
@@ -418,11 +426,7 @@ def from_structure_constants(
             _combination_label([vec[p] for p in range(s)], labels) for vec in radical
         )
 
-    height = _ideal_height(new_products)
-    m_dim = s - 1
-    m2_dim = len(_ideal_power_basis(new_products, 2))
-    width = m_dim - m2_dim
-
+    height, width = _height_and_width(new_products)
     return WeilAlgebra(
         labels=new_labels, table=new_table, height=height, width=width, products=new_products
     )
@@ -442,39 +446,23 @@ def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str
     return "".join(pieces) if pieces else "0"
 
 
-def _ideal_power_basis(products: Products, power: int) -> list[list[Fraction]]:
-    """RREF basis of m^power in a normalised table (m spanned by e_1..e_{s-1})."""
-    current = linalg.identity(len(products))[1:]
-    if not current:
-        return []
-    generators = list(current)
-    for _ in range(power - 1):
-        spanning = []
-        for u in current:
-            for v in generators:
-                w = mul(products, u, v, Fraction(0))
-                if any(x != 0 for x in w):
-                    spanning.append(w)
-        if not spanning:
-            return []
-        current, _ = linalg.rref(spanning)
-        current = [row for row in current if any(x != 0 for x in row)]
-        if not current:
-            return []
-    return current
-
-
-def _ideal_height(products: Products) -> int:
-    s = len(products)
-    if s == 1:
-        return 0
-    k = 1
-    while True:
-        if not _ideal_power_basis(products, k + 1):
-            return k
-        k += 1
-        if k > s:
+def _height_and_width(products: Products) -> tuple[int, int]:
+    """(height, width) of a normalised table (m spanned by e_1..e_{s-1}),
+    from one walk over m, m^2, m^3, ... with m^(k+1) spanned by m^k * m."""
+    generators = linalg.identity(len(products))[1:]
+    dims = [len(generators)]  # dim m^k for k = 1, 2, ... down to the first 0
+    current = generators
+    while current:
+        if len(dims) > len(products):
             raise NotNilpotentError("maximal ideal is not nilpotent")
+        spanning = [
+            w for u in current for v in generators
+            if any(w := mul(products, u, v, Fraction(0)))
+        ]
+        current = [row for row in linalg.rref(spanning)[0] if any(row)]
+        dims.append(len(current))
+    height = len(dims) - 1
+    return height, dims[0] - dims[min(height, 1)]
 
 
 # ------------------------------------------------------------- constructions
@@ -494,7 +482,8 @@ def truncated_polynomial_algebra(
 
     The basis is the monomials of total degree <= order in graded-lex order;
     dimension is C(num_vars+order, order), height is ``order`` and width is
-    ``num_vars`` (0 when order = 0).
+    ``num_vars`` (0 when order = 0).  A Weil algebra by construction, so
+    the table skips the axiom check of :func:`from_structure_constants`.
     """
     if num_vars < 1:
         raise ValueError("need at least one variable")
@@ -511,9 +500,7 @@ def truncated_polynomial_algebra(
         ),
         key=grlex_key,
     )
-    return _monomial_basis_algebra(
-        names, exponents, lambda e: sum(e) > order
-    )
+    return _monomial_basis_algebra(names, exponents)
 
 
 def monomial_quotient_algebra(
@@ -524,7 +511,9 @@ def monomial_quotient_algebra(
     ``relations`` are the exponent tuples of the ideal generators.  The
     ideal must contain a pure power of every variable, otherwise the
     quotient is infinite dimensional.  The basis is the set of standard
-    monomials (those divisible by no relation).
+    monomials (those divisible by no relation).  Once the relations pass
+    those checks the quotient is a Weil algebra by construction, so the
+    table skips the axiom check of :func:`from_structure_constants`.
     """
     names = tuple(names)
     if not names:
@@ -564,24 +553,31 @@ def monomial_quotient_algebra(
         ),
         key=grlex_key,
     )
-    return _monomial_basis_algebra(names, exponents, divisible)
+    return _monomial_basis_algebra(names, exponents)
 
 
-def _monomial_basis_algebra(names, exponents, reduces_to_zero) -> WeilAlgebra:
+def _monomial_basis_algebra(names, exponents) -> WeilAlgebra:
+    # The standard monomials in grlex order put the unit first and span m
+    # after it, so the table is already normalised.  A product is the basis
+    # monomial with the summed exponent, or zero when that exponent is not
+    # standard; m^k is spanned by the standard monomials of degree >= k.
     index = {e: i for i, e in enumerate(exponents)}
-    s = len(exponents)
-    labels = [monomial_str(e, names) for e in exponents]
+    zero, one = Fraction(0), Fraction(1)
     table = []
     for ei in exponents:
         row = []
         for ej in exponents:
-            e = tuple(a + b for a, b in zip(ei, ej))
-            coords = [Fraction(0)] * s
-            if not reduces_to_zero(e):
-                coords[index[e]] = Fraction(1)
-            row.append(coords)
-        table.append(row)
-    return from_structure_constants(labels, table)
+            k = index.get(tuple(a + b for a, b in zip(ei, ej)))
+            row.append(tuple(one if q == k else zero for q in range(len(exponents))))
+        table.append(tuple(row))
+    table = tuple(table)
+    return WeilAlgebra(
+        labels=tuple(monomial_str(e, names) for e in exponents),
+        table=table,
+        height=max(sum(e) for e in exponents),
+        width=sum(1 for e in exponents if sum(e) == 1),
+        products=_sparse_products(table),
+    )
 
 
 def dual_numbers(name: str = "ε") -> WeilAlgebra:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -62,28 +63,44 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _format_value(components, labels, names) -> str:
-    """Render an algebra-valued chart expression: sum of label*(polynomial)."""
+def _format_sum(pairs, names, term) -> str:
+    """Render the non-zero chart polynomials of (key, polynomial) pairs as a
+    sum of ``term(key, rendered)``; sums and negatives get parentheses."""
     pieces = []
-    for label, comp in zip(labels, components):
-        if comp.is_zero():
-            continue
-        body = comp.to_str(names)
-        needs_parens = len(comp) > 1 or body.startswith("-")
-        rendered = f"({body})" if needs_parens else body
-        pieces.append(rendered if label == "1" else f"{label}·{rendered}")
-    return " + ".join(pieces) if pieces else "0"
-
-
-def _format_chart_field(field_values, names) -> str:
-    pieces = []
-    for name, comp in zip(names, field_values):
+    for key, comp in pairs:
         if comp.is_zero():
             continue
         body = comp.to_str(names)
         rendered = f"({body})" if len(comp) > 1 or body.startswith("-") else body
-        pieces.append(f"{rendered} ∂/∂{name}")
+        pieces.append(term(key, rendered))
     return " + ".join(pieces) if pieces else "0"
+
+
+def _header(algebra: WeilAlgebra) -> str:
+    return f"Weil: dim {algebra.dim}, height {algebra.height}, width {algebra.width}"
+
+
+def _axiom_name(exc: Exception) -> str:
+    return getattr(exc, "axiom", type(exc).__name__.removesuffix("Error"))
+
+
+def _load_point(args, algebra: WeilAlgebra) -> NearPoint:
+    point = near_point_from_json(algebra, _load_json_file(args.point))
+    if point.n != args.n:
+        raise ValueError(f"point has {point.n} coordinates, expected {args.n}")
+    return point
+
+
+def _chosen_derivation(args, basis):
+    """basis[args.derivation], or None once an out-of-range index is reported."""
+    if 0 <= args.derivation < len(basis):
+        return basis[args.derivation]
+    message = f"derivation index {args.derivation} out of range (dim Der = {len(basis)})"
+    if args.json:
+        _emit({"command": args.command, "error": message, "status": 1})
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return None
 
 
 def _point_lines(point: NearPoint) -> list[str]:
@@ -101,7 +118,7 @@ def _cmd_check(args) -> int:
     try:
         algebra = algebra_from_spec(_load_json_file(args.spec))
     except (AlgebraAxiomError, InfiniteDimensionalError) as exc:
-        name = getattr(exc, "axiom", type(exc).__name__.removesuffix("Error"))
+        name = _axiom_name(exc)
         report.update({"weil": False, "axiom": name, "reason": str(exc), "status": 1})
         if args.json:
             _emit(report)
@@ -112,7 +129,7 @@ def _cmd_check(args) -> int:
     if args.json:
         _emit(report)
     else:
-        print(f"Weil: dim {algebra.dim}, height {algebra.height}, width {algebra.width}")
+        print(_header(algebra))
         print(f"basis: {', '.join(algebra.labels)}")
         if algebra.dim > 1:
             print(f"maximal ideal: span({', '.join(algebra.labels[1:])})")
@@ -138,7 +155,7 @@ def _cmd_derivations(args) -> int:
             }
         )
         return 0
-    print(f"Weil: dim {algebra.dim}, height {algebra.height}, width {algebra.width}")
+    print(_header(algebra))
     print(f"dim Der(A) = {len(basis)}")
     for idx, d in enumerate(basis):
         print(f"d{idx}:")
@@ -164,27 +181,13 @@ def _cmd_derivations(args) -> int:
     return 0
 
 
-def _indexed_field(algebra: WeilAlgebra, index: int, n: int):
-    basis = derivation_basis(algebra)
-    if not 0 <= index < len(basis):
-        raise IndexError(
-            f"derivation index {index} out of range (dim Der = {len(basis)})"
-        )
-    return basis, induced_field(algebra, basis[index], n)
-
-
 def _cmd_field(args) -> int:
     algebra = algebra_from_spec(_load_json_file(args.spec))
-    try:
-        basis, fld = _indexed_field(algebra, args.derivation, args.n)
-    except IndexError as exc:
-        if args.json:
-            _emit({"command": "field", "error": str(exc), "status": 1})
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+    d = _chosen_derivation(args, derivation_basis(algebra))
+    if d is None:
         return 1
     names = chart_variable_names(algebra, args.n)
-    values = coordinate_values(fld)
+    values = coordinate_values(induced_field(algebra, d, args.n))
     chart = [values[i][j] for i in range(args.n) for j in range(algebra.dim)]
     if args.json:
         _emit(
@@ -194,7 +197,7 @@ def _cmd_field(args) -> int:
                 "algebra": algebra_summary(algebra),
                 "n": args.n,
                 "derivation": args.derivation,
-                "matrix": derivation_to_json(basis[args.derivation]),
+                "matrix": derivation_to_json(d),
                 "values": [
                     [comp.to_str(names) for comp in row] for row in values
                 ],
@@ -204,19 +207,21 @@ def _cmd_field(args) -> int:
             }
         )
         return 0
-    print(f"Weil: dim {algebra.dim}, height {algebra.height}, width {algebra.width}")
+    print(_header(algebra))
     i = args.derivation
     for q in range(args.n):
-        print(f"d{i}*(x{q + 1}) = {_format_value(values[q], algebra.labels, names)}")
-    print(f"chart: d{i}* = {_format_chart_field(chart, names)}")
+        value = _format_sum(
+            zip(algebra.labels, values[q]), names, lambda label, r: r if label == "1" else f"{label}·{r}"
+        )
+        print(f"d{i}*(x{q + 1}) = {value}")
+    chart_field = _format_sum(zip(names, chart), names, lambda name, r: f"{r} ∂/∂{name}")
+    print(f"chart: d{i}* = {chart_field}")
     return 0
 
 
 def _cmd_foliation(args) -> int:
     algebra = algebra_from_spec(_load_json_file(args.spec))
-    point = near_point_from_json(algebra, _load_json_file(args.point))
-    if point.n != args.n:
-        raise ValueError(f"point has {point.n} coordinates, expected {args.n}")
+    point = _load_point(args, algebra)
     basis = derivation_basis(algebra)
     lie = lie_structure(basis)
     sample = distribution_at(algebra, basis, point, tol=args.tol)
@@ -241,7 +246,7 @@ def _cmd_foliation(args) -> int:
             }
         )
         return 0
-    print(f"Weil: dim {algebra.dim}, height {algebra.height}, width {algebra.width}")
+    print(_header(algebra))
     print(f"dim Der(A) = r = {len(basis)}")
     print("point:")
     for line in _point_lines(point):
@@ -261,18 +266,11 @@ def _cmd_foliation(args) -> int:
 
 def _cmd_flow(args) -> int:
     algebra = algebra_from_spec(_load_json_file(args.spec))
-    point = near_point_from_json(algebra, _load_json_file(args.point))
-    if point.n != args.n:
-        raise ValueError(f"point has {point.n} coordinates, expected {args.n}")
-    basis = derivation_basis(algebra)
-    if not 0 <= args.derivation < len(basis):
-        message = f"derivation index {args.derivation} out of range (dim Der = {len(basis)})"
-        if args.json:
-            _emit({"command": "flow", "error": message, "status": 1})
-        else:
-            print(f"error: {message}", file=sys.stderr)
+    point = _load_point(args, algebra)
+    d = _chosen_derivation(args, derivation_basis(algebra))
+    if d is None:
         return 1
-    moved = flow(algebra, basis[args.derivation], args.t, point)
+    moved = flow(algebra, d, args.t, point)
     drift = max(
         abs(float(a.scalar_part) - float(b.scalar_part))
         for a, b in zip(point.components, moved.components)
@@ -321,24 +319,21 @@ def _cmd_liouville(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _number(kind, low=None):
+    """Argparse type: a finite ``kind`` (int or float) of at least ``low``."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from exc
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_spec=True):
-        if with_spec:
-            p.add_argument("spec", help="algebra spec file (JSON)")
+    def add_common(p):
+        p.add_argument("spec", help="algebra spec file (JSON)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p_check = sub.add_parser("check", help="verify the local-algebra axioms")
@@ -364,28 +358,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="chart form of one induced vector field")
     add_common(p_field)
-    p_field.add_argument("--n", type=_positive_int, required=True, help="manifold dimension")
-    p_field.add_argument("--derivation", type=_non_negative_int, default=0, help="basis index")
+    p_field.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_field.add_argument("--derivation", type=_number(int, 0), default=0, help="basis index")
     p_field.set_defaults(func=_cmd_field)
 
     p_fol = sub.add_parser("foliation", help="distribution generators, rank and involutivity at a point")
     add_common(p_fol)
-    p_fol.add_argument("--n", type=_positive_int, required=True, help="manifold dimension")
+    p_fol.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
     p_fol.add_argument("--point", required=True, help="near point file (JSON)")
-    p_fol.add_argument("--tol", type=float, default=None,
+    p_fol.add_argument("--tol", type=_number(float, 0), default=None,
                        help="rank tolerance (default: exact for rational points, 1e-9 otherwise)")
     p_fol.set_defaults(func=_cmd_foliation)
 
     p_flow = sub.add_parser("flow", help="integrate one induced field from a point")
     add_common(p_flow)
-    p_flow.add_argument("--n", type=_positive_int, required=True, help="manifold dimension")
-    p_flow.add_argument("--derivation", type=_non_negative_int, default=0, help="basis index")
-    p_flow.add_argument("--t", type=float, required=True, help="flow time")
+    p_flow.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_flow.add_argument("--derivation", type=_number(int, 0), default=0, help="basis index")
+    p_flow.add_argument("--t", type=_number(float), required=True, help="flow time")
     p_flow.add_argument("--point", required=True, help="near point file (JSON)")
     p_flow.set_defaults(func=_cmd_flow)
 
     p_liou = sub.add_parser("liouville", help="tangent-bundle specialisation check")
-    p_liou.add_argument("--n", type=_positive_int, required=True, help="manifold dimension")
+    p_liou.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
     p_liou.add_argument("--json", action="store_true", help="emit a JSON report")
     p_liou.set_defaults(func=_cmd_liouville)
 
@@ -407,8 +401,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AlgebraAxiomError, InfiniteDimensionalError) as exc:
-        name = getattr(exc, "axiom", type(exc).__name__.removesuffix("Error"))
-        print(f"{name}: {exc}", file=sys.stderr)
+        print(f"{_axiom_name(exc)}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ flow integration, never for anything exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -316,6 +317,8 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     s = d.algebra.dim
     scaled = [[float(x) * float(t) for x in row] for row in d.matrix]
     norm = max((sum(abs(x) for x in row) for row in scaled), default=0.0)
+    if not math.isfinite(norm):
+        raise ValueError("flow time too large: t*D overflows floating point")
     squarings = 0
     while norm > 0.5:
         norm /= 2.0
@@ -333,6 +336,8 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
             result[i][i] += coeffs[k]
     for _ in range(squarings):
         result = _float_mat_mul(result, result)
+    if not all(math.isfinite(x) for row in result for x in row):
+        raise ValueError("flow time too large: exp(tD) overflows floating point")
     return Automorphism(d.algebra, _freeze(result))
 
 

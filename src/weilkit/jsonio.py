@@ -7,6 +7,7 @@ where flows produce them; structure-constant tables must stay rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,8 +45,10 @@ def rational_from_json(value) -> Fraction:
 
 
 def scalar_from_json(value):
-    """Rational where possible, float when the JSON value is a float."""
+    """Rational where possible, float when the JSON value is a finite float."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SpecFormatError(f"expected a finite number, got {value!r}")
         return value
     return rational_from_json(value)
 

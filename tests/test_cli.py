@@ -239,6 +239,49 @@ def test_flow_composition_returns_within_tolerance(capsys, files):
     assert abs(forward * backward - 1.0) <= 1e-9  # e^t * e^-t = 1
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "tiny"])
+def test_foliation_rejects_bad_tolerance(capsys, files, tol):
+    code, out, err = run(
+        capsys, ["foliation", files["dual"], "--n", "1", "--point", files["pt_dual"], "--tol", tol]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan", "1e309"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_flow_rejects_non_finite_time(capsys, files, t, as_json):
+    argv = ["flow", files["dual"], "--n", "1", f"--t={t}", "--point", files["pt_dual"]]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 2
+    assert out == ""
+    assert "--t: must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "spec, point",
+    [
+        ("x3", "pt_x3"),  # t*D overflows: a row of D sums to 2
+        ("dual", "pt_dual"),  # t*D is finite, exp(-tD) scales ε by e^t
+    ],
+)
+def test_flow_overflowing_time_exits_1(capsys, files, spec, point):
+    argv = ["flow", files[spec], "--n", "1", "--t", "1e308", "--point", files[point], "--json"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: flow time too large")
+
+
+def test_non_finite_point_exits_2(capsys, files, tmp_path):
+    path = tmp_path / "nan_point.json"
+    path.write_text('{"base": [NaN], "nilparts": [[Infinity]]}', encoding="utf-8")
+    code, _, err = run(capsys, ["foliation", files["dual"], "--n", "1", "--point", str(path)])
+    assert code == 2
+    assert err.startswith("parse error:")
+
+
 def test_liouville_all_pass(capsys):
     for n in ("1", "3"):
         code, out, _ = run(capsys, ["liouville", "--n", n])

@@ -283,6 +283,15 @@ def test_exp_flow_nilpotent_terminates():
             assert abs(phi.matrix[i][j] - oracle[i][j]) < 1e-12
 
 
+def test_exp_flow_rejects_overflowing_time():
+    d = derivation_basis(dual_numbers())[0]  # d(ε) = -ε
+    with pytest.raises(ValueError, match="flow time too large"):
+        exp_flow(Fraction(4) * d, 1e308)  # t*D overflows before the squarings
+    with pytest.raises(ValueError, match="flow time too large"):
+        exp_flow(d, -1e308)  # t*D is finite, but exp(tD) scales ε by e^(1e308)
+    assert exp_flow(d, 1e308).matrix == ((1.0, 0.0), (0.0, 0.0))
+
+
 def test_exp_flow_group_law():
     A = truncated_polynomial_algebra(1, 2)
     d = derivation_basis(A)[0]

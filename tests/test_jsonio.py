@@ -44,6 +44,14 @@ def test_scalar_accepts_floats():
     assert scalar_from_json("3/4") == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scalar_rejects_non_finite_floats(value):
+    with pytest.raises(SpecFormatError, match="finite"):
+        scalar_from_json(value)
+    with pytest.raises(SpecFormatError, match="finite"):
+        near_point_from_json(dual_numbers(), {"base": [value]})
+
+
 def test_truncated_polynomial_spec():
     A = algebra_from_spec({"type": "truncated_polynomial", "variables": ["x", "y"], "order": 2})
     assert (A.dim, A.height, A.width) == (6, 2, 2)

@@ -1,10 +1,13 @@
-"""Derivations built without the public check, and the one product kernel.
+"""Results built without the public checks, and the one product kernel.
 
-Brackets, sums, scalar multiples, negatives and module multiples skip the
-Leibniz check of the public constructor because they are derivations by
-construction; these tests re-verify them.  Every product of the package
-goes through ``algebra.mul``; these tests compare it with the raw-table
-reference of ``support``.
+The monomial constructions build their algebras without the axiom check of
+``from_structure_constants``, because a monomial quotient that contains a
+pure power of every variable is a Weil algebra by construction; these tests
+re-verify their tables.  Brackets, sums, scalar multiples, negatives and
+module multiples skip the Leibniz check of the public constructor because
+they are derivations by construction; these tests re-verify them.  Every
+product of the package goes through ``algebra.mul``; these tests compare it
+with the raw-table reference of ``support``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from weilkit import (
     from_structure_constants,
     leibniz_residual,
     module_scale,
+    monomial_quotient_algebra,
     truncated_polynomial_algebra,
 )
+from weilkit.algebra import _height_and_width
 from support import rand_element, rand_fraction, rand_invertible, rand_poly, raw_table_mul
 
 
@@ -52,6 +57,38 @@ ALGEBRAS = _algebras()
 @pytest.fixture(params=sorted(ALGEBRAS))
 def algebra(request):
     return ALGEBRAS[request.param]
+
+
+MONOMIAL_ALGEBRAS = {
+    **{
+        f"truncated-{v}-{k}": (truncated_polynomial_algebra, (v, k))
+        for v, k in [(1, 0), (1, 1), (1, 14), (2, 4), (3, 3), (4, 2)]
+    },
+    "quotient-x3-y2-xy2": (monomial_quotient_algebra, (["x", "y"], [(3, 0), (0, 2), (1, 2)])),
+    "quotient-x2-y2-z2": (
+        monomial_quotient_algebra,
+        (["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_ALGEBRAS))
+def test_monomial_algebras_pass_the_verifier(name):
+    build, args = MONOMIAL_ALGEBRAS[name]
+    A = build(*args)
+    B = from_structure_constants(A.labels, A.table)
+    assert A == B
+    assert A.labels == B.labels
+    assert A.products == B.products
+
+
+@pytest.mark.parametrize("num_vars, order, expected", [(1, 4, (4, 1)), (2, 2, (2, 2))])
+def test_height_and_width_over_a_scrambled_basis(num_vars, order, expected):
+    T = truncated_polynomial_algebra(num_vars, order)
+    A = _scrambled(T, random.Random(5))
+    assert A.table != T.table  # m is spanned by combinations, not by monomials
+    assert (A.height, A.width) == expected
+    assert _height_and_width(A.products) == expected
 
 
 def test_scrambled_algebra_is_relabelled():
