@@ -56,11 +56,14 @@ def _passfail(ok: bool) -> str:
 
 def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise SpecFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _format_sum(pairs, names, term) -> str:

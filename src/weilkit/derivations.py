@@ -1,10 +1,15 @@
 """Derivations of a local algebra and their one-parameter automorphism groups.
 
 A derivation is a linear self-map D with D(ab) = D(a)b + aD(b); it kills the
-unit and preserves the maximal ideal.  The space of all derivations is
-computed exactly as the nullspace of the homogeneous Leibniz system over the
-rationals, so its dimension r is exact; r is also the dimension of the
-foliation the derivations induce on near-point charts.
+unit and preserves the maximal ideal.  It is fixed by its values on
+generators of the maximal ideal, lifts of a basis of m/m^2 (Weil 1953;
+Kolář, Michor and Slovák, ch. VIII), so the space of all derivations is
+solved for exactly over the rationals with width * s unknowns, the
+coordinates of those values, one solver for every table.  The constraints
+come from walking the monomials in the generators: each product of a
+generator with a monomial that is a combination of earlier monomials must
+have the same combination of images.  The dimension r is exact; it is also
+the dimension of the foliation the derivations induce on near-point charts.
 
 Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
@@ -131,46 +136,125 @@ def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
 def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     """Exact basis of the derivation space, deterministically normalised.
 
-    The Leibniz constraints form a homogeneous linear system in the s^2
-    matrix entries; its nullspace is returned in canonical reduced form
-    (leading entry 1 in row-major matrix order).  For a two-dimensional
-    algebra the single generator is rescaled so the nilpotent generator
-    maps to minus itself, which makes the induced field on a tangent-bundle
-    chart the Liouville field with flow e^t.
+    A derivation is fixed by its values on generators of the maximal ideal,
+    so the unknowns are the coordinates of D(g_1), ..., D(g_w) for basis
+    elements g_a whose classes span m/m^2: width * s unknowns.  Products
+    g_a * M of generators with the monomials M reached so far either are
+    new monomials, whose images D(g_a M) = g_a D(M) + M D(g_a) are recorded,
+    or are combinations of earlier ones, which makes that rule a linear
+    constraint.  Together the constraints give D(g x) = g D(x) + x D(g) for
+    every generator g and every x, which is the Leibniz rule by induction
+    over monomials.  The solutions are expanded to full matrices and
+    returned in canonical reduced form (leading entry 1 in row-major matrix
+    order).  For a two-dimensional algebra the single generator is rescaled
+    so the nilpotent generator maps to minus itself, which makes the
+    induced field on a tangent-bundle chart the Liouville field with flow
+    e^t.
     """
     s = algebra.dim
-    table = algebra.table
-    n_unknowns = s * s
+    products = algebra.products
+    zero, one = Fraction(0), Fraction(1)
+    units = linalg.identity(s)
 
-    rows: list[list[Fraction]] = []
-    for p in range(s):
-        row = [Fraction(0)] * n_unknowns
-        row[p * s + 0] = Fraction(1)  # D(1) = 0
-        rows.append(row)
+    # Generators: basis elements of m that are independent modulo m^2.
+    square: dict = {}
     for i in range(1, s):
         for j in range(i, s):
-            cij = table[i][j]
-            for p in range(s):
-                row = [Fraction(0)] * n_unknowns
-                for k in range(s):
-                    if cij[k]:
-                        row[p * s + k] += cij[k]
-                for m in range(s):
-                    # -(D(a_i) a_j)_p and -(a_i D(a_j))_p
-                    if table[m][j][p]:
-                        row[m * s + i] -= table[m][j][p]
-                    if table[m][i][p]:
-                        row[m * s + j] -= table[m][i][p]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+            _eliminate(square, dict(products[i][j]), s)
+    generators = [g for g in range(1, s) if _eliminate(square, {g: one}, s)]
+    n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
 
-    basis_vectors = linalg.nullspace(rows, n_unknowns)
-    matrices = [
-        _freeze([vec[p * s : (p + 1) * s] for p in range(s)]) for vec in basis_vectors
-    ]
+    # Walk the monomials.  A row of ``span`` holds a vector in columns < s
+    # and, in column s + u, its coefficient on monomial u, so a dependent
+    # product reduces to its expansion over the kept monomials.
+    monomials = [units[0]]
+    images: list[list[dict]] = [[{} for _ in range(s)]]  # D(M_u) as s linear forms
+    span: dict = {}
+    _eliminate(span, {0: one, s: one}, s)
+    constraints: dict = {}
+    t = 0
+    while t < len(monomials):
+        columns = [mul(products, monomials[t], e, zero) for e in units]  # M_t * e_q
+        image = images[t]
+        for a, g in enumerate(generators):
+            # D(g M_t) = g D(M_t) + M_t D(g)
+            forms: list[dict] = [{} for _ in range(s)]
+            for q, form in enumerate(image):
+                for k, c in products[g][q] if form else ():
+                    _add_scaled(forms[k], c, form)
+            for q, column in enumerate(columns):
+                for k, c in enumerate(column):
+                    if c:
+                        _add_scaled(forms[k], c, {a * s + q: one})
+            # g M_t is tried as monomial number len(monomials).
+            row = {k: c for k, c in enumerate(columns[g]) if c}
+            row[s + len(monomials)] = one
+            images.append(forms)
+            if _eliminate(span, row, s):
+                monomials.append(columns[g])
+                continue
+            # Now sum_u row[s + u] M_u = 0, so the same combination of the
+            # images must vanish: s constraints, one per coordinate.
+            for p in range(s):
+                constraint: dict = {}
+                for col, c in row.items():
+                    _add_scaled(constraint, c, images[col - s][p])
+                _eliminate(constraints, constraint, n_unknowns)
+            images.pop()
+        t += 1
+
+    # D maps monomial u to images[u], so D = D_M M^-1 for the matrix M whose
+    # columns are the monomials.
+    inverse = linalg.invert([list(row) for row in zip(*monomials)])
+    expansion: dict = {}  # unknown -> [(p, u, its coefficient in D(M_u)_p)]
+    for u, image in enumerate(images):
+        for p, form in enumerate(image):
+            for x, c in form.items():
+                expansion.setdefault(x, []).append((p, u, c))
+    rows = [[row.get(x, zero) for x in range(n_unknowns)] for row in constraints.values()]
+    flat = []
+    for solution in linalg.nullspace(rows, n_unknowns):
+        d_m = linalg.zeros(s, s)
+        for x, value in enumerate(solution):
+            for p, u, c in expansion.get(x, ()) if value else ():
+                d_m[p][u] += value * c
+        flat.append([y for row in linalg.mat_mul(d_m, inverse) for y in row])
+    canonical, _ = linalg.rref(flat)
+    matrices = [_freeze([vec[p * s : (p + 1) * s] for p in range(s)]) for vec in canonical]
     if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
         matrices = [_freeze([[-x for x in row] for row in matrices[0]])]
     return [_trusted(algebra, mat) for mat in matrices]
+
+
+def _add_scaled(target: dict, c: Fraction, form: dict) -> None:
+    """target += c * form for sparse vectors (index -> non-zero Fraction)."""
+    for x, v in form.items():
+        y = target.get(x, 0) + c * v
+        if y:
+            target[x] = y
+        else:
+            del target[x]
+
+
+def _eliminate(echelon: dict, row: dict, limit: int) -> bool:
+    """Reduce the sparse ``row`` in place against ``echelon`` (leading
+    column -> row with a leading 1 there) over the columns below ``limit``.
+
+    When a column below ``limit`` survives, the normalised row joins the
+    echelon and the result is True; otherwise ``row`` keeps only its
+    columns >= ``limit`` and the result is False.
+    """
+    while row:
+        lead = min(row)
+        if lead >= limit:
+            return False
+        pivot = echelon.get(lead)
+        if pivot is None:
+            scale = 1 / row[lead]
+            echelon[lead] = {x: v * scale for x, v in row.items()}
+            return True
+        _add_scaled(row, -row[lead], pivot)
+    return False
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:

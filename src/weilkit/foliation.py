@@ -149,6 +149,8 @@ def distribution_at(
     """
     fields = [induced_field(algebra, d, point.n) for d in basis]
     generators = tuple(chart_flatten(f, point) for f in fields)
+    for idx, gen in enumerate(generators):
+        _check_finite(gen, f"generator d{idx}* at this point")
     if tol is None:
         exact = all(
             isinstance(x, (int, Fraction)) for gen in generators for x in gen
@@ -211,7 +213,17 @@ def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> Nea
     if point.algebra is not algebra and point.algebra != algebra:
         raise ValueError("point belongs to a different algebra")
     phi = exp_flow(d, -t)
-    return NearPoint(tuple(phi.apply(c) for c in point.components))
+    moved = tuple(phi.apply(c) for c in point.components)
+    for i, c in enumerate(moved):
+        _check_finite(c.coeffs, f"flowed component ξ{i + 1}")
+    return NearPoint(moved)
+
+
+def _check_finite(values, what: str) -> None:
+    """ValueError naming ``what`` when a float among ``values`` is inf or NaN."""
+    for x in values:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{what} overflows floating point ({x})")
 
 
 def leaf_sample(

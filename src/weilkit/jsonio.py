@@ -200,8 +200,16 @@ def taylor_oracle_from_json(data: dict) -> TaylorOracle:
         raise SpecFormatError("partials must be an object keyed by multi-index")
     partials = {}
     for key, value in raw.items():
-        partials[_parse_multi_index(key, len(base))] = float(value)
-    return TaylorOracle([float(b) for b in base], partials)
+        partials[_parse_multi_index(key, len(base))] = _finite_float(value)
+    return TaylorOracle([_finite_float(b) for b in base], partials)
+
+
+def _finite_float(value) -> float:
+    """Finite float from a JSON number or rational string."""
+    try:
+        return float(scalar_from_json(value))
+    except OverflowError as exc:
+        raise SpecFormatError(f"{value!r} overflows floating point") from exc
 
 
 def taylor_oracle_to_json(oracle: TaylorOracle) -> dict:

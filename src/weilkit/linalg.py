@@ -44,11 +44,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:

@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and random rational data.
 
-The oracles deliberately avoid the library's exact solvers: derivation
+The oracles deliberately avoid the library's solvers: derivation
 dimensions are recomputed from a float constraint matrix via numpy's SVD
-rank, and matrix exponentials are recomputed by direct series summation.
+rank, the exact derivation basis from the full s^2-unknown Leibniz system
+rather than from generators, and matrix exponentials by direct series
+summation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from weilkit import Polynomial, WeilAlgebra
+import weilkit.linalg as linalg
+from weilkit import Polynomial, WeilAlgebra, from_structure_constants
 
 
 # ----------------------------------------------------------------- oracles
@@ -45,6 +48,45 @@ def derivation_dim_oracle(algebra: WeilAlgebra) -> int:
                 rows.append(row)
     matrix = np.array(rows)
     return s * s - int(np.linalg.matrix_rank(matrix))
+
+
+def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
+    """Canonical derivation basis from the full Leibniz system, exactly.
+
+    The unknowns are all s^2 matrix entries; the rows are D(1) = 0 and the
+    Leibniz identity on every basis pair i <= j.  The nullspace is returned
+    as matrices in reduced row echelon form over row-major entries, and for
+    a two-dimensional algebra the generator is rescaled to send the
+    nilpotent basis element to minus itself: the output contract of
+    ``derivation_basis``, computed without its generator walk.
+    """
+    s = algebra.dim
+    table = algebra.table
+    n_unknowns = s * s
+    rows = []
+    for p in range(s):
+        row = [Fraction(0)] * n_unknowns
+        row[p * s] = Fraction(1)  # D(1) = 0
+        rows.append(row)
+    for i in range(1, s):
+        for j in range(i, s):
+            for p in range(s):
+                row = [Fraction(0)] * n_unknowns
+                for k in range(s):
+                    row[p * s + k] += table[i][j][k]
+                for m in range(s):
+                    # -(D(a_i) a_j)_p and -(a_i D(a_j))_p
+                    row[m * s + i] -= table[m][j][p]
+                    row[m * s + j] -= table[m][i][p]
+                if any(row):
+                    rows.append(row)
+    matrices = [
+        tuple(tuple(vec[p * s : (p + 1) * s]) for p in range(s))
+        for vec in linalg.nullspace(rows, n_unknowns)
+    ]
+    if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
+        matrices = [tuple(tuple(-x for x in row) for row in matrices[0])]
+    return matrices
 
 
 def expm_series_oracle(matrix, terms: int = 60):
@@ -111,8 +153,6 @@ def rand_poly(rng: random.Random, nvars: int, degree: int = 3, terms: int = 4) -
 
 def rand_invertible(rng: random.Random, size: int):
     """Random invertible rational matrix (entries small integers)."""
-    import weilkit.linalg as linalg
-
     while True:
         mat = [
             [Fraction(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)
@@ -122,3 +162,17 @@ def rand_invertible(rng: random.Random, size: int):
             return mat
         except ValueError:
             continue
+
+
+def scrambled(algebra: WeilAlgebra, rng: random.Random) -> WeilAlgebra:
+    """The same algebra as a structure-constants table over a random basis,
+    so that normalisation has to find the unit and relabel."""
+    s = algebra.dim
+    change = rand_invertible(rng, s)
+    inverse = linalg.invert([row[:] for row in change])
+    columns = [[change[p][i] for p in range(s)] for i in range(s)]
+    table = [
+        [linalg.mat_vec(inverse, raw_table_mul(algebra.table, columns[i], columns[j])) for j in range(s)]
+        for i in range(s)
+    ]
+    return from_structure_constants([f"f{i}" for i in range(s)], table)

@@ -282,6 +282,47 @@ def test_non_finite_point_exits_2(capsys, files, tmp_path):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_flow_overflowing_point_exits_1(capsys, files, tmp_path, as_json):
+    # e^t * 1e308 leaves the float range although t and the point are finite
+    path = tmp_path / "huge_dual.json"
+    path.write_text('{"base": [1e308, 1e308], "nilparts": [[1e308], [1e308]]}', encoding="utf-8")
+    argv = ["flow", files["dual"], "--n", "2", "--t", "1", "--point", str(path)]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: flowed component ξ1 overflows floating point (inf)")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_foliation_overflowing_generator_exits_1(capsys, files, tmp_path, as_json):
+    # d0 sends x to x and x^2 to 2x^2, so the generator holds 2 * 1e308
+    path = tmp_path / "huge_x3.json"
+    path.write_text('{"base": [0.5], "nilparts": [[1e308, 1e308]]}', encoding="utf-8")
+    argv = ["foliation", files["x3"], "--n", "1", "--point", str(path)]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: generator d0* at this point overflows floating point (-inf)")
+
+
+def test_emit_rejects_non_finite_floats(capsys):
+    from weilkit.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"command": "flow", "base_drift": math.inf})
+    assert capsys.readouterr().out == ""
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and "nested too deeply" in err
+
+
 def test_liouville_all_pass(capsys):
     for n in ("1", "3"):
         code, out, _ = run(capsys, ["liouville", "--n", n])

@@ -21,17 +21,20 @@ from weilkit import (
     leibniz_residual,
     lie_structure,
     module_scale,
+    monomial_quotient_algebra,
     multiplicativity_residual,
     truncated_polynomial_algebra,
 )
 from weilkit.jsonio import rational_from_json
 import weilkit.linalg as la
 from support import (
+    derivation_basis_oracle,
     derivation_dim_oracle,
     expm_series_oracle,
     rand_element,
     rand_fraction,
     rand_invertible,
+    scrambled,
 )
 
 
@@ -76,8 +79,6 @@ def test_two_variable_truncations_free_on_generators():
 def test_constrained_monomial_quotient():
     # basis {1, x, y, y^2}: the relation x*y kills the y-coefficient of d(x)
     # (x d(y) + y d(x) must vanish), leaving d(x) in span(x, y^2) and d(y) free
-    from weilkit import monomial_quotient_algebra
-
     A = monomial_quotient_algebra(("x", "y"), [(2, 0), (0, 3), (1, 1)])
     basis = derivation_basis(A)
     assert len(basis) == 5
@@ -97,6 +98,60 @@ def test_solved_derivations_have_zero_leibniz_residual():
     for A in (dual_numbers(), truncated_polynomial_algebra(1, 4), truncated_polynomial_algebra(2, 2)):
         for d in derivation_basis(A):
             assert leibniz_residual(A, d.matrix) is None
+
+
+# Algebras on which the generator solve must return exactly the canonical
+# basis of the full s^2-unknown Leibniz system, by builder and arguments.
+ORACLE_CORPUS = {
+    **{
+        f"truncated-{v}-{k}": (truncated_polynomial_algebra, (v, k))
+        for v, k in [
+            (1, 0), (1, 1), (1, 2), (1, 3), (1, 5), (1, 9), (1, 14),
+            (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+            (4, 1), (4, 2), (5, 1), (8, 1),
+        ]
+    },
+    **{
+        f"quotient-{name}": (monomial_quotient_algebra, (variables, relations))
+        for name, variables, relations in [
+            ("x2", ["x"], [(2,)]),
+            ("x2-y3-xy", ["x", "y"], [(2, 0), (0, 3), (1, 1)]),
+            ("x3-y2-xy2", ["x", "y"], [(3, 0), (0, 2), (1, 2)]),
+            ("x2-y3", ["x", "y"], [(2, 0), (0, 3)]),
+            ("x3-y3-xy2", ["x", "y"], [(3, 0), (0, 3), (1, 2)]),
+            ("x4-y2", ["x", "y"], [(4, 0), (0, 2)]),
+            ("x2-y2-z2", ["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+        ]
+    },
+    **{
+        f"scrambled-{name}-{seed}": (
+            lambda build, args, seed: scrambled(build(*args), random.Random(seed)),
+            (build, args, seed),
+        )
+        for name, build, args, seed in [
+            ("dual", truncated_polynomial_algebra, (1, 1), 3),
+            ("x5", truncated_polynomial_algebra, (1, 4), 5),
+            ("m3", truncated_polynomial_algebra, (2, 2), 41),
+            ("x3-y2-xy2", monomial_quotient_algebra, (["x", "y"], [(3, 0), (0, 2), (1, 2)]), 7),
+            ("x2-y2-z2", monomial_quotient_algebra, (["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]), 11),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_basis_matches_full_leibniz_oracle(name):
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    assert [d.matrix for d in basis] == derivation_basis_oracle(A)
+    for d in basis:
+        assert Derivation(A, d.matrix).matrix == d.matrix  # the public, checking constructor
+
+
+def test_oracle_applies_the_dual_number_rescale():
+    assert derivation_basis_oracle(truncated_polynomial_algebra(1, 0)) == []
+    assert derivation_basis_oracle(dual_numbers()) == [F([[0, 0], [0, -1]])]
 
 
 def test_non_derivation_matrix_rejected():

@@ -138,3 +138,17 @@ def test_taylor_oracle_bad_multi_index():
         taylor_oracle_from_json({"base": [0.0], "partials": {"(a)": 1.0}})
     with pytest.raises(SpecFormatError):
         taylor_oracle_from_json({"base": [0.0], "partials": {"(0,0)": 1.0}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "Infinity", 10**400])
+def test_taylor_oracle_rejects_non_finite_values(value):
+    with pytest.raises(SpecFormatError):
+        taylor_oracle_from_json({"base": [0.0], "partials": {"(0)": value}})
+    with pytest.raises(SpecFormatError):
+        taylor_oracle_from_json({"base": [value], "partials": {"(0)": 1.0}})
+
+
+def test_taylor_oracle_accepts_rationals():
+    oracle = taylor_oracle_from_json({"base": ["1/2"], "partials": {"(0)": 3, "(1)": "-1/4"}})
+    assert oracle.base == (0.5,)
+    assert oracle.partials() == {(0,): 3.0, (1,): -0.25}

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-import weilkit.linalg as la
 from weilkit import (
     bracket,
     chart_components,
@@ -29,26 +28,12 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit.algebra import _height_and_width
-from support import rand_element, rand_fraction, rand_invertible, rand_poly, raw_table_mul
-
-
-def _scrambled(A, rng):
-    """The same algebra as a structure-constants table over a random basis,
-    so that normalisation has to find the unit and relabel."""
-    s = A.dim
-    change = rand_invertible(rng, s)
-    inverse = la.invert([row[:] for row in change])
-    columns = [[change[p][i] for p in range(s)] for i in range(s)]
-    table = [
-        [la.mat_vec(inverse, raw_table_mul(A.table, columns[i], columns[j])) for j in range(s)]
-        for i in range(s)
-    ]
-    return from_structure_constants([f"f{i}" for i in range(s)], table)
+from support import rand_element, rand_fraction, rand_poly, raw_table_mul, scrambled
 
 
 def _algebras():
     m3 = truncated_polynomial_algebra(2, 2)
-    return {"m3": m3, "scrambled-m3": _scrambled(m3, random.Random(41))}
+    return {"m3": m3, "scrambled-m3": scrambled(m3, random.Random(41))}
 
 
 ALGEBRAS = _algebras()
@@ -85,7 +70,7 @@ def test_monomial_algebras_pass_the_verifier(name):
 @pytest.mark.parametrize("num_vars, order, expected", [(1, 4, (4, 1)), (2, 2, (2, 2))])
 def test_height_and_width_over_a_scrambled_basis(num_vars, order, expected):
     T = truncated_polynomial_algebra(num_vars, order)
-    A = _scrambled(T, random.Random(5))
+    A = scrambled(T, random.Random(5))
     assert A.table != T.table  # m is spanned by combinations, not by monomials
     assert (A.height, A.width) == expected
     assert _height_and_width(A.products) == expected
