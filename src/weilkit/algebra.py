@@ -5,8 +5,11 @@ over the rationals whose nilpotent elements form a maximal ideal of
 codimension one.  Only tables that come from outside are verified, by
 :func:`from_structure_constants`, which runs the full axiom check:
 
-* commutativity and associativity of the structure-constant tensor,
+* commutativity of the structure-constant tensor,
 * existence of a unit (solved for as a linear system),
+* associativity, checked on the operators of algebra generators along
+  one monomial walk (:func:`monomial_walk`), which proves it for every
+  basis triple,
 * locality: the nilpotent radical is computed as the kernel of the trace
   form of the regular representation (valid in characteristic zero), then
   verified constructively (each radical element is nilpotent, the radical
@@ -25,6 +28,10 @@ the sparse structure constants that are indexed once per table.  All
 scalars in this module are exact ``Fraction``s with no tolerances;
 elements may carry floats only in flow integration, which never feeds
 back into verification.
+
+Every construction refuses an algebra of dimension above ``MAX_DIM``, or
+more than ``MAX_DIM`` variables or labels, with :class:`SizeLimitError`
+before it allocates a table.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .poly import Exponents, Polynomial, format_scalar, grlex_key, monomial_str
@@ -69,6 +76,28 @@ class NotNilpotentError(AlgebraAxiomError):
 
 class InfiniteDimensionalError(ValueError):
     """A monomial quotient without a pure power of every variable."""
+
+
+class SizeLimitError(ValueError):
+    """An input asks for an algebra beyond the documented size caps."""
+
+
+# The size cap, checked before a table is allocated.  A table holds dim^3
+# structure constants, so MAX_DIM bounds the size of every algebra; it
+# admits R[x1..x5]/m^4 (dim 56).  It also caps the number of variables,
+# which only order 0 or relations x_i^1 could push past the dimension.
+# Orders and relation exponents need no caps of their own: the standard
+# monomials are enumerated one at a time and the enumeration stops at the
+# first one beyond MAX_DIM, so in effect the order is at most MAX_DIM - 1
+# (R[x]/x^(order+1) has dimension order + 1) and a pure power at most
+# x^MAX_DIM.
+MAX_DIM = 64
+
+
+def check_size(what: str, value: int, cap: int) -> None:
+    """Raise SizeLimitError when ``value`` exceeds ``cap``."""
+    if value > cap:
+        raise SizeLimitError(f"{what} {value} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -270,6 +299,84 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     return out
 
 
+def ideal_generators(products: Products) -> list[int]:
+    """Basis elements of m whose classes form a basis of m/m^2, for a
+    normalised table (m spanned by e_1..e_{s-1}).
+
+    They generate m, hence the algebra, and a derivation is fixed by its
+    values on them; there are ``width`` of them.
+    """
+    s = len(products)
+    square: dict = {}
+    for i in range(1, s):
+        for j in range(i, s):
+            linalg.eliminate(square, dict(products[i][j]), s)
+    return [g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s)]
+
+
+def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iterable[int]):
+    """Walk the monomials in generators drawn greedily from ``candidates``.
+
+    ``unit`` is the unit's coordinate vector; ``candidates`` are basis
+    indices.  A candidate e_g becomes a generator when it is not a
+    combination of the monomials kept so far; every kept monomial is then
+    multiplied by every generator, and each product that is not a
+    combination of the kept monomials is kept too.  The walk stops taking
+    candidates once the monomials span the algebra.
+
+    Returns (generators, monomials, parents, relations).  ``monomials[0]``
+    is the unit; ``parents[u] = (a, t)`` says monomials[u] is
+    e_{generators[a]} * monomials[t] (None for the unit), so t < u and a
+    generator enters as (a, 0).  ``relations`` holds (a, t, expansion) for
+    every other product, with e_{generators[a]} * monomials[t] =
+    sum of c * monomials[u] over ``expansion`` = {u: c}.  Each pair (a, t)
+    appears exactly once in ``parents`` or ``relations``.
+    """
+    s = len(products)
+    zero, one = Fraction(0), Fraction(1)
+    units = linalg.identity(s)
+    generators: list[int] = []
+    monomials: list = []
+    parents: list = []
+    relations: list = []
+    # A row of ``span`` holds a vector in columns < s and, in column s + u,
+    # its coefficient on monomial u, so a dependent product reduces to its
+    # expansion over the kept monomials.
+    span: dict = {}
+
+    def visit(vector, parent) -> dict | None:
+        """Keep ``vector`` as the next monomial (None), or return its expansion."""
+        tried = s + len(monomials)
+        row = {k: c for k, c in enumerate(vector) if c}
+        row[tried] = one
+        if linalg.eliminate(span, row, s):
+            monomials.append(vector)
+            parents.append(parent)
+            return None
+        # Now vector + sum_u row[s + u] * M_u = 0; no pivot row reaches ``tried``.
+        del row[tried]
+        return {col - s: -c for col, c in row.items()}
+
+    visit(list(unit), None)
+    for g in candidates:
+        if len(monomials) == s:
+            break
+        a = len(generators)
+        if visit(units[g], (a, 0)) is not None:  # e_g * unit = e_g is not new
+            continue
+        generators.append(g)
+        before = len(monomials) - 1  # the monomials the earlier generators have visited
+        t = 1
+        while t < len(monomials):
+            for b in range(len(generators)) if t >= before else (a,):
+                product = mul(products, units[generators[b]], monomials[t], zero)
+                expansion = visit(product, (b, t))
+                if expansion is not None:
+                    relations.append((b, t, expansion))
+            t += 1
+    return generators, monomials, parents, relations
+
+
 # ----------------------------------------------------------------- raw tables
 
 
@@ -299,14 +406,46 @@ def _check_commutative(table, labels) -> None:
                 )
 
 
-def _check_associative(table, products, labels) -> None:
+def _check_associative(table, products, unit, labels) -> None:
+    """Associativity of a commutative table whose unit ``unit`` satisfies
+    L_unit = I, checked on algebra generators in O(w^2 s^3 + s^4) for w
+    generators, instead of the O(s^5) of a scan over all basis triples.
+
+    Walk the monomials in greedy generators G drawn from the basis.  If the
+    operators L_g (g in G) commute pairwise and L_{g M_t} = L_g L_{M_t} for
+    every kept monomial g M_t, then every L_{M_u} is a product of the L_g,
+    and since the M_u span A, every L_x lies in the commutative algebra
+    Q[L_G].  The unit is a cyclic vector for it (P(M_u) = P L_{M_u} unit =
+    L_{M_u} P unit), so an element of Q[L_G] is fixed by its value at the
+    unit; L_{xy} and L_x L_y both send it to xy, hence they are equal, which
+    is associativity.  The conditions are also necessary, so when they fail
+    the triple scan runs on a table that is known to be bad and names its
+    first failing triple.
+    """
     s = len(table)
+    zero = Fraction(0)
     units = linalg.identity(s)
+    _, monomials, parents, _ = monomial_walk(products, unit, range(s))
+    operators = [
+        [list(row) for row in zip(*(mul(products, m, e, zero) for e in units))]
+        for m in monomials
+    ]
+    # Monomial g * unit = g is the one a generator enters the walk with.
+    generators = [operators[u] for u, parent in enumerate(parents) if parent and parent[1] == 0]
+    if all(
+        linalg.mat_mul(x, y) == linalg.mat_mul(y, x)
+        for x, y in itertools.combinations(generators, 2)
+    ) and all(
+        operators[u] == linalg.mat_mul(generators[a], operators[t])
+        for u, (a, t) in enumerate(parents[1:], start=1)
+        if t
+    ):
+        return
     for i in range(s):
         for j in range(s):
             for l in range(s):
-                left = mul(products, table[i][j], units[l], Fraction(0))
-                right = mul(products, units[i], table[j][l], Fraction(0))
+                left = mul(products, table[i][j], units[l], zero)
+                right = mul(products, units[i], table[j][l], zero)
                 if left != right:
                     raise NotAssociativeError(
                         f"({labels[i]}*{labels[j]})*{labels[l]} != "
@@ -367,8 +506,15 @@ def from_structure_constants(
     This is the one verifier, for tables that come from outside; the
     monomial constructions build their algebras without it.  Raises
     NotCommutativeError, NotAssociativeError, NoUnitError, NotLocalError or
-    NotNilpotentError when the corresponding axiom fails.
+    NotNilpotentError when the corresponding axiom fails, and
+    SizeLimitError for more than MAX_DIM labels.
+
+    Associativity is checked on the w algebra generators of the raw table,
+    in O(w^2 s^3 + s^4) rather than over all s^3 basis triples; see
+    :func:`_check_associative` for why that is an exact proof.  Width and
+    height come from the generators of m in the same way.
     """
+    check_size("algebra dimension", len(labels), MAX_DIM)
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise ValueError("algebra dimension must be at least 1")
@@ -382,7 +528,7 @@ def from_structure_constants(
     unit = _find_unit(table)
     if unit is None:
         raise NoUnitError("no element satisfies u*a = a for every basis element a")
-    _check_associative(table, products, labels)
+    _check_associative(table, products, unit, labels)
 
     radical = _trace_form_kernel(table)
     if len(radical) != s - 1:
@@ -407,16 +553,13 @@ def from_structure_constants(
         raise NotLocalError("unit lies in the span of the nilpotent elements") from None
 
     is_identity = change == linalg.identity(s)
-    new_table = []
+    columns = [[change[p][i] for p in range(s)] for i in range(s)]
+    new_table = [[None] * s for _ in range(s)]
     for i in range(s):
-        col_i = [change[p][i] for p in range(s)]
-        row = []
-        for j in range(s):
-            col_j = [change[p][j] for p in range(s)]
-            product = mul(products, col_i, col_j, Fraction(0))
-            row.append(tuple(linalg.mat_vec(inverse, product)))
-        new_table.append(tuple(row))
-    new_table = tuple(new_table)
+        for j in range(i, s):  # the table is commutative
+            product = mul(products, columns[i], columns[j], Fraction(0))
+            new_table[i][j] = new_table[j][i] = tuple(linalg.mat_vec(inverse, product))
+    new_table = tuple(tuple(row) for row in new_table)
     new_products = _sparse_products(new_table)
 
     if is_identity:
@@ -447,22 +590,29 @@ def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str
 
 
 def _height_and_width(products: Products) -> tuple[int, int]:
-    """(height, width) of a normalised table (m spanned by e_1..e_{s-1}),
-    from one walk over m, m^2, m^3, ... with m^(k+1) spanned by m^k * m."""
-    generators = linalg.identity(len(products))[1:]
-    dims = [len(generators)]  # dim m^k for k = 1, 2, ... down to the first 0
-    current = generators
+    """(height, width) of the normalised table of a local algebra (m spanned
+    by e_1..e_{s-1} and nilpotent).
+
+    The width is the number of ``ideal_generators`` g_a.  They generate m
+    as an ideal, so m^(k+1) = m^k * m is spanned by the products g_a * u
+    over a basis u of m^k; the height is the number of steps of that walk
+    before m^(k+1) = 0.
+    """
+    s = len(products)
+    units = linalg.identity(s)
+    generators = [units[g] for g in ideal_generators(products)]
+    current = units[1:]  # a basis of m^k, for k = height + 1
+    height = 0
     while current:
-        if len(dims) > len(products):
+        if height >= s:
             raise NotNilpotentError("maximal ideal is not nilpotent")
         spanning = [
-            w for u in current for v in generators
-            if any(w := mul(products, u, v, Fraction(0)))
+            w for u in current for g in generators
+            if any(w := mul(products, g, u, Fraction(0)))
         ]
         current = [row for row in linalg.rref(spanning)[0] if any(row)]
-        dims.append(len(current))
-    height = len(dims) - 1
-    return height, dims[0] - dims[min(height, 1)]
+        height += 1
+    return height, len(generators)
 
 
 # ------------------------------------------------------------- constructions
@@ -484,23 +634,18 @@ def truncated_polynomial_algebra(
     dimension is C(num_vars+order, order), height is ``order`` and width is
     ``num_vars`` (0 when order = 0).  A Weil algebra by construction, so
     the table skips the axiom check of :func:`from_structure_constants`.
+    Raises SizeLimitError when ``num_vars`` or the dimension exceeds
+    MAX_DIM, before any table is built.
     """
     if num_vars < 1:
         raise ValueError("need at least one variable")
     if order < 0:
         raise ValueError("order must be non-negative")
+    check_size("number of variables", num_vars, MAX_DIM)
     names = tuple(names) if names is not None else _default_names(num_vars)
     if len(names) != num_vars:
         raise ValueError("variable-name count mismatch")
-    exponents = sorted(
-        (
-            e
-            for e in itertools.product(range(order + 1), repeat=num_vars)
-            if sum(e) <= order
-        ),
-        key=grlex_key,
-    )
-    return _monomial_basis_algebra(names, exponents)
+    return _monomial_basis_algebra(names, _standard_exponents(num_vars, lambda e: sum(e) <= order))
 
 
 def monomial_quotient_algebra(
@@ -514,11 +659,14 @@ def monomial_quotient_algebra(
     monomials (those divisible by no relation).  Once the relations pass
     those checks the quotient is a Weil algebra by construction, so the
     table skips the axiom check of :func:`from_structure_constants`.
+    Raises SizeLimitError when the variables or the standard monomials
+    outnumber MAX_DIM, before any table is built.
     """
     names = tuple(names)
     if not names:
         raise ValueError("need at least one variable")
     nv = len(names)
+    check_size("number of variables", nv, MAX_DIM)
     rels = []
     for rel in relations:
         rel = tuple(int(e) for e in rel)
@@ -529,31 +677,44 @@ def monomial_quotient_algebra(
         if sum(rel) == 0:
             raise ValueError("constant relation collapses the algebra to zero")
         rels.append(rel)
-    bounds = []
     for i in range(nv):
-        pure = [
-            rel[i]
-            for rel in rels
-            if rel[i] > 0 and all(rel[j] == 0 for j in range(nv) if j != i)
-        ]
-        if not pure:
+        if not any(
+            rel[i] > 0 and all(rel[j] == 0 for j in range(nv) if j != i) for rel in rels
+        ):
             raise InfiniteDimensionalError(
                 f"variable {names[i]} has no pure power among the relations"
             )
-        bounds.append(min(pure))
 
-    def divisible(e: Exponents) -> bool:
-        return any(all(r <= x for r, x in zip(rel, e)) for rel in rels)
+    def standard(e: Exponents) -> bool:
+        return not any(all(r <= x for r, x in zip(rel, e)) for rel in rels)
 
-    exponents = sorted(
-        (
-            e
-            for e in itertools.product(*(range(b) for b in bounds))
-            if not divisible(e)
-        ),
-        key=grlex_key,
-    )
-    return _monomial_basis_algebra(names, exponents)
+    return _monomial_basis_algebra(names, _standard_exponents(nv, standard))
+
+
+def _standard_exponents(num_vars: int, standard) -> list[Exponents]:
+    """The exponent tuples e with ``standard(e)``, in graded-lex order, for a
+    predicate that holds on every divisor of a tuple it holds on.
+
+    Each tuple is reached once, from itself minus one power of its last
+    variable, so the work is about num_vars predicate calls per standard
+    monomial; SizeLimitError is raised as soon as more than MAX_DIM are
+    found.
+    """
+    layer = [(0,) * num_vars]  # the standard monomials of one degree
+    found: list[Exponents] = []
+    while layer:
+        found.extend(layer)
+        following = []
+        for e in layer:
+            last = max((i for i, x in enumerate(e) if x), default=0)
+            for i in range(last, num_vars):
+                f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                if standard(f):
+                    following.append(f)
+                    if len(found) + len(following) > MAX_DIM:
+                        raise SizeLimitError(f"algebra dimension exceeds the cap of {MAX_DIM}")
+        layer = sorted(following, key=grlex_key)
+    return found
 
 
 def _monomial_basis_algebra(names, exponents) -> WeilAlgebra:

@@ -2,8 +2,10 @@
 fields, probe the distribution, integrate flows, run the Liouville check.
 
 Exit codes: 0 success, 1 domain failure (failed axiom or assertion, bad
-index, invalid point), 2 usage or parse failure.  ``--json`` switches every
-command to a deterministic machine-readable report; the default output uses
+index, invalid point), 2 usage or parse failure, including an input beyond
+a size cap: ``--n`` at most MAX_N, and dimension, variables and labels at
+most :data:`weilkit.algebra.MAX_DIM`.  ``--json`` switches every command to
+a deterministic machine-readable report; the default output uses
 tangent-bundle notation (ε, y_i, d0) where it applies.  Set WEIL_COLOR=0 to
 suppress ANSI colors.
 
@@ -19,7 +21,13 @@ import math
 import os
 import sys
 
-from .algebra import AlgebraAxiomError, InfiniteDimensionalError, WeilAlgebra, format_element
+from .algebra import (
+    AlgebraAxiomError,
+    InfiniteDimensionalError,
+    SizeLimitError,
+    WeilAlgebra,
+    format_element,
+)
 from .derivations import derivation_basis, lie_structure
 from .foliation import (
     coordinate_values,
@@ -171,7 +179,7 @@ def _cmd_derivations(args) -> int:
             terms = [
                 f"d{k}" if c == 1 else f"-d{k}" if c == -1 else f"{format_scalar(c)}·d{k}"
                 for k, c in enumerate(lie.constants[i][j])
-                if c != 0
+                if c
             ]
             if terms:
                 lines.append(f"  [d{i},d{j}] = {' + '.join(terms)}")
@@ -322,8 +330,13 @@ def _cmd_liouville(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _number(kind, low=None):
-    """Argparse type: a finite ``kind`` (int or float) of at least ``low``."""
+# Largest manifold dimension: a chart of an s-dimensional algebra has n*s
+# coordinates, and a field's chart form up to n^2 * s^3 exponent entries.
+MAX_N = 16
+
+
+def _number(kind, low=None, high=None):
+    """Argparse type: a finite ``kind`` (int or float) in [``low``, ``high``]."""
 
     def parse(text: str):
         try:
@@ -334,6 +347,8 @@ def _number(kind, low=None):
             raise argparse.ArgumentTypeError("must be finite")
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
         return value
 
     return parse
@@ -361,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="chart form of one induced vector field")
     add_common(p_field)
-    p_field.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_field.add_argument("--n", type=_number(int, 1, MAX_N), required=True, help="manifold dimension")
     p_field.add_argument("--derivation", type=_number(int, 0), default=0, help="basis index")
     p_field.set_defaults(func=_cmd_field)
 
     p_fol = sub.add_parser("foliation", help="distribution generators, rank and involutivity at a point")
     add_common(p_fol)
-    p_fol.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_fol.add_argument("--n", type=_number(int, 1, MAX_N), required=True, help="manifold dimension")
     p_fol.add_argument("--point", required=True, help="near point file (JSON)")
     p_fol.add_argument("--tol", type=_number(float, 0), default=None,
                        help="rank tolerance (default: exact for rational points, 1e-9 otherwise)")
@@ -375,14 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="integrate one induced field from a point")
     add_common(p_flow)
-    p_flow.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_flow.add_argument("--n", type=_number(int, 1, MAX_N), required=True, help="manifold dimension")
     p_flow.add_argument("--derivation", type=_number(int, 0), default=0, help="basis index")
     p_flow.add_argument("--t", type=_number(float), required=True, help="flow time")
     p_flow.add_argument("--point", required=True, help="near point file (JSON)")
     p_flow.set_defaults(func=_cmd_flow)
 
     p_liou = sub.add_parser("liouville", help="tangent-bundle specialisation check")
-    p_liou.add_argument("--n", type=_number(int, 1), required=True, help="manifold dimension")
+    p_liou.add_argument("--n", type=_number(int, 1, MAX_N), required=True, help="manifold dimension")
     p_liou.add_argument("--json", action="store_true", help="emit a JSON report")
     p_liou.set_defaults(func=_cmd_liouville)
 
@@ -400,7 +415,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, SpecFormatError, PolynomialParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AlgebraAxiomError, InfiniteDimensionalError) as exc:

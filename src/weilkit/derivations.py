@@ -6,10 +6,17 @@ generators of the maximal ideal, lifts of a basis of m/m^2 (Weil 1953;
 Kolář, Michor and Slovák, ch. VIII), so the space of all derivations is
 solved for exactly over the rationals with width * s unknowns, the
 coordinates of those values, one solver for every table.  The constraints
-come from walking the monomials in the generators: each product of a
-generator with a monomial that is a combination of earlier monomials must
-have the same combination of images.  The dimension r is exact; it is also
-the dimension of the foliation the derivations induce on near-point charts.
+come from walking the monomials in the generators
+(``algebra.monomial_walk``): each product of a generator with a monomial
+that is a combination of earlier monomials must have the same combination
+of images.  The dimension r is exact; it is also the dimension of the
+foliation the derivations induce on near-point charts.
+
+The same fact makes bracket coordinates cheap.  Restricting derivations
+to the columns of the generators is injective, and a bracket of
+derivations is a derivation, so the coordinates of [D_i, D_j] in the basis
+are read from its width generator columns against one sparse echelon of
+the restricted basis, r x width*s entries, instead of all s^2 entries.
 
 Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
@@ -27,11 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, WeilAlgebra, mul
+from .algebra import AlgebraElement, WeilAlgebra, ideal_generators, monomial_walk, mul
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -76,6 +84,17 @@ class Derivation:
             for k in range(s)
         ]
         return AlgebraElement(self.algebra, tuple(coeffs))
+
+    @cached_property
+    def columns(self) -> list[dict]:
+        """The matrix columns as sparse vectors: entry q maps p to
+        matrix[p][q] for the non-zero entries."""
+        columns: list[dict] = [{} for _ in self.matrix]
+        for p, row in enumerate(self.matrix):
+            for q, x in enumerate(row):
+                if x:
+                    columns[q][p] = x
+        return columns
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
@@ -138,70 +157,54 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
 
     A derivation is fixed by its values on generators of the maximal ideal,
     so the unknowns are the coordinates of D(g_1), ..., D(g_w) for basis
-    elements g_a whose classes span m/m^2: width * s unknowns.  Products
-    g_a * M of generators with the monomials M reached so far either are
-    new monomials, whose images D(g_a M) = g_a D(M) + M D(g_a) are recorded,
-    or are combinations of earlier ones, which makes that rule a linear
-    constraint.  Together the constraints give D(g x) = g D(x) + x D(g) for
-    every generator g and every x, which is the Leibniz rule by induction
-    over monomials.  The solutions are expanded to full matrices and
-    returned in canonical reduced form (leading entry 1 in row-major matrix
-    order).  For a two-dimensional algebra the single generator is rescaled
-    so the nilpotent generator maps to minus itself, which makes the
-    induced field on a tangent-bundle chart the Liouville field with flow
-    e^t.
+    elements g_a whose classes span m/m^2: width * s unknowns.  The
+    monomial walk in those generators keeps each product g_a * M that is a
+    new monomial, whose image D(g_a M) = g_a D(M) + M D(g_a) is recorded;
+    a product that is a combination of kept monomials makes that rule a
+    linear constraint.  Together the constraints give D(g x) = g D(x) +
+    x D(g) for every generator g and every x, which is the Leibniz rule by
+    induction over monomials.  The solutions are expanded to full matrices
+    and returned in canonical reduced form (leading entry 1 in row-major
+    matrix order).  For a two-dimensional algebra the single generator is
+    rescaled so the nilpotent generator maps to minus itself, which makes
+    the induced field on a tangent-bundle chart the Liouville field with
+    flow e^t.
     """
     s = algebra.dim
     products = algebra.products
     zero, one = Fraction(0), Fraction(1)
     units = linalg.identity(s)
-
-    # Generators: basis elements of m that are independent modulo m^2.
-    square: dict = {}
-    for i in range(1, s):
-        for j in range(i, s):
-            _eliminate(square, dict(products[i][j]), s)
-    generators = [g for g in range(1, s) if _eliminate(square, {g: one}, s)]
+    generators, monomials, parents, relations = monomial_walk(
+        products, units[0], ideal_generators(products)
+    )
     n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
-
-    # Walk the monomials.  A row of ``span`` holds a vector in columns < s
-    # and, in column s + u, its coefficient on monomial u, so a dependent
-    # product reduces to its expansion over the kept monomials.
-    monomials = [units[0]]
+    operators = [[mul(products, m, e, zero) for e in units] for m in monomials]  # M_t * e_q
     images: list[list[dict]] = [[{} for _ in range(s)]]  # D(M_u) as s linear forms
-    span: dict = {}
-    _eliminate(span, {0: one, s: one}, s)
+
+    def leibniz(a: int, t: int) -> list[dict]:
+        """D(g_a M_t) = g_a D(M_t) + M_t D(g_a), as s linear forms."""
+        forms: list[dict] = [{} for _ in range(s)]
+        for q, form in enumerate(images[t]):
+            for k, c in products[generators[a]][q] if form else ():
+                linalg.add_scaled(forms[k], c, form)
+        for q, column in enumerate(operators[t]):
+            for k, c in enumerate(column):
+                if c:
+                    linalg.add_scaled(forms[k], c, {a * s + q: one})
+        return forms
+
+    for a, t in parents[1:]:
+        images.append(leibniz(a, t))
+    # g_a M_t = sum_u c M_u, so D(g_a M_t) must be the same combination of
+    # the images: s constraints, one per coordinate.
     constraints: dict = {}
-    t = 0
-    while t < len(monomials):
-        columns = [mul(products, monomials[t], e, zero) for e in units]  # M_t * e_q
-        image = images[t]
-        for a, g in enumerate(generators):
-            # D(g M_t) = g D(M_t) + M_t D(g)
-            forms: list[dict] = [{} for _ in range(s)]
-            for q, form in enumerate(image):
-                for k, c in products[g][q] if form else ():
-                    _add_scaled(forms[k], c, form)
-            for q, column in enumerate(columns):
-                for k, c in enumerate(column):
-                    if c:
-                        _add_scaled(forms[k], c, {a * s + q: one})
-            # g M_t is tried as monomial number len(monomials).
-            row = {k: c for k, c in enumerate(columns[g]) if c}
-            row[s + len(monomials)] = one
-            images.append(forms)
-            if _eliminate(span, row, s):
-                monomials.append(columns[g])
-                continue
-            # Now sum_u row[s + u] M_u = 0, so the same combination of the
-            # images must vanish: s constraints, one per coordinate.
-            for p in range(s):
-                constraint: dict = {}
-                for col, c in row.items():
-                    _add_scaled(constraint, c, images[col - s][p])
-                _eliminate(constraints, constraint, n_unknowns)
-            images.pop()
-        t += 1
+    for a, t, expansion in relations:
+        forms = leibniz(a, t)
+        for u, c in expansion.items():
+            for form, image in zip(forms, images[u]):
+                linalg.add_scaled(form, -c, image)
+        for form in forms:
+            linalg.eliminate(constraints, form, n_unknowns)
 
     # D maps monomial u to images[u], so D = D_M M^-1 for the matrix M whose
     # columns are the monomials.
@@ -226,44 +229,33 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     return [_trusted(algebra, mat) for mat in matrices]
 
 
-def _add_scaled(target: dict, c: Fraction, form: dict) -> None:
-    """target += c * form for sparse vectors (index -> non-zero Fraction)."""
-    for x, v in form.items():
-        y = target.get(x, 0) + c * v
-        if y:
-            target[x] = y
-        else:
-            del target[x]
-
-
-def _eliminate(echelon: dict, row: dict, limit: int) -> bool:
-    """Reduce the sparse ``row`` in place against ``echelon`` (leading
-    column -> row with a leading 1 there) over the columns below ``limit``.
-
-    When a column below ``limit`` survives, the normalised row joins the
-    echelon and the result is True; otherwise ``row`` keeps only its
-    columns >= ``limit`` and the result is False.
-    """
-    while row:
-        lead = min(row)
-        if lead >= limit:
-            return False
-        pivot = echelon.get(lead)
-        if pivot is None:
-            scale = 1 / row[lead]
-            echelon[lead] = {x: v * scale for x, v in row.items()}
-            return True
-        _add_scaled(row, -row[lead], pivot)
-    return False
+def commutator_on(a_columns: list[dict], b_columns: list[dict], g: int) -> dict:
+    """(AB - BA) e_g as a sparse vector, for A and B given by sparse columns."""
+    out: dict = {}
+    for q, c in b_columns[g].items():
+        linalg.add_scaled(out, c, a_columns[q])
+    for q, c in a_columns[g].items():
+        linalg.add_scaled(out, -c, b_columns[q])
+    return out
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator D1 D2 - D2 D1, a derivation by construction."""
+    """Commutator D1 D2 - D2 D1, a derivation by construction.
+
+    Formed column by column on sparse columns, so the work follows the
+    non-zero entries of the two matrices."""
     _check_same_algebra(d1, d2)
-    m1 = [list(row) for row in d1.matrix]
-    m2 = [list(row) for row in d2.matrix]
-    comm = linalg.mat_sub(linalg.mat_mul(m1, m2), linalg.mat_mul(m2, m1))
-    return _trusted(d1.algebra, _freeze(comm))
+    a, b = d1.columns, d2.columns
+    s = d1.algebra.dim
+    zero = Fraction(0)
+    comm = [[zero] * s for _ in range(s)]
+    columns = [commutator_on(a, b, q) for q in range(s)]
+    for q, column in enumerate(columns):
+        for p, x in column.items():
+            comm[p][q] = x
+    result = _trusted(d1.algebra, _freeze(comm))
+    result.__dict__["columns"] = columns  # the cached property, already known
+    return result
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
@@ -292,6 +284,16 @@ class LieStructure:
 def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     """Expand every pairwise bracket exactly in the given basis.
 
+    The constants of a pair are the coordinates of ``bracket(D_i, D_j)``,
+    read on the columns of the ``ideal_generators`` g of m, width of them.
+    Two derivations that agree on generators are equal (a derivation is
+    fixed by its values on generators), so restricting derivations to those
+    columns is injective, and the coordinates come from one sparse echelon
+    of the r restricted basis derivations, r x width*s entries.  An
+    injective linear map preserves linear independence and membership in a
+    span, so the independence and closure checks on the restrictions are
+    exact.
+
     Raises NotClosedError when some bracket escapes the span (possible only
     if the input is not a full derivation basis) and ValueError when the
     input is linearly dependent.
@@ -303,39 +305,37 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     for d in basis[1:]:
         _check_same_algebra(basis[0], d)
     s = basis[0].algebra.dim
-    length = s * s
+    generators = ideal_generators(basis[0].algebra.products)
+    length = len(generators) * s  # column a*s + p is coordinate p of D(g_a)
 
-    stacked = [
-        [basis[k].matrix[p][q] for p in range(s) for q in range(s)]
-        + [Fraction(1) if t == k else Fraction(0) for t in range(r)]
-        for k in range(r)
-    ]
-    reduced, pivots = linalg.rref(stacked)
-    if len(pivots) != r or any(pc >= length for pc in pivots):
-        raise ValueError("derivations are not linearly independent")
+    def restricted(vectors) -> dict:
+        return {a * s + p: x for a, vector in enumerate(vectors) for p, x in vector.items()}
 
-    def coordinates(mat: RationalMatrix) -> list[Fraction]:
-        residual = [mat[p][q] for p in range(s) for q in range(s)]
-        mix = [Fraction(0)] * r
-        for row, pc in zip(reduced, pivots):
-            f = residual[pc]
-            if f:
-                for idx in range(length):
-                    if row[idx]:
-                        residual[idx] -= f * row[idx]
-                for t in range(r):
-                    mix[t] += f * row[length + t]
-        if any(x != 0 for x in residual):
-            raise NotClosedError("bracket lies outside the span of the basis")
-        return mix
+    # Column length + k of an echelon row is its coefficient on basis[k].
+    echelon: dict = {}
+    for k, d in enumerate(basis):
+        row = restricted(d.columns[g] for g in generators)
+        row[length + k] = Fraction(1)
+        if not linalg.eliminate(echelon, row, length):
+            raise ValueError("derivations are not linearly independent")
 
-    zero_row = tuple(Fraction(0) for _ in range(r))
-    constants = [[zero_row for _ in range(r)] for _ in range(r)]
+    zero = Fraction(0)
+    zero_row = (zero,) * r
+    constants = [[zero_row] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
-            coords = coordinates(bracket(basis[i], basis[j]).matrix)
-            constants[i][j] = tuple(coords)
-            constants[j][i] = tuple(-c for c in coords)
+            columns = bracket(basis[i], basis[j]).columns
+            row = restricted(columns[g] for g in generators)
+            if not row:
+                continue
+            if linalg.eliminate(echelon, row, length):
+                raise NotClosedError("bracket lies outside the span of the basis")
+            # The bracket minus sum_k c_k basis[k] reduced to zero, so the
+            # tracking columns hold -c_k.
+            coords, negated = [zero] * r, [zero] * r
+            for col, x in row.items():
+                coords[col - length], negated[col - length] = -x, x
+            constants[i][j], constants[j][i] = tuple(coords), tuple(negated)
     return LieStructure(tuple(basis), tuple(tuple(row) for row in constants))
 
 

@@ -25,11 +25,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, WeilAlgebra, dual_numbers
+from .algebra import AlgebraElement, WeilAlgebra, dual_numbers, ideal_generators
 from .derivations import (
     Derivation,
     LieStructure,
-    bracket,
+    commutator_on,
     derivation_basis,
     exp_flow,
 )
@@ -168,39 +168,39 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
     the induced field of the algebra bracket expanded in the basis.
 
     For linear fields u -> Mu the chart bracket of (M1, M2) has matrix
-    M2 M1 - M1 M2; with M = -D per block this must equal -sum_k c_k D_k for
-    the structure constants of the pair.  The identity is blockwise, so it
-    is independent of n.  Returns {"pairs": [...], "all_pass": bool}.
+    M2 M1 - M1 M2; with M = -D per block this must equal sum_k c_k M_k for
+    the structure constants c of the pair.  The identity is blockwise, so
+    it is independent of n.  Both sides are derivations, and derivations
+    that agree on generators of m are equal, so comparing their columns at
+    the ``ideal_generators`` is an exact proof.  The chart side is computed
+    from the -D matrices themselves, independently of the elimination that
+    produced the constants.  Returns {"pairs": [...], "all_pass": bool}.
     """
     if n < 1:
         raise ValueError("need at least one manifold coordinate")
     r = lie.rank
     pairs = []
     all_pass = True
+    if r:
+        generators = ideal_generators(lie.basis[0].algebra.products)
+        fields = [  # columns of M = -D
+            [{p: -x for p, x in column.items()} for column in d.columns]
+            for d in lie.basis
+        ]
     for i in range(r):
-        di = [list(row) for row in lie.basis[i].matrix]
         for j in range(i + 1, r):
-            dj = [list(row) for row in lie.basis[j].matrix]
-            # chart bracket of u -> -D_i u and u -> -D_j u
-            chart = linalg.mat_sub(linalg.mat_mul(dj, di), linalg.mat_mul(di, dj))
-            expected = linalg.mat_scale(Fraction(-1), _combination(lie, lie.constants[i][j]))
-            ok = chart == expected
+            terms = [(c, field) for c, field in zip(lie.constants[i][j], fields) if c]
+            ok = True
+            for g in generators:
+                expected: dict = {}
+                for c, field in terms:
+                    linalg.add_scaled(expected, c, field[g])
+                if commutator_on(fields[j], fields[i], g) != expected:
+                    ok = False
+                    break
             all_pass = all_pass and ok
             pairs.append({"i": i, "j": j, "pass": ok})
     return {"pairs": pairs, "all_pass": all_pass}
-
-
-def _combination(lie: LieStructure, coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    s = lie.basis[0].algebra.dim
-    out = [[Fraction(0)] * s for _ in range(s)]
-    for c, d in zip(coeffs, lie.basis):
-        if c == 0:
-            continue
-        for p in range(s):
-            for q in range(s):
-                if d.matrix[p][q]:
-                    out[p][q] += c * d.matrix[p][q]
-    return out
 
 
 def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> NearPoint:

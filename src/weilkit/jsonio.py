@@ -12,14 +12,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
+    MAX_DIM,
     WeilAlgebra,
+    check_size,
     from_structure_constants,
     monomial_quotient_algebra,
     truncated_polynomial_algebra,
 )
 from .derivations import Derivation, LieStructure
 from .nearpoints import NearPoint, TaylorOracle, make_near_point
-from .poly import parse_polynomial
+from .poly import parse_monomial
 
 
 class SpecFormatError(ValueError):
@@ -68,8 +70,12 @@ def algebra_from_spec(spec: dict) -> WeilAlgebra:
     """Build and verify an algebra from its JSON spec.
 
     Three variants: ``truncated_polynomial`` (variables + order),
-    ``monomial_quotient`` (variables + relation monomials) and
-    ``structure_constants`` (labels + s x s x s rational table).
+    ``monomial_quotient`` (variables + relation monomials such as
+    ``"x^2*y"``, products of variable powers) and ``structure_constants``
+    (labels + s x s x s rational table).  Specs beyond the size caps of
+    :mod:`weilkit.algebra` raise SizeLimitError before anything of that
+    size is built; the number of variables or labels is checked before a
+    relation or a table entry is read.
     """
     if not isinstance(spec, dict):
         raise SpecFormatError("algebra spec must be a JSON object")
@@ -115,6 +121,8 @@ def algebra_to_spec(algebra: WeilAlgebra) -> dict:
 
 
 def _string_list(spec: dict, key: str) -> list[str]:
+    """Variable names or labels: at most MAX_DIM of them, checked before
+    anything is built from them."""
     value = spec.get(key)
     if (
         not isinstance(value, list)
@@ -122,17 +130,17 @@ def _string_list(spec: dict, key: str) -> list[str]:
         or not all(isinstance(x, str) for x in value)
     ):
         raise SpecFormatError(f"{key} must be a non-empty list of strings")
+    check_size(f"number of {key}", len(value), MAX_DIM)
     return value
 
 
 def _monomial_exponents(text: str, variables: Sequence[str]):
     if not isinstance(text, str):
         raise SpecFormatError(f"relation must be a string, got {text!r}")
-    p = parse_polynomial(text, variables)
-    terms = p.terms()
-    if len(terms) != 1 or terms[0][1] != 1:
+    exponents = parse_monomial(text, variables)
+    if exponents is None:
         raise SpecFormatError(f"relation {text!r} is not a plain monomial")
-    return terms[0][0]
+    return exponents
 
 
 def algebra_summary(algebra: WeilAlgebra) -> dict:
@@ -250,6 +258,6 @@ def lie_constants_to_json(lie: LieStructure) -> list[list]:
     for i in range(lie.rank):
         for j in range(lie.rank):
             for k, value in enumerate(lie.constants[i][j]):
-                if value != 0:
+                if value:
                     out.append([i, j, k, fraction_to_str(value)])
     return out

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over ``fractions.Fraction``.
+"""Exact linear algebra over ``fractions.Fraction``.
 
-Matrices are row-major lists of lists.  Everything is straightforward
-O(n^3) elimination; the systems produced elsewhere in this package are
-small (a few hundred rows at most), so exactness beats cleverness.
+Dense matrices are row-major lists of lists, and everything on them is
+straightforward O(n^3) elimination; the systems produced elsewhere in this
+package are small (a few hundred rows at most), so exactness beats
+cleverness.  Sparse rows are dicts from column to non-zero entry; one
+incremental echelon, :func:`eliminate`, serves every sparse system.
 """
 
 from __future__ import annotations
@@ -47,8 +49,35 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x if x else x for x in row] for row in a]
+def add_scaled(target: dict, c: Fraction, form: dict) -> None:
+    """target += c * form for sparse rows (column -> non-zero Fraction)."""
+    for x, v in form.items():
+        y = target.get(x, 0) + c * v
+        if y:
+            target[x] = y
+        else:
+            del target[x]
+
+
+def eliminate(echelon: dict, row: dict, limit: int) -> bool:
+    """Reduce the sparse ``row`` in place against ``echelon`` (leading
+    column -> row with a leading 1 there) over the columns below ``limit``.
+
+    When a column below ``limit`` survives, the normalised row joins the
+    echelon and the result is True; otherwise ``row`` keeps only its
+    columns >= ``limit`` and the result is False.
+    """
+    while row:
+        lead = min(row)
+        if lead >= limit:
+            return False
+        pivot = echelon.get(lead)
+        if pivot is None:
+            scale = 1 / row[lead]
+            echelon[lead] = {x: v * scale for x, v in row.items()}
+            return True
+        add_scaled(row, -row[lead], pivot)
+    return False
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:

@@ -397,3 +397,46 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     offending position on bad input.
     """
     return _Parser(text, variables).parse()
+
+
+def parse_monomial(text: str, variables: Sequence[str]) -> Exponents | None:
+    """Exponents of a product of variable powers, e.g. ``x^2*y`` -> (2, 1).
+
+    Integer factors may appear if each is 1.  The text is read
+    token by token and nothing is expanded, so its cost is linear in its
+    length.  Returns None when the text is anything else, and raises
+    :class:`PolynomialParseError` for an unknown variable or a malformed
+    exponent, with the messages of :func:`parse_polynomial`.
+    """
+    parser = _Parser(text, variables)
+    exponents = [0] * parser.nvars
+    unit_factors = True  # every integer factor so far is 1
+    while True:
+        kind, value, pos = parser.advance()
+        if kind == "int":
+            unit_factors = _integer(value, pos) == 1 and unit_factors
+        elif kind == "name":
+            if value not in parser.index:
+                raise PolynomialParseError(f"unknown variable {value!r}", pos)
+            power = 1
+            if parser.peek()[0] == "^":
+                parser.advance()
+                ekind, evalue, epos = parser.advance()
+                if ekind != "int":
+                    raise PolynomialParseError("exponent must be a non-negative integer", epos)
+                power = _integer(evalue, epos)
+            exponents[parser.index[value]] += power
+        else:
+            return None
+        kind = parser.advance()[0]
+        if kind == "end":
+            return tuple(exponents) if unit_factors else None
+        if kind != "*":
+            return None
+
+
+def _integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the digit limit of int()
+        raise PolynomialParseError(f"integer of {len(digits)} digits is too long", position) from None

@@ -3,8 +3,10 @@
 The oracles deliberately avoid the library's solvers: derivation
 dimensions are recomputed from a float constraint matrix via numpy's SVD
 rank, the exact derivation basis from the full s^2-unknown Leibniz system
-rather than from generators, and matrix exponentials by direct series
-summation.
+rather than from generators, bracket constants from full s x s
+commutators rather than generator columns, associativity from every basis
+triple rather than a monomial walk, and matrix exponentials by direct
+series summation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 import weilkit.linalg as linalg
-from weilkit import Polynomial, WeilAlgebra, from_structure_constants
+from weilkit import (
+    Polynomial,
+    WeilAlgebra,
+    from_structure_constants,
+    monomial_quotient_algebra,
+    truncated_polynomial_algebra,
+)
 
 
 # ----------------------------------------------------------------- oracles
@@ -89,6 +97,67 @@ def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
     return matrices
 
 
+def lie_structure_oracle(basis) -> tuple:
+    """Bracket constants of a derivation basis from full commutators.
+
+    Each bracket is the s x s matrix D_i D_j - D_j D_i, expanded in the
+    basis by one reduced echelon form of the basis over all s^2 matrix
+    entries, with r columns that track the combination.  Raises ValueError
+    when the basis is dependent or a bracket leaves its span.
+    """
+    r = len(basis)
+    if r == 0:
+        return ()
+    s = basis[0].algebra.dim
+    length = s * s
+    stacked = [
+        [x for row in d.matrix for x in row] + [Fraction(int(t == k)) for t in range(r)]
+        for k, d in enumerate(basis)
+    ]
+    reduced, pivots = linalg.rref(stacked)
+    if len(pivots) != r or pivots[-1] >= length:
+        raise ValueError("dependent basis")
+    constants = [[None] * r for _ in range(r)]
+    for i in range(r):
+        constants[i][i] = (Fraction(0),) * r
+        mi = [list(row) for row in basis[i].matrix]
+        for j in range(i + 1, r):
+            mj = [list(row) for row in basis[j].matrix]
+            ab, ba = linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi)
+            residual = [ab[p][q] - ba[p][q] for p in range(s) for q in range(s)]
+            coords = [Fraction(0)] * r
+            for row, pc in zip(reduced, pivots):
+                f = residual[pc]
+                if f:
+                    residual = [x - f * y for x, y in zip(residual, row)]
+                    coords = [c + f * y for c, y in zip(coords, row[length:])]
+            if any(residual):
+                raise ValueError("bracket outside the span")
+            constants[i][j] = tuple(coords)
+            constants[j][i] = tuple(-c for c in coords)
+    return tuple(tuple(row) for row in constants)
+
+
+def associativity_oracle(table):
+    """First basis triple (i, j, l), in i, j, l order, with (e_i e_j) e_l !=
+    e_i (e_j e_l), read straight from the raw table; None when there is none."""
+    s = len(table)
+    for i in range(s):
+        for j in range(s):
+            for l in range(s):
+                left = [
+                    sum((table[i][j][k] * table[k][l][p] for k in range(s) if table[i][j][k]), Fraction(0))
+                    for p in range(s)
+                ]
+                right = [
+                    sum((table[j][l][k] * table[i][k][p] for k in range(s) if table[j][l][k]), Fraction(0))
+                    for p in range(s)
+                ]
+                if left != right:
+                    return (i, j, l)
+    return None
+
+
 def expm_series_oracle(matrix, terms: int = 60):
     """Plain truncated series sum of the matrix exponential."""
     m = np.array([[float(x) for x in row] for row in matrix])
@@ -115,6 +184,49 @@ def raw_table_mul(table, u, v):
             for k in range(s):
                 out[k] += a * b * Fraction(table[i][j][k])
     return out
+
+
+# ------------------------------------------------------------------ corpus
+
+
+# Algebras on which the generator paths must agree exactly with the oracles
+# above, by builder and arguments: truncated algebras up to s = 20, monomial
+# quotients, and scrambled tables, including the dual numbers.
+ORACLE_CORPUS = {
+    **{
+        f"truncated-{v}-{k}": (truncated_polynomial_algebra, (v, k))
+        for v, k in [
+            (1, 0), (1, 1), (1, 2), (1, 3), (1, 5), (1, 9), (1, 14),
+            (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+            (4, 1), (4, 2), (5, 1), (8, 1),
+        ]
+    },
+    **{
+        f"quotient-{name}": (monomial_quotient_algebra, (variables, relations))
+        for name, variables, relations in [
+            ("x2", ["x"], [(2,)]),
+            ("x2-y3-xy", ["x", "y"], [(2, 0), (0, 3), (1, 1)]),
+            ("x3-y2-xy2", ["x", "y"], [(3, 0), (0, 2), (1, 2)]),
+            ("x2-y3", ["x", "y"], [(2, 0), (0, 3)]),
+            ("x3-y3-xy2", ["x", "y"], [(3, 0), (0, 3), (1, 2)]),
+            ("x4-y2", ["x", "y"], [(4, 0), (0, 2)]),
+            ("x2-y2-z2", ["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+        ]
+    },
+    **{
+        f"scrambled-{name}-{seed}": (
+            lambda build, args, seed: scrambled(build(*args), random.Random(seed)),
+            (build, args, seed),
+        )
+        for name, build, args, seed in [
+            ("dual", truncated_polynomial_algebra, (1, 1), 3),
+            ("x5", truncated_polynomial_algebra, (1, 4), 5),
+            ("m3", truncated_polynomial_algebra, (2, 2), 41),
+            ("x3-y2-xy2", monomial_quotient_algebra, (["x", "y"], [(3, 0), (0, 2), (1, 2)]), 7),
+            ("x2-y2-z2", monomial_quotient_algebra, (["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]), 11),
+        ]
+    },
+}
 
 
 # ------------------------------------------------------- random rational data
@@ -164,15 +276,22 @@ def rand_invertible(rng: random.Random, size: int):
             continue
 
 
-def scrambled(algebra: WeilAlgebra, rng: random.Random) -> WeilAlgebra:
-    """The same algebra as a structure-constants table over a random basis,
-    so that normalisation has to find the unit and relabel."""
+def scrambled_table(algebra: WeilAlgebra, rng: random.Random) -> list:
+    """The algebra's structure constants over a random basis, in which the
+    unit is in general not a basis element."""
     s = algebra.dim
     change = rand_invertible(rng, s)
     inverse = linalg.invert([row[:] for row in change])
     columns = [[change[p][i] for p in range(s)] for i in range(s)]
-    table = [
+    return [
         [linalg.mat_vec(inverse, raw_table_mul(algebra.table, columns[i], columns[j])) for j in range(s)]
         for i in range(s)
     ]
-    return from_structure_constants([f"f{i}" for i in range(s)], table)
+
+
+def scrambled(algebra: WeilAlgebra, rng: random.Random) -> WeilAlgebra:
+    """The same algebra as a structure-constants table over a random basis,
+    so that normalisation has to find the unit and relabel."""
+    return from_structure_constants(
+        [f"f{i}" for i in range(algebra.dim)], scrambled_table(algebra, rng)
+    )

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from weilkit import (
+    AlgebraAxiomError,
     InfiniteDimensionalError,
     NoUnitError,
     NotAssociativeError,
@@ -21,7 +22,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
-from support import rand_nilpotent, raw_table_mul
+from support import ORACLE_CORPUS, associativity_oracle, rand_nilpotent, raw_table_mul
 
 
 def dual_table():
@@ -99,6 +100,82 @@ def test_not_associative_rejected():
     ]
     with pytest.raises(NotAssociativeError):
         from_structure_constants(["1", "e", "f"], table)
+
+
+def _associativity_message(labels, table):
+    """The NotAssociativeError message the verifier raises, or None."""
+    try:
+        from_structure_constants(labels, table)
+    except NotAssociativeError as exc:
+        return str(exc)
+    except AlgebraAxiomError:
+        return None
+    return None
+
+
+def _oracle_message(labels, table):
+    triple = associativity_oracle(table)
+    if triple is None:
+        return None
+    i, j, l = (labels[x] for x in triple)
+    return f"({i}*{j})*{l} != {i}*({j}*{l})"
+
+
+# Commutative tables with the unit e_0 that fail associativity in one way
+# each.  "one-generator": the walk has one generator, so only the
+# per-monomial condition L_{g M} = L_g L_M catches it.  "commutation": every
+# kept monomial enters as a generator, so only the commutation of L_x and
+# L_y catches (xy)y = x != 0 = x(yy).
+NOT_ASSOCIATIVE = {
+    "one-generator": (
+        ["1", "e", "f"],
+        [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+            [[0, 0, 1], [1, 0, 0], [0, 0, 0]],
+        ],
+    ),
+    "commutation": (
+        ["1", "x", "y"],
+        [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+            [[0, 0, 1], [0, 1, 0], [0, 0, 0]],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ASSOCIATIVE))
+def test_not_associative_names_the_first_failing_triple(name):
+    labels, table = NOT_ASSOCIATIVE[name]
+    expected = _oracle_message(labels, table)
+    assert expected is not None
+    with pytest.raises(NotAssociativeError) as exc:
+        from_structure_constants(labels, table)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_associativity_verdicts_match_the_triple_scan(name):
+    # The corpus table itself, then copies with one symmetric entry of m * m
+    # perturbed: commutativity and the unit e_0 survive, associativity
+    # mostly does not.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    s = A.dim
+    labels = [f"a{i}" for i in range(s)]
+    table = [[list(entry) for entry in row] for row in A.table]
+    assert _associativity_message(labels, table) is None
+    assert associativity_oracle(table) is None
+    rng = random.Random(s)
+    for _ in range(3 if s > 1 else 0):
+        i, j, k = rng.randrange(1, s), rng.randrange(1, s), rng.randrange(s)
+        bad = [[list(entry) for entry in row] for row in table]
+        bad[i][j][k] += 1
+        if i != j:
+            bad[j][i][k] += 1
+        assert _associativity_message(labels, bad) == _oracle_message(labels, bad)
 
 
 def test_unit_found_in_permuted_basis():

@@ -336,6 +336,84 @@ def test_liouville_n_zero_usage_error(capsys):
     assert code == 2
 
 
+# Specs beyond a size cap, each refused before anything of its size is
+# built.  Large orders and exponents are refused by the dimension cap, as
+# soon as the 65th standard monomial is found (the "order" spec used to
+# enumerate about 10^10 exponents).
+OVERSIZED = {
+    "order": ({"type": "truncated_polynomial", "variables": ["x", "y"], "order": 100000},
+              "algebra dimension exceeds the cap of 64"),
+    "truncated-dim": ({"type": "truncated_polynomial", "variables": ["x", "y", "z"], "order": 10},
+                      "algebra dimension exceeds the cap of 64"),
+    "exponent": ({"type": "monomial_quotient", "variables": ["x"], "relations": ["x^100000000"]},
+                 "algebra dimension exceeds the cap of 64"),
+    "quotient-dim": ({"type": "monomial_quotient", "variables": ["x", "y"], "relations": ["x^60", "y^60"]},
+                     "algebra dimension exceeds the cap of 64"),
+    "table": ({"type": "structure_constants", "labels": [f"f{i}" for i in range(65)], "table": []},
+              "number of labels 65 exceeds the cap of 64"),
+    # Order 0 and relations x_i^1 keep the dimension at 1 however many
+    # variables there are.
+    "variables": ({"type": "truncated_polynomial", "variables": [f"x{i}" for i in range(65)], "order": 0},
+                  "number of variables 65 exceeds the cap of 64"),
+    "quotient-variables": ({"type": "monomial_quotient", "variables": [f"x{i}" for i in range(65)],
+                            "relations": [f"x{i}" for i in range(65)]},
+                           "number of variables 65 exceeds the cap of 64"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+@pytest.mark.parametrize("command", ["check", "derivations"])
+def test_oversized_spec_exits_2(capsys, tmp_path, name, command):
+    spec, message = OVERSIZED[name]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path), "--json"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_powers_of_sums_are_not_relations(capsys, tmp_path):
+    # Read without expansion: (x+y)^60 would have 61 terms, (x1+...+x9)^60
+    # about 10^10.
+    path = tmp_path / "sum.json"
+    names = [f"x{i}" for i in range(1, 10)]
+    relation = "(" + "+".join(names) + ")^60"
+    spec = {"type": "monomial_quotient", "variables": names, "relations": [relation]}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, ["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"parse error: relation {relation!r} is not a plain monomial\n"
+
+
+def test_largest_admitted_algebras(capsys, tmp_path):
+    # The s = 56 ladder rung, and dim 64 over 63 variables, which used to
+    # enumerate a box of 2^63 exponents.
+    for variables, order, dim in ((5, 3, 56), (63, 1, 64)):
+        path = tmp_path / "big.json"
+        spec = {"type": "truncated_polynomial", "variables": [f"x{i}" for i in range(variables)], "order": order}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, _ = run(capsys, ["check", str(path), "--json"])
+        assert code == 0
+        assert json.loads(out)["algebra"]["dim"] == dim
+
+
+@pytest.mark.parametrize("command", ["field", "foliation", "flow", "liouville"])
+def test_n_above_the_cap_exits_2(capsys, files, command):
+    extra = {
+        "field": [files["dual"]],
+        "foliation": [files["dual"], "--point", files["pt_dual"]],
+        "flow": [files["dual"], "--point", files["pt_dual"], "--t", "1"],
+        "liouville": [],
+    }[command]
+    code, out, err = run(capsys, [command, *extra, "--n", "17"])
+    assert (code, out) == (2, "")
+    assert "--n: must be at most 16" in err
+
+
+def test_n_at_the_cap_runs(capsys):
+    code, _, _ = run(capsys, ["liouville", "--n", "16"])
+    assert code == 0
+
+
 def test_json_reports_are_byte_identical(capsys, files):
     runs = []
     for _ in range(2):

@@ -28,13 +28,14 @@ from weilkit import (
 from weilkit.jsonio import rational_from_json
 import weilkit.linalg as la
 from support import (
+    ORACLE_CORPUS,
     derivation_basis_oracle,
     derivation_dim_oracle,
     expm_series_oracle,
+    lie_structure_oracle,
     rand_element,
     rand_fraction,
     rand_invertible,
-    scrambled,
 )
 
 
@@ -100,45 +101,6 @@ def test_solved_derivations_have_zero_leibniz_residual():
             assert leibniz_residual(A, d.matrix) is None
 
 
-# Algebras on which the generator solve must return exactly the canonical
-# basis of the full s^2-unknown Leibniz system, by builder and arguments.
-ORACLE_CORPUS = {
-    **{
-        f"truncated-{v}-{k}": (truncated_polynomial_algebra, (v, k))
-        for v, k in [
-            (1, 0), (1, 1), (1, 2), (1, 3), (1, 5), (1, 9), (1, 14),
-            (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
-            (4, 1), (4, 2), (5, 1), (8, 1),
-        ]
-    },
-    **{
-        f"quotient-{name}": (monomial_quotient_algebra, (variables, relations))
-        for name, variables, relations in [
-            ("x2", ["x"], [(2,)]),
-            ("x2-y3-xy", ["x", "y"], [(2, 0), (0, 3), (1, 1)]),
-            ("x3-y2-xy2", ["x", "y"], [(3, 0), (0, 2), (1, 2)]),
-            ("x2-y3", ["x", "y"], [(2, 0), (0, 3)]),
-            ("x3-y3-xy2", ["x", "y"], [(3, 0), (0, 3), (1, 2)]),
-            ("x4-y2", ["x", "y"], [(4, 0), (0, 2)]),
-            ("x2-y2-z2", ["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
-        ]
-    },
-    **{
-        f"scrambled-{name}-{seed}": (
-            lambda build, args, seed: scrambled(build(*args), random.Random(seed)),
-            (build, args, seed),
-        )
-        for name, build, args, seed in [
-            ("dual", truncated_polynomial_algebra, (1, 1), 3),
-            ("x5", truncated_polynomial_algebra, (1, 4), 5),
-            ("m3", truncated_polynomial_algebra, (2, 2), 41),
-            ("x3-y2-xy2", monomial_quotient_algebra, (["x", "y"], [(3, 0), (0, 2), (1, 2)]), 7),
-            ("x2-y2-z2", monomial_quotient_algebra, (["x", "y", "z"], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]), 11),
-        ]
-    },
-}
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
 def test_basis_matches_full_leibniz_oracle(name):
     build, args = ORACLE_CORPUS[name]
@@ -147,6 +109,31 @@ def test_basis_matches_full_leibniz_oracle(name):
     assert [d.matrix for d in basis] == derivation_basis_oracle(A)
     for d in basis:
         assert Derivation(A, d.matrix).matrix == d.matrix  # the public, checking constructor
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_lie_constants_match_commutator_oracle(name):
+    build, args = ORACLE_CORPUS[name]
+    basis = derivation_basis(build(*args))
+    assert lie_structure(basis).constants == lie_structure_oracle(basis)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_bracket_matches_dense_commutator(name):
+    build, args = ORACLE_CORPUS[name]
+    basis = derivation_basis(build(*args))[:6]
+    for d1 in basis:
+        m1 = [list(row) for row in d1.matrix]
+        for d2 in basis:
+            m2 = [list(row) for row in d2.matrix]
+            comm = bracket(d1, d2)
+            expected = la.mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
+            assert comm.matrix == F(expected)
+            # The columns stored with the result are those of its matrix.
+            assert comm.columns == [
+                {p: row[q] for p, row in enumerate(comm.matrix) if row[q]}
+                for q in range(len(comm.matrix))
+            ]
 
 
 def test_oracle_applies_the_dual_number_rescale():

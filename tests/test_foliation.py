@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from weilkit import (
+    LieStructure,
     Polynomial,
     apply_chart_field,
     chart_field,
@@ -213,6 +214,22 @@ def test_involutivity_exact():
         assert report["all_pass"]
         expected_pairs = lie.rank * (lie.rank - 1) // 2
         assert len(report["pairs"]) == expected_pairs
+
+
+def test_involutivity_fails_on_a_perturbed_constant():
+    # Any change of one constant changes the combination sum_k c_k D_k, so
+    # the chart side no longer matches on some generator column.
+    for A in (X3, SQ, truncated_polynomial_algebra(2, 3)):
+        lie = lie_structure(derivation_basis(A))
+        for i, j, k in ((0, 1, 0), (0, lie.rank - 1, lie.rank - 1), (1, 2, 1)):
+            if j >= lie.rank:
+                continue
+            constants = [[list(row) for row in plane] for plane in lie.constants]
+            constants[i][j][k] += Fraction(1, 3)
+            bad = LieStructure(lie.basis, tuple(tuple(tuple(row) for row in plane) for plane in constants))
+            report = involutivity_check(bad, 2)
+            assert not report["all_pass"]
+            assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [(i, j)]
 
 
 def test_bracket_law_matrix_identity():

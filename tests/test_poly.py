@@ -15,6 +15,7 @@ from weilkit import (
     parse_polynomial,
     truncated_polynomial_algebra,
 )
+from weilkit.poly import parse_monomial
 from support import rand_fraction, rand_poly
 
 
@@ -157,6 +158,40 @@ def test_parse_unknown_variable():
 def test_parse_missing_operand():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1 *", ["x1"])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x^2*y", (2, 1)),
+        ("x * x*y^0", (2, 0)),
+        ("1", (0, 0)),
+        ("1*y^3", (0, 3)),
+        ("2*x", None),
+        ("x + 1", None),
+        ("x^2^2", None),
+        ("(x*y)^2", None),
+        ("(x+y)^100000", None),
+        ("", None),
+    ],
+)
+def test_parse_monomial(text, expected):
+    assert parse_monomial(text, ["x", "y"]) == expected
+
+
+def test_parse_monomial_errors_match_parse_polynomial():
+    for text in ("z^2", "x^", "x^y"):
+        with pytest.raises(PolynomialParseError) as general:
+            parse_polynomial(text, ["x", "y"])
+        with pytest.raises(PolynomialParseError) as monomial:
+            parse_monomial(text, ["x", "y"])
+        assert str(monomial.value) == str(general.value)
+
+
+def test_parse_monomial_rejects_overlong_integers():
+    for text in ("x^" + "9" * 5000, "9" * 5000 + "*x"):
+        with pytest.raises(PolynomialParseError, match="integer of 5000 digits is too long"):
+            parse_monomial(text, ["x", "y"])
 
 
 def test_grlex_term_order():
