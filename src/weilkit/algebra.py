@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .poly import Exponents, Polynomial, format_scalar, grlex_key, monomial_str
+from .poly import Exponents, Polynomial, grlex_key, monomial_str, signed_sum
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
 Products = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
@@ -159,10 +159,7 @@ class WeilAlgebra:
         """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
         if u.algebra is not self and u.algebra != self:
             raise ValueError("element belongs to a different algebra")
-        columns = [
-            mul(self.products, u.coeffs, e, Fraction(0)) for e in linalg.identity(self.dim)
-        ]
-        return [list(row) for row in zip(*columns)]
+        return multiplication_operator(self.products, u.coeffs)
 
 
 @dataclass(frozen=True)
@@ -245,24 +242,8 @@ def split_scalar_nilpotent(u: AlgebraElement):
 
 def format_element(u: AlgebraElement) -> str:
     """Human-readable rendering, e.g. ``3 + 2*ε``."""
-    labels = u.algebra.labels
-    pieces: list[str] = []
-    for i, c in enumerate(u.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        mag_str = format_scalar(mag)
-        if i == 0:
-            body = mag_str
-        elif mag == 1:
-            body = labels[i]
-        else:
-            body = f"{mag_str}*{labels[i]}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces) if pieces else "0"
+    labels = (None,) + u.algebra.labels[1:]
+    return signed_sum(zip(u.coeffs, labels))
 
 
 # ------------------------------------------------------------ product kernel
@@ -297,6 +278,12 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
             for k, c in row[j]:
                 out[k] = out[k] + ab * c
     return out
+
+
+def multiplication_operator(products: Products, u: Sequence) -> list[list[Fraction]]:
+    """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
+    columns = [mul(products, u, e, Fraction(0)) for e in linalg.identity(len(products))]
+    return [list(row) for row in zip(*columns)]
 
 
 def ideal_generators(products: Products) -> list[int]:
@@ -426,10 +413,7 @@ def _check_associative(table, products, unit, labels) -> None:
     zero = Fraction(0)
     units = linalg.identity(s)
     _, monomials, parents, _ = monomial_walk(products, unit, range(s))
-    operators = [
-        [list(row) for row in zip(*(mul(products, m, e, zero) for e in units))]
-        for m in monomials
-    ]
+    operators = [multiplication_operator(products, m) for m in monomials]
     # Monomial g * unit = g is the one a generator enters the walk with.
     generators = [operators[u] for u, parent in enumerate(parents) if parent and parent[1] == 0]
     if all(
@@ -486,18 +470,6 @@ def _is_nilpotent(products, vec: Sequence[Fraction]) -> bool:
     return not any(power)
 
 
-def _in_span(rref_basis: list[list[Fraction]], vec: Sequence[Fraction]) -> bool:
-    residual = list(vec)
-    for row in rref_basis:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        f = residual[pivot]
-        if f:
-            for i in range(len(residual)):
-                if row[i]:
-                    residual[i] -= f * row[i]
-    return all(x == 0 for x in residual)
-
-
 def from_structure_constants(
     labels: Sequence[str], raw_table: Sequence[Sequence[Sequence]]
 ) -> WeilAlgebra:
@@ -539,10 +511,11 @@ def from_structure_constants(
     for vec in radical:
         if not _is_nilpotent(products, vec):
             raise NotNilpotentError("candidate maximal ideal contains a non-nilpotent element")
+    span = linalg.echelon_form(radical)
     for vec in radical:
         for e in linalg.identity(s):
             product = mul(products, e, vec, Fraction(0))
-            if not _in_span(radical, product):
+            if linalg.eliminate(span, {k: x for k, x in enumerate(product) if x}, s):
                 raise NotLocalError("nilpotent elements do not form an ideal")
 
     # Change of basis: unit first, then the canonical radical basis.
@@ -565,28 +538,12 @@ def from_structure_constants(
     if is_identity:
         new_labels = labels
     else:
-        new_labels = ("1",) + tuple(
-            _combination_label([vec[p] for p in range(s)], labels) for vec in radical
-        )
+        new_labels = ("1",) + tuple(signed_sum(zip(vec, labels), sep="") for vec in radical)
 
     height, width = _height_and_width(new_products)
     return WeilAlgebra(
         labels=new_labels, table=new_table, height=height, width=width, products=new_products
     )
-
-
-def _combination_label(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
-    pieces = []
-    for c, name in zip(coeffs, labels):
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = name if mag == 1 else f"{format_scalar(mag)}*{name}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'}{body}")
-    return "".join(pieces) if pieces else "0"
 
 
 def _height_and_width(products: Products) -> tuple[int, int]:
@@ -610,7 +567,10 @@ def _height_and_width(products: Products) -> tuple[int, int]:
             w for u in current for g in generators
             if any(w := mul(products, g, u, Fraction(0)))
         ]
-        current = [row for row in linalg.rref(spanning)[0] if any(row)]
+        current = [
+            [row.get(k, Fraction(0)) for k in range(s)]
+            for row in linalg.echelon_form(spanning).values()
+        ]
         height += 1
     return height, len(generators)
 

@@ -78,12 +78,7 @@ class Derivation:
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra is not self.algebra and u.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        s = self.algebra.dim
-        coeffs = [
-            sum((self.matrix[k][j] * u.coeffs[j] for j in range(s) if self.matrix[k][j]), Fraction(0))
-            for k in range(s)
-        ]
-        return AlgebraElement(self.algebra, tuple(coeffs))
+        return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, u.coeffs)))
 
     @cached_property
     def columns(self) -> list[dict]:
@@ -214,12 +209,11 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
         for p, form in enumerate(image):
             for x, c in form.items():
                 expansion.setdefault(x, []).append((p, u, c))
-    rows = [[row.get(x, zero) for x in range(n_unknowns)] for row in constraints.values()]
     flat = []
-    for solution in linalg.nullspace(rows, n_unknowns):
+    for solution in linalg.null_vectors(linalg.back_reduce(constraints), n_unknowns):
         d_m = linalg.zeros(s, s)
-        for x, value in enumerate(solution):
-            for p, u, c in expansion.get(x, ()) if value else ():
+        for x, value in solution.items():
+            for p, u, c in expansion.get(x, ()):
                 d_m[p][u] += value * c
         flat.append([y for row in linalg.mat_mul(d_m, inverse) for y in row])
     canonical, _ = linalg.rref(flat)

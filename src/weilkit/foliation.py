@@ -156,10 +156,7 @@ def distribution_at(
             isinstance(x, (int, Fraction)) for gen in generators for x in gen
         )
         tol = 0.0 if exact else 1e-9
-    if generators:
-        rank = linalg.rank_with_tolerance([list(g) for g in generators], tol)
-    else:
-        rank = 0
+    rank = linalg.rank_with_tolerance([list(g) for g in generators], tol)
     return DistributionSample(point=point, generators=generators, rank=rank, tolerance=tol)
 
 

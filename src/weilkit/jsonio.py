@@ -75,7 +75,8 @@ def algebra_from_spec(spec: dict) -> WeilAlgebra:
     (labels + s x s x s rational table).  Specs beyond the size caps of
     :mod:`weilkit.algebra` raise SizeLimitError before anything of that
     size is built; the number of variables or labels is checked before a
-    relation or a table entry is read.
+    relation or a table entry is read.  A table that is not s x s x s for
+    s labels raises SpecFormatError.
     """
     if not isinstance(spec, dict):
         raise SpecFormatError("algebra spec must be a JSON object")
@@ -96,14 +97,14 @@ def algebra_from_spec(spec: dict) -> WeilAlgebra:
     if kind == "structure_constants":
         labels = _string_list(spec, "labels")
         table = spec.get("table")
-        if not isinstance(table, list):
-            raise SpecFormatError("table must be a nested list")
-        try:
-            rational = [
-                [[rational_from_json(x) for x in entry] for entry in row] for row in table
-            ]
-        except TypeError as exc:
-            raise SpecFormatError("table must be a s x s x s nested list") from exc
+        s = len(labels)
+
+        def sized(value) -> bool:
+            return isinstance(value, list) and len(value) == s
+
+        if not (sized(table) and all(sized(row) and all(map(sized, row)) for row in table)):
+            raise SpecFormatError(f"table must be a {s} x {s} x {s} nested list for {s} labels")
+        rational = [[[rational_from_json(x) for x in entry] for entry in row] for row in table]
         return from_structure_constants(labels, rational)
     raise SpecFormatError(f"unknown algebra spec type {kind!r}")
 

@@ -1,10 +1,11 @@
 """Exact linear algebra over ``fractions.Fraction``.
 
-Dense matrices are row-major lists of lists, and everything on them is
-straightforward O(n^3) elimination; the systems produced elsewhere in this
-package are small (a few hundred rows at most), so exactness beats
-cleverness.  Sparse rows are dicts from column to non-zero entry; one
-incremental echelon, :func:`eliminate`, serves every sparse system.
+Dense matrices are row-major lists of lists; sparse rows are dicts from
+column to non-zero entry.  One incremental sparse echelon,
+:func:`eliminate`, serves every exact system, dense or sparse: the reduced
+row echelon form, rank, nullspace, solutions and inverses are all read
+from it.  Only :func:`rank_with_tolerance` has a float elimination of its
+own, for points with float coordinates.
 """
 
 from __future__ import annotations
@@ -80,45 +81,65 @@ def eliminate(echelon: dict, row: dict, limit: int) -> bool:
     return False
 
 
+def echelon_form(rows: Matrix) -> dict:
+    """The sparse echelon of dense ``rows`` built by :func:`eliminate` over
+    all their columns: leading column -> row with a leading 1 there.
+
+    The rows are eliminated sparsest first.  The span, and so the rank and
+    the reduced form, do not depend on the order; but pivot rows taken
+    from sparse rows stay sparse, while a dense row taken early fills in
+    every row reduced after it (on the distribution generators of
+    R[x1..x5]/m^4 at n = 16, about 180 times the time).
+    """
+    echelon: dict = {}
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    for row in sorted(sparse, key=len):
+        eliminate(echelon, row, len(rows[0]))
+    return echelon
+
+
+def back_reduce(echelon: dict) -> dict:
+    """Clear each pivot column from every other row of ``echelon``, in place,
+    which makes it the reduced row echelon form; returns ``echelon``.
+
+    An echelon row is zero left of its leading column, so rows are reduced
+    from the last pivot down: a pivot row subtracted from an earlier row is
+    already zero at every other pivot, and each entry at a later pivot is
+    cleared by one subtraction.
+    """
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for pivot in [x for x in row if x != lead and x in echelon]:
+            add_scaled(row, -row[pivot], echelon[pivot])
+    return echelon
+
+
+def null_vectors(reduced: dict, ncols: int) -> list[dict]:
+    """A basis of the vectors in ``ncols`` columns that every row of a
+    reduced echelon (:func:`back_reduce`) annihilates, as sparse rows: one
+    per free column f, with 1 at f and -row[f] at the pivot of each row."""
+    at_pivots: dict = {}
+    for lead, row in reduced.items():
+        for free, x in row.items():
+            if free != lead:
+                at_pivots.setdefault(free, {})[lead] = -x
+    return [{f: _ONE, **at_pivots.get(f, {})} for f in range(ncols) if f not in reduced]
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
-    m = [list(row) for row in rows]
-    if not m:
+    """Reduced row echelon form.  Returns (reduced rows, pivot columns);
+    the rows beyond the rank are zero."""
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][col]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i == r:
-                continue
-            f = m[i][col]
-            if f == 0:
-                continue
-            ri, rr = m[i], m[r]
-            for j in range(col, ncols):
-                if rr[j]:
-                    ri[j] -= f * rr[j]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    ncols = len(rows[0])
+    reduced = back_reduce(echelon_form(rows))
+    pivots = sorted(reduced)
+    dense = [[reduced[p].get(j, _ZERO) for j in range(ncols)] for p in pivots]
+    return dense + zeros(len(rows) - len(pivots), ncols), pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    return len(echelon_form(rows))
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
@@ -128,20 +149,8 @@ def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
     for a given solution space: each vector leads with 1 in a column where
     every other basis vector vanishes, and leading columns increase.
     """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][f]
-        basis.append(vec)
-    if not basis:
-        return []
-    canon, _ = rref(basis)
-    return canon
+    basis = null_vectors(back_reduce(echelon_form(rows)), ncols)
+    return rref([[vec.get(j, _ZERO) for j in range(ncols)] for vec in basis])[0]
 
 
 def solve(rows: Matrix, rhs: Vector) -> Vector | None:
@@ -150,14 +159,12 @@ def solve(rows: Matrix, rhs: Vector) -> Vector | None:
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
     return x
 
 

@@ -234,22 +234,11 @@ class Polynomial:
         """Render in the same syntax ``parse_polynomial`` accepts."""
         if len(variables) != self.nvars:
             raise ValueError("variable-name count mismatch")
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
+        terms = []
         for exp, coeff in reversed(self.terms()):
             mono = monomial_str(exp, variables)
-            if mono == "1":
-                body = format_scalar(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{format_scalar(abs(coeff))}*{mono}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(pieces)
+            terms.append((coeff, None if mono == "1" else mono))
+        return signed_sum(terms)
 
 
 def monomial_str(exponents: Exponents, variables: Sequence[str]) -> str:
@@ -269,6 +258,30 @@ def format_scalar(x) -> str:
     if isinstance(x, Fraction):
         return str(x)
     return f"{float(x):.12g}"
+
+
+def signed_sum(terms: Iterable[tuple], sep: str = " ") -> str:
+    """Render the sum of c*name over (c, name) pairs, skipping zero c: a
+    leading ``-`` on a negative first term, then ``+`` or ``-`` before each
+    following term, with ``sep`` on both sides of the sign (``3 + 2*x - y``,
+    or ``3+2*x-y`` for ``sep=""``).  ``name`` None marks a constant term;
+    a unit magnitude prints as the bare name.  The empty sum is ``0``."""
+    pieces: list[str] = []
+    for c, name in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if name is None:
+            body = format_scalar(mag)
+        elif mag == 1:
+            body = name
+        else:
+            body = f"{format_scalar(mag)}*{name}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'}{sep}{body}")
+    return sep.join(pieces) if pieces else "0"
 
 
 # ------------------------------------------------------------------- parsing

@@ -5,8 +5,9 @@ dimensions are recomputed from a float constraint matrix via numpy's SVD
 rank, the exact derivation basis from the full s^2-unknown Leibniz system
 rather than from generators, bracket constants from full s x s
 commutators rather than generator columns, associativity from every basis
-triple rather than a monomial walk, and matrix exponentials by direct
-series summation.
+triple rather than a monomial walk, matrix exponentials by direct
+series summation, and the reduced row echelon form by dense Gauss-Jordan
+elimination rather than the sparse echelon.
 """
 
 from __future__ import annotations
@@ -136,6 +137,45 @@ def lie_structure_oracle(basis) -> tuple:
             constants[i][j] = tuple(coords)
             constants[j][i] = tuple(-c for c in coords)
     return tuple(tuple(row) for row in constants)
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form by dense Gauss-Jordan elimination, column by
+    column with row swaps.  Returns (reduced rows, pivot columns); the rows
+    beyond the rank are zero.  Independent of the library's sparse echelon."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][col]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i == r:
+                continue
+            f = m[i][col]
+            if f == 0:
+                continue
+            ri, rr = m[i], m[r]
+            for j in range(col, ncols):
+                if rr[j]:
+                    ri[j] -= f * rr[j]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
 
 
 def associativity_oracle(table):

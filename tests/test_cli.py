@@ -371,6 +371,29 @@ def test_oversized_spec_exits_2(capsys, tmp_path, name, command):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# Tables whose shape does not match their labels are malformed specs, like
+# a table that is not a list at all.
+MISSHAPEN = {
+    "ragged-entry": (["a", "b"], [[[1, 0], [0, 1]], [[0, 1], [1]]]),
+    "ragged-row": (["a", "b"], [[[1, 0], [0, 1]], [[0, 1]]]),
+    "label-count": (["a", "b", "c"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSHAPEN))
+@pytest.mark.parametrize("command", ["check", "derivations"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_misshapen_table_exits_2(capsys, tmp_path, name, command, as_json):
+    labels, table = MISSHAPEN[name]
+    s = len(labels)
+    path = tmp_path / "misshapen.json"
+    spec = {"type": "structure_constants", "labels": labels, "table": table}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)] + (["--json"] if as_json else []))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: table must be a {s} x {s} x {s} nested list for {s} labels\n"
+
+
 def test_powers_of_sums_are_not_relations(capsys, tmp_path):
     # Read without expansion: (x+y)^60 would have 61 terms, (x1+...+x9)^60
     # about 10^10.
