@@ -173,20 +173,14 @@ def _cmd_derivations(args) -> int:
         for j in range(1, algebra.dim):
             image = d.apply(algebra.basis_element(j))
             print(f"  d{idx}({algebra.labels[j]}) = {format_element(image)}")
-    lines = []
-    for i in range(lie.rank):
-        for j in range(i + 1, lie.rank):
+    if lie.brackets:
+        print("Lie structure (nonzero brackets):")
+        for (i, j), coeffs in sorted(lie.brackets.items()):
             terms = [
                 f"d{k}" if c == 1 else f"-d{k}" if c == -1 else f"{format_scalar(c)}·d{k}"
-                for k, c in enumerate(lie.constants[i][j])
-                if c
+                for k, c in sorted(coeffs.items())
             ]
-            if terms:
-                lines.append(f"  [d{i},d{j}] = {' + '.join(terms)}")
-    if lines:
-        print("Lie structure (nonzero brackets):")
-        for line in lines:
-            print(line)
+            print(f"  [d{i},d{j}] = {' + '.join(terms)}")
     else:
         print("Lie structure: abelian (all brackets vanish)")
     return 0

@@ -264,11 +264,15 @@ def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
 
 @dataclass(frozen=True)
 class LieStructure:
-    """A derivation basis together with its exact bracket constants:
-    [basis[i], basis[j]] = sum_k constants[i][j][k] * basis[k]."""
+    """A derivation basis together with its exact non-zero brackets: for
+    i < j, [basis[i], basis[j]] = sum_k brackets[i, j][k] * basis[k].
+
+    Each entry maps k to a non-zero constant.  A pair whose bracket
+    vanishes has no entry, and [basis[j], basis[i]] is the negation of
+    [basis[i], basis[j]]."""
 
     basis: tuple[Derivation, ...]
-    constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    brackets: dict[tuple[int, int], dict[int, Fraction]]
 
     @property
     def rank(self) -> int:
@@ -295,7 +299,7 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     basis = list(basis)
     r = len(basis)
     if r == 0:
-        return LieStructure((), ())
+        return LieStructure((), {})
     for d in basis[1:]:
         _check_same_algebra(basis[0], d)
     s = basis[0].algebra.dim
@@ -313,9 +317,7 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
         if not linalg.eliminate(echelon, row, length):
             raise ValueError("derivations are not linearly independent")
 
-    zero = Fraction(0)
-    zero_row = (zero,) * r
-    constants = [[zero_row] * r for _ in range(r)]
+    brackets: dict = {}
     for i in range(r):
         for j in range(i + 1, r):
             columns = bracket(basis[i], basis[j]).columns
@@ -326,11 +328,8 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
                 raise NotClosedError("bracket lies outside the span of the basis")
             # The bracket minus sum_k c_k basis[k] reduced to zero, so the
             # tracking columns hold -c_k.
-            coords, negated = [zero] * r, [zero] * r
-            for col, x in row.items():
-                coords[col - length], negated[col - length] = -x, x
-            constants[i][j], constants[j][i] = tuple(coords), tuple(negated)
-    return LieStructure(tuple(basis), tuple(tuple(row) for row in constants))
+            brackets[i, j] = {col - length: -x for col, x in row.items()}
+    return LieStructure(tuple(basis), brackets)
 
 
 def jacobi_residual(lie: LieStructure) -> Fraction:
@@ -340,18 +339,17 @@ def jacobi_residual(lie: LieStructure) -> Fraction:
     The constants are antisymmetric, so the Jacobiator is alternating in
     (i, j, k) and only i < j < k needs to be evaluated.
     """
-    g = lie.constants
-    r = lie.rank
+    g: dict = {}  # both orientations of every non-zero bracket
+    for (i, j), coeffs in lie.brackets.items():
+        g[i, j] = coeffs
+        g[j, i] = {k: -c for k, c in coeffs.items()}
     worst = Fraction(0)
-    for i, j, k in itertools.combinations(range(r), 3):
-        for l in range(r):
-            total = sum(
-                g[i][j][m] * g[m][k][l]
-                + g[j][k][m] * g[m][i][l]
-                + g[k][i][m] * g[m][j][l]
-                for m in range(r)
-            )
-            worst = max(worst, abs(total))
+    for i, j, k in itertools.combinations(range(lie.rank), 3):
+        total: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in g.get((a, b), {}).items():
+                linalg.add_scaled(total, x, g.get((m, c), {}))
+        worst = max([worst, *map(abs, total.values())])
     return worst
 
 
@@ -368,23 +366,13 @@ class Automorphism:
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra is not self.algebra and u.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        s = self.algebra.dim
         coords = [float(c) for c in u.coeffs]
-        out = [sum(self.matrix[p][q] * coords[q] for q in range(s)) for p in range(s)]
-        return AlgebraElement(self.algebra, tuple(out))
+        return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, coords, 0.0)))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ValueError("automorphisms belong to different algebras")
-        return Automorphism(self.algebra, _freeze(_float_mat_mul(self.matrix, other.matrix)))
-
-
-def _float_mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+        return Automorphism(self.algebra, _freeze(linalg.mat_mul(self.matrix, other.matrix, 0.0)))
 
 
 _EXP_TERMS = 18
@@ -409,11 +397,11 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
         coeffs.append(coeffs[-1] / k)
     result = [[coeffs[_EXP_TERMS] if i == j else 0.0 for j in range(s)] for i in range(s)]
     for k in range(_EXP_TERMS - 1, -1, -1):
-        result = _float_mat_mul(scaled, result)
+        result = linalg.mat_mul(scaled, result, 0.0)
         for i in range(s):
             result[i][i] += coeffs[k]
     for _ in range(squarings):
-        result = _float_mat_mul(result, result)
+        result = linalg.mat_mul(result, result, 0.0)
     if not all(math.isfinite(x) for row in result for x in row):
         raise ValueError("flow time too large: exp(tD) overflows floating point")
     return Automorphism(d.algebra, _freeze(result))

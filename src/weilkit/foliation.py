@@ -166,12 +166,13 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
 
     For linear fields u -> Mu the chart bracket of (M1, M2) has matrix
     M2 M1 - M1 M2; with M = -D per block this must equal sum_k c_k M_k for
-    the structure constants c of the pair.  The identity is blockwise, so
-    it is independent of n.  Both sides are derivations, and derivations
-    that agree on generators of m are equal, so comparing their columns at
-    the ``ideal_generators`` is an exact proof.  The chart side is computed
-    from the -D matrices themselves, independently of the elimination that
-    produced the constants.  Returns {"pairs": [...], "all_pass": bool}.
+    the structure constants c of the pair.  The two signs cancel: the
+    identity says D1 D2 - D2 D1 = sum_k c_k D_k.  It is blockwise, so it
+    is independent of n.  Both sides are derivations, and derivations that
+    agree on generators of m are equal, so comparing their columns at the
+    ``ideal_generators`` is an exact proof.  The commutator is computed
+    from the basis matrices themselves, independently of the elimination
+    that produced the constants.  Returns {"pairs": [...], "all_pass": bool}.
     """
     if n < 1:
         raise ValueError("need at least one manifold coordinate")
@@ -180,19 +181,16 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
     all_pass = True
     if r:
         generators = ideal_generators(lie.basis[0].algebra.products)
-        fields = [  # columns of M = -D
-            [{p: -x for p, x in column.items()} for column in d.columns]
-            for d in lie.basis
-        ]
+        columns = [d.columns for d in lie.basis]
     for i in range(r):
         for j in range(i + 1, r):
-            terms = [(c, field) for c, field in zip(lie.constants[i][j], fields) if c]
+            coeffs = lie.brackets.get((i, j), {})
             ok = True
             for g in generators:
                 expected: dict = {}
-                for c, field in terms:
-                    linalg.add_scaled(expected, c, field[g])
-                if commutator_on(fields[j], fields[i], g) != expected:
+                for k, c in coeffs.items():
+                    linalg.add_scaled(expected, c, columns[k][g])
+                if commutator_on(columns[i], columns[j], g) != expected:
                     ok = False
                     break
             all_pass = all_pass and ok

@@ -84,7 +84,7 @@ def algebra_from_spec(spec: dict) -> WeilAlgebra:
     if kind == "truncated_polynomial":
         variables = _string_list(spec, "variables")
         order = spec.get("order")
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise SpecFormatError("order must be a non-negative integer")
         return truncated_polynomial_algebra(len(variables), order, names=variables)
     if kind == "monomial_quotient":
@@ -122,8 +122,8 @@ def algebra_to_spec(algebra: WeilAlgebra) -> dict:
 
 
 def _string_list(spec: dict, key: str) -> list[str]:
-    """Variable names or labels: at most MAX_DIM of them, checked before
-    anything is built from them."""
+    """Variable names or labels: at most MAX_DIM distinct ones, checked
+    before anything is built from them."""
     value = spec.get(key)
     if (
         not isinstance(value, list)
@@ -132,6 +132,8 @@ def _string_list(spec: dict, key: str) -> list[str]:
     ):
         raise SpecFormatError(f"{key} must be a non-empty list of strings")
     check_size(f"number of {key}", len(value), MAX_DIM)
+    if len(set(value)) != len(value):
+        raise SpecFormatError(f"{key} must be distinct")
     return value
 
 
@@ -254,11 +256,10 @@ def derivation_to_json(d: Derivation) -> list[list[str]]:
 
 
 def lie_constants_to_json(lie: LieStructure) -> list[list]:
-    """Sparse (i, j, k, value) list of the nonzero structure constants."""
-    out = []
-    for i in range(lie.rank):
-        for j in range(lie.rank):
-            for k, value in enumerate(lie.constants[i][j]):
-                if value:
-                    out.append([i, j, k, fraction_to_str(value)])
-    return out
+    """Sparse (i, j, k, value) list of the nonzero structure constants, both
+    orientations of each pair, sorted by (i, j, k)."""
+    entries = []
+    for (i, j), coeffs in lie.brackets.items():
+        for k, c in coeffs.items():
+            entries += [(i, j, k, c), (j, i, k, -c)]
+    return [[i, j, k, fraction_to_str(c)] for i, j, k, c in sorted(entries)]

@@ -27,13 +27,17 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[_ZERO] * cols for _ in range(rows)]
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if row[j]), _ZERO) for row in a]
+def mat_vec(a: Matrix, v: list, zero=_ZERO) -> list:
+    return [sum((row[j] * v[j] for j in range(len(v)) if row[j]), zero) for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, zero=_ZERO) -> Matrix:
+    """a b, accumulated over k in ascending order from ``zero``: a
+    Fraction, or 0.0 for float matrices.  Zero factors are skipped; for
+    finite floats a skipped term is a signed zero, which leaves a sum that
+    started at +0.0 unchanged, so the result is bit for bit the full sum."""
     cols = len(b[0])
-    out = zeros(len(a), cols)
+    out = [[zero] * cols for _ in a]
     for i, row in enumerate(a):
         for k, aik in enumerate(row):
             if aik == 0:

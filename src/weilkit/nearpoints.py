@@ -187,9 +187,6 @@ class TaylorOracle:
         except KeyError:
             raise MissingPartialError(f"oracle lacks the partial for multi-index {alpha}") from None
 
-    def covers(self, nvars: int, order: int) -> bool:
-        return all(alpha in self._partials for alpha in _multi_indices(nvars, order))
-
     def partials(self) -> dict[Exponents, float]:
         return dict(self._partials)
 

@@ -6,8 +6,9 @@ rank, the exact derivation basis from the full s^2-unknown Leibniz system
 rather than from generators, bracket constants from full s x s
 commutators rather than generator columns, associativity from every basis
 triple rather than a monomial walk, matrix exponentials by direct
-series summation, and the reduced row echelon form by dense Gauss-Jordan
-elimination rather than the sparse echelon.
+series summation or by scaling and squaring on dense float products, and
+the reduced row echelon form by dense Gauss-Jordan elimination rather
+than the sparse echelon.
 """
 
 from __future__ import annotations
@@ -98,17 +99,20 @@ def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
     return matrices
 
 
-def lie_structure_oracle(basis) -> tuple:
+def lie_structure_oracle(basis) -> dict:
     """Bracket constants of a derivation basis from full commutators.
 
     Each bracket is the s x s matrix D_i D_j - D_j D_i, expanded in the
     basis by one reduced echelon form of the basis over all s^2 matrix
-    entries, with r columns that track the combination.  Raises ValueError
-    when the basis is dependent or a bracket leaves its span.
+    entries, with r columns that track the combination.  The dense r x r x r
+    tensor is converted to the sparse form of ``LieStructure.brackets``:
+    (i, j) -> {k: c} for i < j and the non-zero constants c, with no entry
+    for a vanishing bracket.  Raises ValueError when the basis is dependent
+    or a bracket leaves its span.
     """
     r = len(basis)
     if r == 0:
-        return ()
+        return {}
     s = basis[0].algebra.dim
     length = s * s
     stacked = [
@@ -136,7 +140,20 @@ def lie_structure_oracle(basis) -> tuple:
                 raise ValueError("bracket outside the span")
             constants[i][j] = tuple(coords)
             constants[j][i] = tuple(-c for c in coords)
-    return tuple(tuple(row) for row in constants)
+    return sparse_brackets(constants)
+
+
+def sparse_brackets(constants) -> dict:
+    """The pairs i < j of a dense antisymmetric r x r x r tensor, in the
+    form of ``LieStructure.brackets``."""
+    r = len(constants)
+    brackets = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            coeffs = {k: c for k, c in enumerate(constants[i][j]) if c}
+            if coeffs:
+                brackets[i, j] = coeffs
+    return brackets
 
 
 def rref_oracle(rows):
@@ -209,6 +226,38 @@ def expm_series_oracle(matrix, terms: int = 60):
         factorial *= k
         out = out + power / factorial
     return out
+
+
+def float_mat_mul_oracle(a, b):
+    """Dense float matrix product: every term, summed over k in ascending
+    order from the int 0."""
+    n = len(b)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def exp_flow_oracle(matrix, t: float, terms: int = 18):
+    """exp(tD) by the scaling and squaring of ``exp_flow``, with every
+    product dense: the float reference for the sparse products."""
+    s = len(matrix)
+    scaled = [[float(x) * float(t) for x in row] for row in matrix]
+    norm = max((sum(abs(x) for x in row) for row in scaled), default=0.0)
+    squarings = 0
+    while norm > 0.5:
+        norm /= 2.0
+        squarings += 1
+    factor = 0.5 ** squarings
+    scaled = [[x * factor for x in row] for row in scaled]
+    coeffs = [1.0]
+    for k in range(1, terms + 1):
+        coeffs.append(coeffs[-1] / k)
+    result = [[coeffs[terms] if i == j else 0.0 for j in range(s)] for i in range(s)]
+    for k in range(terms - 1, -1, -1):
+        result = float_mat_mul_oracle(scaled, result)
+        for i in range(s):
+            result[i][i] += coeffs[k]
+    for _ in range(squarings):
+        result = float_mat_mul_oracle(result, result)
+    return result
 
 
 def raw_table_mul(table, u, v):

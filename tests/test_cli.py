@@ -394,6 +394,35 @@ def test_misshapen_table_exits_2(capsys, tmp_path, name, command, as_json):
     assert err == f"parse error: table must be a {s} x {s} x {s} nested list for {s} labels\n"
 
 
+# Specs that used to be accepted: a JSON boolean is an int in Python, and
+# repeated names would print a basis such as 1, x, x, x^2, x*x, x^2.
+AMBIGUOUS = {
+    "order-true": ({"type": "truncated_polynomial", "variables": ["x"], "order": True},
+                   "order must be a non-negative integer"),
+    "order-false": ({"type": "truncated_polynomial", "variables": ["x"], "order": False},
+                    "order must be a non-negative integer"),
+    "repeated-variable": ({"type": "truncated_polynomial", "variables": ["x", "x"], "order": 2},
+                          "variables must be distinct"),
+    "repeated-quotient-variable": ({"type": "monomial_quotient", "variables": ["x", "y", "x"],
+                                    "relations": ["x^2", "y^2"]},
+                                   "variables must be distinct"),
+    "repeated-label": ({"type": "structure_constants", "labels": ["a", "a"],
+                        "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]},
+                       "labels must be distinct"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIGUOUS))
+@pytest.mark.parametrize("command", ["check", "derivations"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_ambiguous_spec_exits_2(capsys, tmp_path, name, command, as_json):
+    spec, message = AMBIGUOUS[name]
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)] + (["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 def test_powers_of_sums_are_not_relations(capsys, tmp_path):
     # Read without expansion: (x+y)^60 would have 61 terms, (x1+...+x9)^60
     # about 10^10.

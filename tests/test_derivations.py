@@ -25,17 +25,20 @@ from weilkit import (
     multiplicativity_residual,
     truncated_polynomial_algebra,
 )
-from weilkit.jsonio import rational_from_json
+from weilkit.jsonio import lie_constants_to_json, rational_from_json
 import weilkit.linalg as la
 from support import (
     ORACLE_CORPUS,
     derivation_basis_oracle,
     derivation_dim_oracle,
+    exp_flow_oracle,
     expm_series_oracle,
+    float_mat_mul_oracle,
     lie_structure_oracle,
     rand_element,
     rand_fraction,
     rand_invertible,
+    sparse_brackets,
 )
 
 
@@ -115,7 +118,7 @@ def test_basis_matches_full_leibniz_oracle(name):
 def test_lie_constants_match_commutator_oracle(name):
     build, args = ORACLE_CORPUS[name]
     basis = derivation_basis(build(*args))
-    assert lie_structure(basis).constants == lie_structure_oracle(basis)
+    assert lie_structure(basis).brackets == lie_structure_oracle(basis)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
@@ -234,13 +237,14 @@ def test_module_scale_action_pointwise():
 def test_lie_structure_dual_numbers_abelian():
     lie = lie_structure(derivation_basis(dual_numbers()))
     assert lie.rank == 1
-    assert lie.constants[0][0] == (Fraction(0),)
+    assert lie.brackets == {}
+    assert lie_constants_to_json(lie) == []
 
 
 def test_lie_structure_x3():
     lie = lie_structure(derivation_basis(truncated_polynomial_algebra(1, 2)))
-    assert lie.constants[0][1] == (Fraction(0), Fraction(1))
-    assert lie.constants[1][0] == (Fraction(0), Fraction(-1))
+    assert lie.brackets == {(0, 1): {1: Fraction(1)}}  # [d0, d1] = d1
+    assert lie_constants_to_json(lie) == [[0, 1, 1, "1/1"], [1, 0, 1, "-1/1"]]  # [d1, d0] = -d1
 
 
 def test_lie_structure_jacobi():
@@ -267,9 +271,41 @@ def test_jacobi_residual_matches_full_sum():
     )
     basis = tuple(derivation_basis(truncated_polynomial_algebra(2, 1)))
     assert len(basis) == r
-    lie = LieStructure(basis, tuple(tuple(tuple(row) for row in plane) for plane in g))
+    lie = LieStructure(basis, sparse_brackets(g))
     assert full > 0
     assert jacobi_residual(lie) == full
+
+
+def test_lie_structure_of_gl4():
+    # m^2 = 0 in R[x1..x4]/m^2, so every linear map of m is a derivation:
+    # Der = gl(4), r = 16.  The canonical basis derivation E_ab sends x_b
+    # to x_a; its single non-zero entry is matrix[a][b] = 1.
+    n = 4
+    lie = lie_structure(derivation_basis(truncated_polynomial_algebra(n, 1)))
+    assert lie.rank == n * n
+    index = {}
+    for k, d in enumerate(lie.basis):
+        [(a, b, x)] = [(p, q, x) for p, row in enumerate(d.matrix) for q, x in enumerate(row) if x]
+        assert x == 1
+        index[a, b] = k
+    assert sorted(index) == [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+    expected = {}
+    for (a, b), i in index.items():
+        for (c, d), j in index.items():
+            coeffs = {}
+            if i < j:
+                if b == c:
+                    coeffs[index[a, d]] = coeffs.get(index[a, d], 0) + 1
+                if d == a:
+                    coeffs[index[c, b]] = coeffs.get(index[c, b], 0) - 1
+                coeffs = {k: Fraction(v) for k, v in coeffs.items() if v}
+            if coeffs:
+                expected[i, j] = coeffs
+    assert lie.brackets == expected
+    values = [c for coeffs in lie.brackets.values() for c in coeffs.values()]
+    assert len(values) == n**3 - n == 60
+    assert set(values) == {1, -1}
 
 
 def test_lie_structure_not_closed():
@@ -376,6 +412,37 @@ def test_exp_flow_derivative_at_zero():
             for j in range(A.dim):
                 fd = (plus.matrix[i][j] - minus.matrix[i][j]) / (2 * h)
                 assert abs(fd - float(d.matrix[i][j])) < 1e-6
+
+
+def float_bits(matrix):
+    """Type and repr of every entry: equal exactly when the floats are
+    bit for bit equal, signs of zeros included."""
+    return [[(type(x), repr(x)) for x in row] for row in matrix]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_float_products_match_dense_reference(name):
+    # exp_flow, compose and apply skip zero factors; the dense float
+    # product sums every term in the same order, so the floats must agree
+    # bit for bit.  t = 23 and -1.9 need squarings, 0.37 does not.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    rng = random.Random(53)
+    basis = derivation_basis(A) or [Derivation(A, ((Fraction(0),) * A.dim,) * A.dim)]  # s = 1
+    picks = basis[:2] + [basis[-1] + Fraction(1, 3) * basis[0] + Fraction(-5, 7) * basis[len(basis) // 2]]
+    for d in picks:
+        for t in (0.37, -1.9, 23.0):
+            phi = exp_flow(d, t)
+            assert float_bits(phi.matrix) == float_bits(exp_flow_oracle(d.matrix, t))
+            psi = exp_flow(d, -t / 3)
+            assert float_bits(phi.compose(psi).matrix) == float_bits(
+                float_mat_mul_oracle(phi.matrix, psi.matrix)
+            )
+            u = rand_element(rng, A)
+            for v in (u, A.element([float(c) / 7 for c in u.coeffs]), A.unit()):
+                coords = [float(c) for c in v.coeffs]
+                reference = [sum(row[q] * coords[q] for q in range(A.dim)) for row in phi.matrix]
+                assert float_bits([phi.apply(v).coeffs]) == float_bits([reference])
 
 
 def test_derivation_json_wire_format():

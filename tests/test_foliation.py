@@ -224,9 +224,10 @@ def test_involutivity_fails_on_a_perturbed_constant():
         for i, j, k in ((0, 1, 0), (0, lie.rank - 1, lie.rank - 1), (1, 2, 1)):
             if j >= lie.rank:
                 continue
-            constants = [[list(row) for row in plane] for plane in lie.constants]
-            constants[i][j][k] += Fraction(1, 3)
-            bad = LieStructure(lie.basis, tuple(tuple(tuple(row) for row in plane) for plane in constants))
+            brackets = {pair: dict(coeffs) for pair, coeffs in lie.brackets.items()}
+            coeffs = brackets.setdefault((i, j), {})
+            coeffs[k] = coeffs.get(k, 0) + Fraction(1, 3)
+            bad = LieStructure(lie.basis, brackets)
             report = involutivity_check(bad, 2)
             assert not report["all_pass"]
             assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [(i, j)]
