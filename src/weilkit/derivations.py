@@ -76,9 +76,20 @@ class Derivation:
             raise ValueError("a derivation must preserve the maximal ideal")
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
+        """D(u), with u's coordinates scattered through the sparse columns.
+
+        The result is bit for bit ``linalg.mat_vec(self.matrix, u.coeffs)``,
+        types and signed float zeros included: only zero matrix entries are
+        skipped, never zero coordinates of u, and each output coordinate adds
+        its terms in ascending column order, starting from Fraction(0).
+        """
         if u.algebra is not self.algebra and u.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, u.coeffs)))
+        out = [Fraction(0)] * self.algebra.dim
+        for x, column in zip(u.coeffs, self.columns):
+            for p, c in column.items():
+                out[p] = out[p] + c * x
+        return AlgebraElement(self.algebra, tuple(out))
 
     @cached_property
     def columns(self) -> list[dict]:

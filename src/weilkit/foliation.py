@@ -146,18 +146,30 @@ def distribution_at(
 
     ``tol`` defaults to 0 (exact) when every chart coordinate is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
+    A generator that leaves the float range, as inf or as an exact value
+    that the float arithmetic (a float coordinate, or ``tol`` > 0) cannot
+    hold, raises ValueError naming it.
     """
-    fields = [induced_field(algebra, d, point.n) for d in basis]
-    generators = tuple(chart_flatten(f, point) for f in fields)
-    for idx, gen in enumerate(generators):
-        _check_finite(gen, f"generator d{idx}* at this point")
+    names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
+    generators = []
+    for d, what in zip(basis, names):
+        try:
+            gen = chart_flatten(induced_field(algebra, d, point.n), point)
+        except OverflowError:
+            raise ValueError(f"{what} overflows floating point") from None
+        _check_finite(gen, what)
+        generators.append(gen)
     if tol is None:
         exact = all(
             isinstance(x, (int, Fraction)) for gen in generators for x in gen
         )
         tol = 0.0 if exact else 1e-9
-    rank = linalg.rank_with_tolerance([list(g) for g in generators], tol)
-    return DistributionSample(point=point, generators=generators, rank=rank, tolerance=tol)
+    if tol:
+        rows = [_floats(gen, what) for gen, what in zip(generators, names)]
+    else:
+        rows = [list(gen) for gen in generators]
+    rank = linalg.rank_with_tolerance(rows, tol)
+    return DistributionSample(point=point, generators=tuple(generators), rank=rank, tolerance=tol)
 
 
 def involutivity_check(lie: LieStructure, n: int) -> dict:
@@ -208,10 +220,15 @@ def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> Nea
     if point.algebra is not algebra and point.algebra != algebra:
         raise ValueError("point belongs to a different algebra")
     phi = exp_flow(d, -t)
-    moved = tuple(phi.apply(c) for c in point.components)
-    for i, c in enumerate(moved):
-        _check_finite(c.coeffs, f"flowed component ξ{i + 1}")
-    return NearPoint(moved)
+    moved = []
+    for i, c in enumerate(point.components):
+        try:
+            image = phi.apply(c)
+        except OverflowError:
+            raise ValueError(f"component ξ{i + 1} of the point overflows floating point") from None
+        _check_finite(image.coeffs, f"flowed component ξ{i + 1}")
+        moved.append(image)
+    return NearPoint(tuple(moved))
 
 
 def _check_finite(values, what: str) -> None:
@@ -219,6 +236,15 @@ def _check_finite(values, what: str) -> None:
     for x in values:
         if isinstance(x, float) and not math.isfinite(x):
             raise ValueError(f"{what} overflows floating point ({x})")
+
+
+def _floats(values, what: str) -> list[float]:
+    """``values`` as floats; ValueError naming ``what`` when an exact value
+    is beyond the float range."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise ValueError(f"{what} overflows floating point") from None
 
 
 def leaf_sample(

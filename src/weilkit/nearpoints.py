@@ -93,7 +93,9 @@ class NearPoint:
         """Truncated Taylor value of the function described by ``oracle``.
 
         Exact up to float round-off for polynomial oracles; the sum stops at
-        the algebra height because higher nilpotent powers vanish.
+        the algebra height because higher nilpotent powers vanish.  Each
+        nilpotent part's powers up to the height are formed once, by the
+        same products ``**`` makes, and shared by every multi-index.
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")
@@ -104,14 +106,20 @@ class NearPoint:
                     f"{tuple(float(b) for b in self.base_point())}"
                 )
         height = self.algebra.height
-        nilpotents = [c.nilpotent_part() for c in self.components]
+        powers = []  # powers[i][e] is the e-th power of component i's nilpotent part
+        for c in self.components:
+            nilpotent = c.nilpotent_part()
+            row = [self.algebra.unit()]
+            for _ in range(height):
+                row.append(row[-1] * nilpotent)
+            powers.append(row)
         total = self.algebra.zero()
         for alpha in _multi_indices(self.n, height):
             coeff = oracle.partial(alpha)
             term = self.algebra.from_scalar(coeff)
             for i, e in enumerate(alpha):
                 if e:
-                    term = term * nilpotents[i] ** e
+                    term = term * powers[i][e]
             total = total + term
         return total
 

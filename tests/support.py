@@ -6,9 +6,10 @@ rank, the exact derivation basis from the full s^2-unknown Leibniz system
 rather than from generators, bracket constants from full s x s
 commutators rather than generator columns, associativity from every basis
 triple rather than a monomial walk, matrix exponentials by direct
-series summation or by scaling and squaring on dense float products, and
-the reduced row echelon form by dense Gauss-Jordan elimination rather
-than the sparse echelon.
+series summation or by scaling and squaring on dense float products, the
+reduced row echelon form by dense Gauss-Jordan elimination rather than
+the sparse echelon, and Taylor values with every nilpotent power rebuilt
+for each multi-index.
 """
 
 from __future__ import annotations
@@ -258,6 +259,24 @@ def exp_flow_oracle(matrix, t: float, terms: int = 18):
     for _ in range(squarings):
         result = float_mat_mul_oracle(result, result)
     return result
+
+
+def eval_taylor_oracle(point, oracle):
+    """Truncated Taylor value of ``oracle`` at ``point`` by the
+    per-multi-index loop: every nilpotent power is rebuilt from the unit
+    with ``**`` for each multi-index that uses it."""
+    from weilkit.nearpoints import _multi_indices
+
+    algebra = point.algebra
+    nilpotents = [c.nilpotent_part() for c in point.components]
+    total = algebra.zero()
+    for alpha in _multi_indices(point.n, algebra.height):
+        term = algebra.from_scalar(oracle.partial(alpha))
+        for i, e in enumerate(alpha):
+            if e:
+                term = term * nilpotents[i] ** e
+        total = total + term
+    return total
 
 
 def raw_table_mul(table, u, v):

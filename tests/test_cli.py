@@ -306,6 +306,42 @@ def test_foliation_overflowing_generator_exits_1(capsys, files, tmp_path, as_jso
     assert err.startswith("error: generator d0* at this point overflows floating point (-inf)")
 
 
+# An exact coordinate beyond the float range that meets float arithmetic:
+# the flow's exp(-tD), a float coordinate of the same point, or a rank at
+# --tol > 0.
+BEYOND_FLOAT_RANGE = {
+    "flow": ("flow", '{"base": ["1e400"], "nilparts": [["1/1", "0/1"]]}',
+             ["--t", "1"], "component ξ1 of the point"),
+    "foliation-float-point": ("foliation", '{"base": [0.5], "nilparts": [["1e400", 0.25]]}',
+                              [], "generator d0* at this point"),
+    "foliation-tol": ("foliation", '{"base": ["0/1"], "nilparts": [["1e400", "0/1"]]}',
+                      ["--tol", "1e-9"], "generator d0* at this point"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOAT_RANGE))
+def test_exact_coordinate_beyond_float_range_exits_1(capsys, files, tmp_path, name, as_json):
+    command, point, flags, what = BEYOND_FLOAT_RANGE[name]
+    path = tmp_path / "beyond.json"
+    path.write_text(point, encoding="utf-8")
+    argv = [command, files["x3"], "--n", "1", "--point", str(path), *flags]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {what} overflows floating point\n"
+    assert "Traceback" not in err
+
+
+def test_exact_rank_holds_coordinates_beyond_float_range(capsys, files, tmp_path):
+    path = tmp_path / "beyond.json"
+    path.write_text('{"base": ["0/1"], "nilparts": [["1e400", "0/1"]]}', encoding="utf-8")
+    code, out, _ = run(capsys, ["foliation", files["x3"], "--n", "1", "--point", str(path), "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["tolerance"] == 0.0 and report["rank_samples"][0]["rank"] == 2
+
+
 def test_emit_rejects_non_finite_floats(capsys):
     from weilkit.cli import _emit
 

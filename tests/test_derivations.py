@@ -445,6 +445,38 @@ def test_float_products_match_dense_reference(name):
                 assert float_bits([phi.apply(v).coeffs]) == float_bits([reference])
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_apply_matches_dense_product(name):
+    # apply scatters coordinates through the sparse columns.  It must equal
+    # mat_vec bit for bit: a zero coordinate of the point still contributes
+    # its (signed zero) product, so an output coordinate whose only terms
+    # are 0.0 or -0.0 is the float 0.0, not Fraction(0), and float sums
+    # round the same way only in ascending column order.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    s = A.dim
+    rng = random.Random(61)
+    basis = derivation_basis(A) or [Derivation(A, ((Fraction(0),) * s,) * s)]  # s = 1
+    combination = basis[0]
+    for d in basis[1:]:
+        combination = combination + rand_fraction(rng) * d
+    for d in basis[:3] + [basis[-1], combination]:
+        assert d.columns[0] == {}  # D kills the unit: an empty column
+        exact = [rand_fraction(rng) for _ in range(s)]
+        floats = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, 4) for _ in range(s)]
+        points = [
+            exact,
+            floats,
+            [x if q % 2 else y for q, (x, y) in enumerate(zip(exact, floats))],
+            [(0.0, -0.0, x, y)[q % 4] for q, (x, y) in enumerate(zip(exact, floats))],
+            [-0.0] * s,
+            [0.0] * s,
+        ]
+        for coeffs in points:
+            got = d.apply(A.element(coeffs)).coeffs
+            assert float_bits([got]) == float_bits([la.mat_vec(d.matrix, coeffs)])
+
+
 def test_derivation_json_wire_format():
     from weilkit.jsonio import derivation_to_json
 

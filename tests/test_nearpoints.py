@@ -23,7 +23,8 @@ from weilkit import (
     split_scalar_nilpotent,
     truncated_polynomial_algebra,
 )
-from support import rand_near_point, rand_poly
+from weilkit.nearpoints import _multi_indices
+from support import ORACLE_CORPUS, eval_taylor_oracle, rand_near_point, rand_poly
 
 
 D = dual_numbers()
@@ -155,6 +156,31 @@ def test_taylor_two_variable_oracle():
     assert all(
         abs(float(a) - float(b)) <= 1e-12 for a, b in zip(exact.coeffs, approx.coeffs)
     )
+
+
+def signed_zeros_or_uniform(rng, span):
+    return (0.0, -0.0, rng.uniform(-span, span), rng.uniform(-span, span))[rng.randrange(4)]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_taylor_matches_per_multi_index_loop(name):
+    # The powers of each nilpotent part are formed once and shared; they
+    # are the products ** makes, so the floats agree bit for bit.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    rng = random.Random(67)
+    for n in (1, 2, 3):
+        nilparts = [
+            A.element([0.0] + [signed_zeros_or_uniform(rng, 2) for _ in range(A.dim - 1)])
+            for _ in range(n)
+        ]
+        float_point = make_near_point(A, [rng.uniform(-3, 3) for _ in range(n)], nilparts)
+        for point in (rand_near_point(rng, A, n), float_point):
+            base = [float(b) for b in point.base_point()]
+            partials = {alpha: signed_zeros_or_uniform(rng, 5) for alpha in _multi_indices(n, A.height)}
+            oracle = TaylorOracle(base, partials)
+            got = point.eval_taylor(oracle).coeffs
+            assert repr(got) == repr(eval_taylor_oracle(point, oracle).coeffs)
 
 
 def test_eval_with_float_components():
