@@ -100,6 +100,13 @@ def check_size(what: str, value: int, cap: int) -> None:
         raise SizeLimitError(f"{what} {value} exceeds the cap of {cap}")
 
 
+def check_same_algebra(a: "WeilAlgebra", b: "WeilAlgebra", message: str) -> None:
+    """Raise ValueError(message) unless ``a`` and ``b`` are equal algebras;
+    the identity test first spares the table comparison."""
+    if a is not b and a != b:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class WeilAlgebra:
     """Verified local algebra over a normalised basis.
@@ -157,8 +164,7 @@ class WeilAlgebra:
 
     def multiplication_matrix(self, u: "AlgebraElement") -> list[list[Fraction]]:
         """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
-        if u.algebra is not self and u.algebra != self:
-            raise ValueError("element belongs to a different algebra")
+        check_same_algebra(u.algebra, self, "element belongs to a different algebra")
         return multiplication_operator(self.products, u.coeffs)
 
 
@@ -174,8 +180,7 @@ class AlgebraElement:
     coeffs: tuple
 
     def _check_same(self, other: "AlgebraElement") -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements belong to different algebras")
+        check_same_algebra(self.algebra, other.algebra, "elements belong to different algebras")
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -712,8 +717,7 @@ def eval_in_algebra(p: Polynomial, args: Sequence[AlgebraElement]) -> AlgebraEle
         raise ValueError("need at least one argument to determine the algebra")
     algebra = args[0].algebra
     for arg in args[1:]:
-        if arg.algebra is not algebra and arg.algebra != algebra:
-            raise ValueError("arguments belong to different algebras")
+        check_same_algebra(arg.algebra, algebra, "arguments belong to different algebras")
     if len(args) != p.nvars:
         raise ValueError(f"polynomial has {p.nvars} variables, got {len(args)} arguments")
     return p.evaluate(args, one=algebra.unit())

@@ -18,11 +18,14 @@ derivations is a derivation, so the coordinates of [D_i, D_j] in the basis
 are read from its width generator columns against one sparse echelon of
 the restricted basis, r x width*s entries, instead of all s^2 entries.
 
-Verification happens once, at the trust boundary: the public
-``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
-Results computed here (the solved basis, brackets, sums, scalar multiples
-and module multiples) are derivations by construction (Kolář, Michor and
-Slovák, ch. VIII) and are built without the re-check.
+A derivation is stored once, as its sparse matrix columns (column q maps
+k to the non-zero coefficient of basis element k in D(e_q)); the dense
+``matrix`` is a view derived from them on first use.  Verification
+happens once, at the trust boundary: the public ``Derivation(algebra,
+matrix)`` constructor checks every matrix exactly.  Results computed here
+(the solved basis, brackets, sums, scalar multiples and module multiples)
+are derivations by construction (Kolář, Michor and Slovák, ch. VIII) and
+are built on columns without the re-check.
 
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
@@ -39,7 +42,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, WeilAlgebra, ideal_generators, monomial_walk, mul
+from .algebra import (
+    AlgebraElement,
+    WeilAlgebra,
+    check_same_algebra,
+    ideal_generators,
+    monomial_walk,
+    mul,
+)
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -48,32 +58,49 @@ class NotClosedError(ValueError):
     """A bracket escaped the span of the supplied derivation basis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Derivation:
-    """Derivation of a local algebra as a matrix on its basis.
+    """Derivation of a local algebra, stored as its sparse matrix columns.
 
-    ``matrix[k][j]`` is the coefficient of basis element k in the image of
-    basis element j.  The public constructor verifies D(1) = 0, the Leibniz
-    identity on every basis pair, and preservation of the maximal ideal, all
-    exactly.  Derivations this module computes from verified ones are
-    derivations by construction and skip that check.
+    ``columns[q]`` maps k to the non-zero coefficient of basis element k in
+    the image of basis element q; ``matrix`` is the dense view of the same
+    entries, ``matrix[k][q]``.  The public constructor ``Derivation(algebra,
+    matrix)`` verifies D(1) = 0, the Leibniz identity on every basis pair,
+    and preservation of the maximal ideal, all exactly.  Derivations this
+    module computes from verified ones are derivations by construction and
+    skip that check.
     """
 
     algebra: WeilAlgebra
-    matrix: RationalMatrix
+    columns: list[dict]
 
-    def __post_init__(self):
-        residual = leibniz_residual(self.algebra, self.matrix)
+    def __init__(self, algebra: WeilAlgebra, matrix: RationalMatrix):
+        s = algebra.dim
+        if len(matrix) != s or any(len(row) != s for row in matrix):
+            raise ValueError(f"a derivation matrix must be {s} x {s}")
+        residual = leibniz_residual(algebra, matrix)
         if residual is not None:
             i, j = residual
             raise ValueError(
                 f"matrix violates the Leibniz identity on basis pair ({i}, {j})"
             )
-        s = self.algebra.dim
-        if any(self.matrix[k][0] != 0 for k in range(s)):
+        if any(matrix[k][0] != 0 for k in range(s)):
             raise ValueError("a derivation must kill the unit")
-        if any(self.matrix[0][j] != 0 for j in range(s)):
+        if any(matrix[0][j] != 0 for j in range(s)):
             raise ValueError("a derivation must preserve the maximal ideal")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "columns", _columns(matrix))
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.matrix))
+
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        """Dense view of the columns: matrix[k][q] is columns[q].get(k, 0)."""
+        zero = Fraction(0)
+        return tuple(
+            tuple(column.get(k, zero) for column in self.columns) for k in range(len(self.columns))
+        )
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
@@ -83,63 +110,56 @@ class Derivation:
         skipped, never zero coordinates of u, and each output coordinate adds
         its terms in ascending column order, starting from Fraction(0).
         """
-        if u.algebra is not self.algebra and u.algebra != self.algebra:
-            raise ValueError("element belongs to a different algebra")
+        check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
         out = [Fraction(0)] * self.algebra.dim
         for x, column in zip(u.coeffs, self.columns):
             for p, c in column.items():
                 out[p] = out[p] + c * x
         return AlgebraElement(self.algebra, tuple(out))
 
-    @cached_property
-    def columns(self) -> list[dict]:
-        """The matrix columns as sparse vectors: entry q maps p to
-        matrix[p][q] for the non-zero entries."""
-        columns: list[dict] = [{} for _ in self.matrix]
-        for p, row in enumerate(self.matrix):
-            for q, x in enumerate(row):
-                if x:
-                    columns[q][p] = x
-        return columns
-
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(self.columns)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if not isinstance(other, Derivation):
             return NotImplemented
-        _check_same_algebra(self, other)
-        return _trusted(
-            self.algebra,
-            _freeze([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]),
-        )
+        check_same_algebra(self.algebra, other.algebra, _DIFFERENT_ALGEBRAS)
+        columns = [dict(a) for a in self.columns]
+        for column, b in zip(columns, other.columns):
+            linalg.add_scaled(column, Fraction(1), b)
+        return _trusted(self.algebra, columns)
 
     def __rmul__(self, scalar) -> "Derivation":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         c = Fraction(scalar)
-        return _trusted(self.algebra, _freeze([[c * x for x in row] for row in self.matrix]))
+        columns = [{p: c * x for p, x in column.items()} if c else {} for column in self.columns]
+        return _trusted(self.algebra, columns)
 
     def __neg__(self) -> "Derivation":
         return Fraction(-1) * self
 
 
-def _trusted(algebra: WeilAlgebra, matrix: RationalMatrix) -> Derivation:
-    """A Derivation built without ``__post_init__``, for a matrix that is a
+_DIFFERENT_ALGEBRAS = "derivations belong to different algebras"
+
+
+def _trusted(algebra: WeilAlgebra, columns: list[dict]) -> Derivation:
+    """A Derivation built without the checks, for columns that are a
     derivation by construction."""
     d = object.__new__(Derivation)
     object.__setattr__(d, "algebra", algebra)
-    object.__setattr__(d, "matrix", matrix)
+    object.__setattr__(d, "columns", columns)
     return d
+
+
+def _columns(matrix) -> list[dict]:
+    """Sparse columns of a dense s x s matrix: entry q maps p to the
+    non-zero matrix[p][q]."""
+    return [{p: row[q] for p, row in enumerate(matrix) if row[q]} for q in range(len(matrix))]
 
 
 def _freeze(mat) -> RationalMatrix:
     return tuple(tuple(row) for row in mat)
-
-
-def _check_same_algebra(d1: Derivation, d2: Derivation) -> None:
-    if d1.algebra is not d2.algebra and d1.algebra != d2.algebra:
-        raise ValueError("derivations belong to different algebras")
 
 
 def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
@@ -227,11 +247,16 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
             for p, u, c in expansion.get(x, ()):
                 d_m[p][u] += value * c
         flat.append([y for row in linalg.mat_mul(d_m, inverse) for y in row])
-    canonical, _ = linalg.rref(flat)
-    matrices = [_freeze([vec[p * s : (p + 1) * s] for p in range(s)]) for vec in canonical]
-    if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
-        matrices = [_freeze([[-x for x in row] for row in matrices[0]])]
-    return [_trusted(algebra, mat) for mat in matrices]
+    reduced = linalg.back_reduce(linalg.echelon_form(flat))  # the canonical rows, by pivot
+    basis = []
+    for lead in sorted(reduced):
+        columns: list[dict] = [{} for _ in range(s)]
+        for x, value in reduced[lead].items():  # entry x = p*s + q is matrix[p][q]
+            columns[x % s][x // s] = value
+        basis.append(_trusted(algebra, columns))
+    if s == 2 and len(basis) == 1 and basis[0].columns[1].get(1, 0) > 0:
+        basis = [-basis[0]]
+    return basis
 
 
 def commutator_on(a_columns: list[dict], b_columns: list[dict], g: int) -> dict:
@@ -248,29 +273,18 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Commutator D1 D2 - D2 D1, a derivation by construction.
 
     Formed column by column on sparse columns, so the work follows the
-    non-zero entries of the two matrices."""
-    _check_same_algebra(d1, d2)
+    non-zero entries of the two derivations."""
+    check_same_algebra(d1.algebra, d2.algebra, _DIFFERENT_ALGEBRAS)
     a, b = d1.columns, d2.columns
-    s = d1.algebra.dim
-    zero = Fraction(0)
-    comm = [[zero] * s for _ in range(s)]
-    columns = [commutator_on(a, b, q) for q in range(s)]
-    for q, column in enumerate(columns):
-        for p, x in column.items():
-            comm[p][q] = x
-    result = _trusted(d1.algebra, _freeze(comm))
-    result.__dict__["columns"] = columns  # the cached property, already known
-    return result
+    return _trusted(d1.algebra, [commutator_on(a, b, q) for q in range(d1.algebra.dim)])
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
     """The derivation u -> a * d(u); its matrix is M_a D for the
     multiplication operator M_a."""
-    if a.algebra is not d.algebra and a.algebra != d.algebra:
-        raise ValueError("element and derivation belong to different algebras")
+    check_same_algebra(a.algebra, d.algebra, "element and derivation belong to different algebras")
     mult = d.algebra.multiplication_matrix(a)
-    scaled = linalg.mat_mul(mult, [list(row) for row in d.matrix])
-    return _trusted(d.algebra, _freeze(scaled))
+    return _trusted(d.algebra, _columns(linalg.mat_mul(mult, d.matrix)))
 
 
 @dataclass(frozen=True)
@@ -312,7 +326,7 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     if r == 0:
         return LieStructure((), {})
     for d in basis[1:]:
-        _check_same_algebra(basis[0], d)
+        check_same_algebra(basis[0].algebra, d.algebra, _DIFFERENT_ALGEBRAS)
     s = basis[0].algebra.dim
     generators = ideal_generators(basis[0].algebra.products)
     length = len(generators) * s  # column a*s + p is coordinate p of D(g_a)
@@ -375,14 +389,12 @@ class Automorphism:
     matrix: tuple[tuple[float, ...], ...]
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
-        if u.algebra is not self.algebra and u.algebra != self.algebra:
-            raise ValueError("element belongs to a different algebra")
+        check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
         coords = [float(c) for c in u.coeffs]
         return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, coords, 0.0)))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise ValueError("automorphisms belong to different algebras")
+        check_same_algebra(other.algebra, self.algebra, "automorphisms belong to different algebras")
         return Automorphism(self.algebra, _freeze(linalg.mat_mul(self.matrix, other.matrix, 0.0)))
 
 

@@ -25,7 +25,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .algebra import AlgebraElement, WeilAlgebra, dual_numbers, ideal_generators
+from .algebra import (
+    AlgebraElement,
+    WeilAlgebra,
+    check_same_algebra,
+    dual_numbers,
+    ideal_generators,
+)
 from .derivations import (
     Derivation,
     LieStructure,
@@ -65,14 +71,12 @@ class InducedField:
 
 
 def induced_field(algebra: WeilAlgebra, d: Derivation, n: int) -> InducedField:
-    if d.algebra is not algebra and d.algebra != algebra:
-        raise ValueError("derivation belongs to a different algebra")
+    check_same_algebra(d.algebra, algebra, "derivation belongs to a different algebra")
     return InducedField(d, n)
 
 
 def _check_point(field: InducedField, point: NearPoint) -> None:
-    if point.algebra is not field.algebra and point.algebra != field.algebra:
-        raise ValueError("point belongs to a different algebra")
+    check_same_algebra(point.algebra, field.algebra, "point belongs to a different algebra")
     if point.n != field.n:
         raise ValueError(f"field has {field.n} coordinates, point has {point.n}")
 
@@ -103,21 +107,16 @@ def coordinate_values(field: InducedField) -> list[list[Polynomial]]:
     the result to ``field_from_values`` yields the chart form of the field.
     """
     s = field.algebra.dim
-    n = field.n
-    nvars = n * s
-    matrix = field.derivation.matrix
+    nvars = field.n * s
     values = []
-    for i in range(n):
-        row = []
-        for k in range(s):
-            terms = {}
-            for l in range(s):
-                if matrix[k][l]:
-                    exp = [0] * nvars
-                    exp[i * s + l] = 1
-                    terms[tuple(exp)] = -matrix[k][l]
-            row.append(Polynomial(nvars, terms))
-        values.append(row)
+    for i in range(field.n):
+        terms: list[dict] = [{} for _ in range(s)]  # terms[k]: coefficient of basis element k
+        for l, column in enumerate(field.derivation.columns):
+            exp = [0] * nvars
+            exp[i * s + l] = 1
+            for k, x in column.items():
+                terms[k][tuple(exp)] = -x
+        values.append([Polynomial(nvars, t) for t in terms])
     return values
 
 
@@ -217,8 +216,7 @@ def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> Nea
     survives the floating exponential bit for bit); flow(0) is the identity
     and flows compose additively in t up to round-off.
     """
-    if point.algebra is not algebra and point.algebra != algebra:
-        raise ValueError("point belongs to a different algebra")
+    check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     phi = exp_flow(d, -t)
     moved = []
     for i, c in enumerate(point.components):

@@ -14,8 +14,9 @@ coordinates per chart direction.  The two standard descriptions of such a
 field are connected here:
 
 * ``chart_components`` splits a lifted polynomial into its s coordinate
-  polynomials on the chart (evaluate f on symbolic components, collect
-  basis coefficients);
+  polynomials on the chart (evaluate f on algebra elements whose
+  coordinates are the chart variables, through the one product kernel,
+  and read off their coordinates);
 * ``apply_chart_field`` lets a chart field act on a function f and returns
   the algebra-valued result at a point, which obeys the Leibniz rule with
   respect to lifted multiplication;
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, WeilAlgebra, eval_in_algebra, mul
+from .algebra import AlgebraElement, WeilAlgebra, check_same_algebra, eval_in_algebra
 from .poly import Exponents, Polynomial
 
 
@@ -61,8 +62,7 @@ class NearPoint:
             raise ValueError("a near point needs at least one component")
         first = self.components[0].algebra
         for comp in self.components[1:]:
-            if comp.algebra is not first and comp.algebra != first:
-                raise ValueError("components belong to different algebras")
+            check_same_algebra(comp.algebra, first, "components belong to different algebras")
 
     @property
     def algebra(self) -> WeilAlgebra:
@@ -99,11 +99,16 @@ class NearPoint:
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")
-        for ours, theirs in zip(self.base_point(), oracle.base):
-            if not math.isclose(float(ours), theirs, rel_tol=1e-9, abs_tol=1e-12):
+        try:
+            base = tuple(float(b) for b in self.base_point())
+        except OverflowError:
+            raise BasePointMismatchError(
+                f"oracle base {oracle.base} cannot match a point base beyond the float range"
+            ) from None
+        for ours, theirs in zip(base, oracle.base):
+            if not math.isclose(ours, theirs, rel_tol=1e-9, abs_tol=1e-12):
                 raise BasePointMismatchError(
-                    f"oracle base {oracle.base} differs from point base "
-                    f"{tuple(float(b) for b in self.base_point())}"
+                    f"oracle base {oracle.base} differs from point base {base}"
                 )
         height = self.algebra.height
         powers = []  # powers[i][e] is the e-th power of component i's nilpotent part
@@ -145,8 +150,7 @@ def make_near_point(
         raise ValueError("base point and nilpotent parts have different lengths")
     components = []
     for b, mu in zip(base, nilparts):
-        if mu.algebra is not algebra and mu.algebra != algebra:
-            raise ValueError("nilpotent part belongs to a different algebra")
+        check_same_algebra(mu.algebra, algebra, "nilpotent part belongs to a different algebra")
         if mu.scalar_part != 0:
             raise NonzeroScalarPartError(
                 f"nilpotent part has scalar coordinate {mu.scalar_part}"
@@ -216,33 +220,6 @@ class TaylorOracle:
         return cls(base, partials)
 
 
-# ------------------------------------------------------- symbolic components
-
-
-class _SymbolicElement:
-    """Algebra element whose coordinates are chart polynomials; just enough
-    arithmetic for Polynomial.evaluate."""
-
-    __slots__ = ("algebra", "comps")
-
-    def __init__(self, algebra: WeilAlgebra, comps: tuple[Polynomial, ...]):
-        self.algebra = algebra
-        self.comps = comps
-
-    def __add__(self, other: "_SymbolicElement") -> "_SymbolicElement":
-        return _SymbolicElement(
-            self.algebra, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __mul__(self, other: "_SymbolicElement") -> "_SymbolicElement":
-        zero = Polynomial.zero(self.comps[0].nvars)
-        out = mul(self.algebra.products, self.comps, other.comps, zero)
-        return _SymbolicElement(self.algebra, tuple(out))
-
-    def __rmul__(self, scalar) -> "_SymbolicElement":
-        return _SymbolicElement(self.algebra, tuple(scalar * c for c in self.comps))
-
-
 def chart_components(f: Polynomial, algebra: WeilAlgebra, n: int) -> list[Polynomial]:
     """Coordinate polynomials of the lifted function on the chart.
 
@@ -253,19 +230,17 @@ def chart_components(f: Polynomial, algebra: WeilAlgebra, n: int) -> list[Polyno
         raise ValueError(f"polynomial has {f.nvars} variables, expected {n}")
     s = algebra.dim
     nvars = n * s
+    zero = Polynomial.zero(nvars)
     args = [
-        _SymbolicElement(
-            algebra,
-            tuple(Polynomial.variable(nvars, i * s + j) for j in range(s)),
-        )
+        AlgebraElement(algebra, tuple(Polynomial.variable(nvars, i * s + j) for j in range(s)))
         for i in range(n)
     ]
-    one = _SymbolicElement(
-        algebra,
-        (Polynomial.constant(nvars, 1),) + tuple(Polynomial.zero(nvars) for _ in range(s - 1)),
-    )
-    value = f.evaluate(args, one=one)
-    return list(value.comps)
+    one = AlgebraElement(algebra, (Polynomial.constant(nvars, 1),) + (zero,) * (s - 1))
+    # mul starts each coordinate at Fraction(0), yet every one comes back a
+    # Polynomial: in each product one factor has a non-zero unit coordinate
+    # and the other, a power of an argument, no zero coordinate, so the
+    # unit row alone reaches all s coordinates.
+    return list(f.evaluate(args, one=one).coeffs)
 
 
 @dataclass(frozen=True)

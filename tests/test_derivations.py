@@ -46,6 +46,18 @@ def F(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def assert_one_form(A, d, dense):
+    """d's dense view equals the oracle ``dense``, its stored columns are
+    the non-zero entries of that view, and the public, checking constructor
+    rebuilds an equal derivation with an equal hash."""
+    assert d.matrix == F(dense)
+    s = A.dim
+    assert d.columns == [{p: d.matrix[p][q] for p in range(s) if d.matrix[p][q]} for q in range(s)]
+    assert d.is_zero() == all(x == 0 for row in dense for x in row)
+    rebuilt = Derivation(A, d.matrix)
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+
+
 def test_dual_number_generator():
     D = dual_numbers()
     basis = derivation_basis(D)
@@ -109,9 +121,10 @@ def test_basis_matches_full_leibniz_oracle(name):
     build, args = ORACLE_CORPUS[name]
     A = build(*args)
     basis = derivation_basis(A)
-    assert [d.matrix for d in basis] == derivation_basis_oracle(A)
-    for d in basis:
-        assert Derivation(A, d.matrix).matrix == d.matrix  # the public, checking constructor
+    oracle = derivation_basis_oracle(A)
+    assert len(basis) == len(oracle)
+    for d, dense in zip(basis, oracle):
+        assert_one_form(A, d, dense)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
@@ -124,19 +137,40 @@ def test_lie_constants_match_commutator_oracle(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
 def test_bracket_matches_dense_commutator(name):
     build, args = ORACLE_CORPUS[name]
-    basis = derivation_basis(build(*args))[:6]
+    A = build(*args)
+    basis = derivation_basis(A)[:6]
     for d1 in basis:
         m1 = [list(row) for row in d1.matrix]
         for d2 in basis:
             m2 = [list(row) for row in d2.matrix]
-            comm = bracket(d1, d2)
             expected = la.mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
-            assert comm.matrix == F(expected)
-            # The columns stored with the result are those of its matrix.
-            assert comm.columns == [
-                {p: row[q] for p, row in enumerate(comm.matrix) if row[q]}
-                for q in range(len(comm.matrix))
-            ]
+            assert_one_form(A, bracket(d1, d2), expected)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_derivation_arithmetic_matches_dense_oracle(name):
+    # Sums, scalar multiples, negations and module multiples are built from
+    # sparse columns; each must equal its dense matrix oracle.  d + (-d)
+    # cancels every entry, so a sum that kept zero entries fails here.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    s = A.dim
+    rng = random.Random(67)
+    basis = derivation_basis(A)[:4]
+    for d1, d2 in zip(basis, basis[1:] + basis[:1]):
+        m1, m2 = d1.matrix, d2.matrix
+        assert_one_form(A, d1 + d2, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)])
+        assert_one_form(A, d1 + (-d1), [[0] * s for _ in range(s)])
+        assert_one_form(A, -d1, [[-x for x in row] for row in m1])
+        for c in (rand_fraction(rng), 3, 0):
+            assert_one_form(A, c * d1, [[c * x for x in row] for row in m1])
+        a = rand_element(rng, A)
+        # M_a from the raw table: column q of M_a is a * e_q.
+        mult = [
+            [sum(a.coeffs[i] * A.table[i][q][k] for i in range(s)) for q in range(s)]
+            for k in range(s)
+        ]
+        assert_one_form(A, module_scale(a, d1), la.mat_mul(mult, [list(row) for row in m1]))
 
 
 def test_oracle_applies_the_dual_number_rescale():
@@ -151,6 +185,10 @@ def test_non_derivation_matrix_rejected():
     A = truncated_polynomial_algebra(1, 2)
     with pytest.raises(ValueError):
         Derivation(A, F([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))  # Leibniz fails
+    # Only the s x s entries would be stored, so other shapes are refused.
+    for rows in ([[0]], [[0, 0, 0], [0, 0, -1]], [[0, 0], [0, -1], [0, 0]]):
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            Derivation(D, F(rows))
 
 
 def test_dimension_is_basis_independent():

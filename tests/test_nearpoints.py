@@ -197,6 +197,14 @@ def test_taylor_base_point_mismatch():
         xi.eval_taylor(oracle)
 
 
+def test_taylor_base_beyond_float_range_is_a_mismatch():
+    # float(10**400) overflows; no finite oracle base can match that point.
+    xi = make_near_point(X3, [Fraction(10) ** 400], [X3.basis_element(1)])
+    oracle = TaylorOracle.of_polynomial(parse_polynomial("x", ["x"]), [1.0], order=2)
+    with pytest.raises(BasePointMismatchError, match="beyond the float range"):
+        xi.eval_taylor(oracle)
+
+
 def test_taylor_missing_partial():
     oracle = TaylorOracle([0.0], {(0,): 1.0})  # no first-order data
     xi = tangent_point(0, 1)
@@ -236,6 +244,25 @@ def test_chart_components_reassemble_to_evaluation():
             for j, g in enumerate(comps):
                 rebuilt = rebuilt + g.evaluate(coords) * A.basis_element(j)
             assert rebuilt == xi.eval(f)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_chart_components_are_polynomials(name):
+    # The symbolic evaluation runs on algebra elements with Polynomial
+    # coordinates; every coordinate comes back as a Polynomial in the n*s
+    # chart variables, for a constant, a cancelling x - x and a product.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    rng = random.Random(71)
+    names = ["x", "y"]
+    for text in ("3/2", "x - x", "0", "x*y - 2*y^2 + 1"):
+        f = parse_polynomial(text, names)
+        comps = chart_components(f, A, 2)
+        assert len(comps) == A.dim
+        assert all(type(g) is Polynomial and g.nvars == 2 * A.dim for g in comps)
+        xi = rand_near_point(rng, A, 2)
+        coords = xi.chart_coords()
+        assert A.element([g.evaluate(coords) for g in comps]) == xi.eval(f)
 
 
 def test_apply_chart_field_liouville_on_coordinates():
