@@ -24,10 +24,11 @@ already form a normalised basis.
 Either way basis element 0 is the unit and elements 1..s-1 span the
 maximal ideal; the scalar part of an element is then literally its
 coordinate 0.  Every product goes through one kernel, :func:`mul`, over
-the sparse structure constants that are indexed once per table.  All
-scalars in this module are exact ``Fraction``s with no tolerances;
-elements may carry floats only in flow integration, which never feeds
-back into verification.
+the sparse structure constants that are indexed once per table, and it
+runs exact coordinates on integer numerators over one common
+denominator.  All scalars in this module are exact ``Fraction``s with no
+tolerances; elements may carry floats only in flow integration, which
+never feeds back into verification.
 
 Every construction refuses an algebra of dimension above ``MAX_DIM``, or
 more than ``MAX_DIM`` variables or labels, with :class:`SizeLimitError`
@@ -37,6 +38,7 @@ before it allocates a table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -45,7 +47,6 @@ from . import linalg
 from .poly import Exponents, Polynomial, grlex_key, monomial_str, signed_sum
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
-Products = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
 class AlgebraAxiomError(ValueError):
@@ -254,13 +255,48 @@ def format_element(u: AlgebraElement) -> str:
 # ------------------------------------------------------------ product kernel
 
 
+class Products(tuple):
+    """The sparse index of a structure-constant table: ``products[i][j]``
+    lists the pairs (k, c) with a non-zero constant c = table[i][j][k], in
+    ascending k.
+
+    ``numerators`` is the same index over integers, each constant times
+    ``denominator``, the lcm of the constants' denominators (1 for a
+    monomial table); :func:`mul` reads it for exact coordinates.  Both are
+    plain attributes, so a table compares and hashes by its entries alone.
+    """
+
+    numerators: tuple
+    denominator: int
+
+
 def _sparse_products(table) -> Products:
-    """Index the non-zero structure constants: ``products[i][j]`` lists the
-    pairs (k, table[i][j][k]) with a non-zero constant, in ascending k."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
-        for row in table
+    """Index the non-zero structure constants of a table of Fractions."""
+    products = Products(
+        tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in table
     )
+    numerators, products.denominator = integer_form(
+        [c for row in products for entry in row for _, c in entry]
+    )
+    flat = iter(numerators)
+    products.numerators = tuple(
+        tuple(tuple((k, next(flat)) for k, _ in entry) for entry in row) for row in products
+    )
+    return products
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def integer_form(coords: Sequence) -> tuple[list[int], int] | None:
+    """Exact coordinates as (numerators, denominator): integer numerators
+    over the lcm of the coordinates' denominators.  None when some
+    coordinate is not an int or a Fraction (a float or a polynomial)."""
+    if not _EXACT_TYPES.issuperset(map(type, coords)):
+        return None
+    ratios = [x.as_integer_ratio() for x in coords]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
@@ -268,20 +304,40 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
 
     This is the one place where the package multiplies through structure
     constants.  ``zero`` is the additive identity of the coordinates (a
-    Fraction, or a zero Polynomial for symbolic chart coordinates); zero
-    coordinates are skipped by truthiness.  Terms accumulate in the order
-    i, then j, then k, so float products round the same way on every path.
+    Fraction, or a zero Polynomial for symbolic chart coordinates) and the
+    value of every output coordinate no term reaches.
+
+    When every coordinate of u and of v is an int or a Fraction, the
+    product runs on integers: each operand is read once in its
+    :func:`integer_form`, the terms accumulate in ints through
+    ``products.numerators``, and each non-zero output coordinate is built
+    once, as a Fraction over the product of the three denominators; a zero
+    output is ``zero``.  Float, mixed and polynomial coordinates run the
+    same loop on the constants themselves, starting every output at
+    ``zero``.  Zero coordinates are skipped by truthiness, and terms
+    accumulate in the order i, then j, then k, so float products round the
+    same way on every path.
     """
-    out = [zero] * len(products)
+    exact_u = integer_form(u)
+    exact_v = exact_u and integer_form(v)
+    if exact_v:
+        (u, du), (v, dv) = exact_u, exact_v
+        table, start = products.numerators, 0
+    else:
+        table, start = products, zero
+    out = [start] * len(table)
     nonzero_v = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
         if not a:
             continue
-        row = products[i]
+        row = table[i]
         for j, b in nonzero_v:
             ab = a * b
             for k, c in row[j]:
                 out[k] = out[k] + ab * c
+    if exact_v:
+        den = du * dv * products.denominator
+        return [Fraction(x, den) if x else zero for x in out]
     return out
 
 

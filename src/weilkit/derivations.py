@@ -20,12 +20,12 @@ the restricted basis, r x width*s entries, instead of all s^2 entries.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
 k to the non-zero coefficient of basis element k in D(e_q)); the dense
-``matrix`` is a view derived from them on first use.  Verification
-happens once, at the trust boundary: the public ``Derivation(algebra,
-matrix)`` constructor checks every matrix exactly.  Results computed here
-(the solved basis, brackets, sums, scalar multiples and module multiples)
-are derivations by construction (Kolář, Michor and Slovák, ch. VIII) and
-are built on columns without the re-check.
+``matrix`` and the ``integer_columns`` are views derived from them on
+first use.  Verification happens once, at the trust boundary: the public
+``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
+Results computed here (the solved basis, brackets, sums, scalar multiples
+and module multiples) are derivations by construction (Kolář, Michor and
+Slovák, ch. VIII) and are built on columns without the re-check.
 
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
@@ -47,6 +47,7 @@ from .algebra import (
     WeilAlgebra,
     check_same_algebra,
     ideal_generators,
+    integer_form,
     monomial_walk,
     mul,
 )
@@ -102,15 +103,32 @@ class Derivation:
             tuple(column.get(k, zero) for column in self.columns) for k in range(len(self.columns))
         )
 
+    @cached_property
+    def integer_columns(self) -> tuple[list[dict], int] | None:
+        """The columns over integers, (columns, denominator): column q maps
+        p to matrix[p][q] times ``denominator``, the lcm of the entries'
+        denominators.  None when an entry is not an int or a Fraction."""
+        form = integer_form([c for column in self.columns for c in column.values()])
+        if form is None:
+            return None
+        numerators, denominator = form
+        flat = iter(numerators)
+        return [{p: next(flat) for p in column} for column in self.columns], denominator
+
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
 
         The result is bit for bit ``linalg.mat_vec(self.matrix, u.coeffs)``,
-        types and signed float zeros included: only zero matrix entries are
-        skipped, never zero coordinates of u, and each output coordinate adds
-        its terms in ascending column order, starting from Fraction(0).
+        types and signed float zeros included.  Exact coordinates take the
+        integer scatter of :func:`exact_image`.  Otherwise only zero matrix
+        entries are skipped, never zero coordinates of u, and each output
+        coordinate adds its terms in ascending column order, starting from
+        Fraction(0).
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
+        image = exact_image(self, integer_form(u.coeffs))
+        if image is not None:
+            return AlgebraElement(self.algebra, image)
         out = [Fraction(0)] * self.algebra.dim
         for x, column in zip(u.coeffs, self.columns):
             for p, c in column.items():
@@ -141,6 +159,25 @@ class Derivation:
 
 
 _DIFFERENT_ALGEBRAS = "derivations belong to different algebras"
+_ZERO = Fraction(0)
+
+
+def exact_image(d: Derivation, u: tuple[list[int], int] | None, sign: int = 1) -> tuple | None:
+    """sign * D(u) for u given in its ``integer_form`` (numerators,
+    denominator), by one integer scatter through ``d.integer_columns``;
+    each non-zero coordinate is built once as a Fraction.  Negation is
+    exact in Q, so the sign folds into the denominator.  None when u or D
+    has a coordinate that is not an int or a Fraction."""
+    if u is None or d.integer_columns is None:
+        return None
+    (numerators, denominator), (columns, scale) = u, d.integer_columns
+    out = [0] * len(columns)
+    for x, column in zip(numerators, columns):
+        if x:
+            for p, c in column.items():
+                out[p] += c * x
+    denominator *= sign * scale
+    return tuple(Fraction(y, denominator) if y else _ZERO for y in out)
 
 
 def _trusted(algebra: WeilAlgebra, columns: list[dict]) -> Derivation:

@@ -31,12 +31,14 @@ from .algebra import (
     check_same_algebra,
     dual_numbers,
     ideal_generators,
+    integer_form,
 )
 from .derivations import (
     Derivation,
     LieStructure,
     commutator_on,
     derivation_basis,
+    exact_image,
     exp_flow,
 )
 from .nearpoints import (
@@ -67,7 +69,21 @@ class InducedField:
     def value_at(self, point: NearPoint) -> list[AlgebraElement]:
         """Componentwise value -D(point_i)."""
         _check_point(self, point)
-        return [-self.derivation.apply(c) for c in point.components]
+        return [_minus_image(self.derivation, c, integer_form(c.coeffs)) for c in point.components]
+
+
+def _minus_image(d: Derivation, u: AlgebraElement, form) -> AlgebraElement:
+    """-D(u), for ``form`` the ``integer_form`` of u's coordinates.
+
+    Exact coordinates take the integer scatter with the sign folded in.
+    Float ones negate D(u) afterwards, which keeps the signed zeros of the
+    float sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
+    -(Fraction(0) + c*0.0) is -0.0.
+    """
+    image = exact_image(d, form, -1)
+    if image is None:
+        return -d.apply(u)
+    return AlgebraElement(d.algebra, image)
 
 
 def induced_field(algebra: WeilAlgebra, d: Derivation, n: int) -> InducedField:
@@ -87,7 +103,8 @@ def field_apply(field: InducedField, f: Polynomial, point: NearPoint) -> Algebra
     _check_point(field, point)
     if f.nvars != field.n:
         raise ValueError(f"polynomial has {f.nvars} variables, field has {field.n}")
-    return -field.derivation.apply(point.eval(f))
+    value = point.eval(f)
+    return _minus_image(field.derivation, value, integer_form(value.coeffs))
 
 
 def chart_flatten(field: InducedField, point: NearPoint) -> tuple:
@@ -143,25 +160,33 @@ def distribution_at(
 ) -> DistributionSample:
     """Evaluate all induced fields at a point and compute the span's rank.
 
-    ``tol`` defaults to 0 (exact) when every chart coordinate is rational
+    ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
-    A generator that leaves the float range, as inf or as an exact value
-    that the float arithmetic (a float coordinate, or ``tol`` > 0) cannot
-    hold, raises ValueError naming it.
+    At a point whose coordinates are all ints or Fractions, each component
+    is read once in its ``integer_form`` and the r generators are built
+    from the derivations' integer columns, so they are exact by
+    construction.  A generator that leaves the float range, as inf or as
+    an exact value that the float arithmetic (a float coordinate, or
+    ``tol`` > 0) cannot hold, raises ValueError naming it.
     """
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
+    forms = [integer_form(c.coeffs) for c in point.components]
+    exact = None not in forms and all(d.integer_columns is not None for d in basis)
     generators = []
     for d, what in zip(basis, names):
+        field = induced_field(algebra, d, point.n)
+        if exact:
+            _check_point(field, point)
+            generators.append(tuple(x for form in forms for x in exact_image(d, form, -1)))
+            continue
         try:
-            gen = chart_flatten(induced_field(algebra, d, point.n), point)
+            gen = chart_flatten(field, point)
         except OverflowError:
             raise ValueError(f"{what} overflows floating point") from None
         _check_finite(gen, what)
         generators.append(gen)
     if tol is None:
-        exact = all(
-            isinstance(x, (int, Fraction)) for gen in generators for x in gen
-        )
+        exact = exact or all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
         tol = 0.0 if exact else 1e-9
     if tol:
         rows = [_floats(gen, what) for gen, what in zip(generators, names)]

@@ -50,10 +50,6 @@ def mat_mul(a: Matrix, b: Matrix, zero=_ZERO) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def add_scaled(target: dict, c: Fraction, form: dict) -> None:
     """target += c * form for sparse rows (column -> non-zero Fraction)."""
     for x, v in form.items():

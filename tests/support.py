@@ -8,8 +8,11 @@ commutators rather than generator columns, associativity from every basis
 triple rather than a monomial walk, matrix exponentials by direct
 series summation or by scaling and squaring on dense float products, the
 reduced row echelon form by dense Gauss-Jordan elimination rather than
-the sparse echelon, and Taylor values with every nilpotent power rebuilt
-for each multi-index.
+the sparse echelon, Taylor values with every nilpotent power rebuilt
+for each multi-index, products through the structure constants by the
+term-by-term loop on the constants rather than on integer numerators, and
+the values of induced fields by a scatter from Fraction(0) followed by a
+separate negation.
 """
 
 from __future__ import annotations
@@ -277,6 +280,40 @@ def eval_taylor_oracle(point, oracle):
                 term = term * nilpotents[i] ** e
         total = total + term
     return total
+
+
+def mul_oracle(products, u, v, zero):
+    """Coordinates of u*v by the term-by-term loop over the sparse
+    constants ``products[i][j]`` = ((k, c), ...), for every coordinate
+    type: each term a*b*c is formed and added on its own, starting every
+    output at ``zero``, in the order i, then j, then k, and zero
+    coordinates are skipped by truthiness."""
+    out = [zero] * len(products)
+    nonzero_v = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in nonzero_v:
+            ab = a * b
+            for k, c in products[i][j]:
+                out[k] = out[k] + ab * c
+    return out
+
+
+def minus_image_oracle(d, coeffs):
+    """-D(u) in two passes: u's coordinates scattered through the sparse
+    columns of d from Fraction(0), in ascending column order, then every
+    coordinate negated."""
+    out = [Fraction(0)] * len(coeffs)
+    for x, column in zip(coeffs, d.columns):
+        for p, c in column.items():
+            out[p] = out[p] + c * x
+    return [-y for y in out]
+
+
+def mat_sub(a, b):
+    """a - b for dense matrices."""
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def raw_table_mul(table, u, v):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilkit import (
     AlgebraAxiomError,
@@ -15,14 +16,24 @@ from weilkit import (
     NotAssociativeError,
     NotCommutativeError,
     NotLocalError,
+    Polynomial,
     dual_numbers,
     from_structure_constants,
     monomial_quotient_algebra,
     split_scalar_nilpotent,
     truncated_polynomial_algebra,
 )
+from weilkit.algebra import _sparse_products, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
-from support import ORACLE_CORPUS, associativity_oracle, rand_nilpotent, raw_table_mul
+from support import (
+    ORACLE_CORPUS,
+    associativity_oracle,
+    mul_oracle,
+    rand_fraction,
+    rand_nilpotent,
+    raw_table_mul,
+    scrambled_table,
+)
 
 
 def dual_table():
@@ -295,3 +306,86 @@ def test_element_formatting():
     assert str(D.element([3, 2])) == "3 + 2*ε"
     assert str(D.element([Fraction(-1, 2), 1])) == "-1/2 + ε"
     assert str(D.zero()) == "0"
+
+
+# ------------------------------------------------------------ product kernel
+
+
+def typed(values):
+    """Type and repr of every coordinate: equal exactly when the values are,
+    signed float zeros included."""
+    return [(type(x), repr(x)) for x in values]
+
+
+# Raw tables over a random basis: their constants are fractions, so the
+# kernel's table-wide denominator is above 1.
+RAW_TABLES = {
+    f"raw-{name}-{seed}": (build, args, seed)
+    for name, build, args, seed in [
+        ("dual", truncated_polynomial_algebra, (1, 1), 3),
+        ("m3", truncated_polynomial_algebra, (2, 2), 41),
+        ("x3-y2-xy2", monomial_quotient_algebra, (["x", "y"], [(3, 0), (0, 2), (1, 2)]), 7),
+    ]
+}
+
+
+def kernel_products(name):
+    if name in RAW_TABLES:
+        build, args, seed = RAW_TABLES[name]
+        return _sparse_products(scrambled_table(build(*args), random.Random(seed)))
+    build, args = ORACLE_CORPUS[name]
+    return build(*args).products
+
+
+def kernel_operands(rng, s):
+    """Coordinate vectors of every kind the kernel meets, ordered so that
+    neighbours can be multiplied (a polynomial takes no float)."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return [
+        [Fraction(rng.randint(-10**30, 10**30), rng.choice([2**127 - 1, 3**80])) for _ in range(s)],
+        [rng.randint(-9, 9) for _ in range(s)],
+        [Fraction(0)] * s,
+        [0] * s,
+        [rand_fraction(rng) * x + rng.randint(-3, 3) * y for _ in range(s)],
+        [rand_fraction(rng) for _ in range(s)],
+        [rng.uniform(-2, 2) for _ in range(s)],
+        [(0.0, -0.0, rand_fraction(rng), rng.uniform(-1, 1))[q % 4] for q in range(s)],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS) + sorted(RAW_TABLES))
+def test_mul_matches_the_fraction_loop(name):
+    # Exact operands run on integer numerators; every result must be the
+    # same Fraction as the term-by-term loop, and float, mixed and
+    # polynomial operands the same bits.
+    products = kernel_products(name)
+    if name in RAW_TABLES:
+        assert products.denominator > 1
+    operands = kernel_operands(random.Random(name), len(products))
+    for u, v in zip(operands, operands[1:] + operands[:1]):
+        for a, b in ((u, u), (u, v), (v, u)):
+            assert typed(mul(products, a, b, Fraction(0))) == typed(
+                mul_oracle(products, a, b, Fraction(0))
+            )
+
+
+_COORDINATES = st.one_of(
+    st.fractions(max_denominator=10**12),
+    st.integers(-(10**20), 10**20),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0, Fraction(0), 0.0, -0.0]),
+)
+
+
+PROPERTY_TABLES = {
+    name: kernel_products(name) for name in ("raw-m3-41", "raw-x3-y2-xy2-7", "truncated-2-2")
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(PROPERTY_TABLES)), st.data())
+def test_mul_matches_the_fraction_loop_on_random_coordinates(name, data):
+    products = PROPERTY_TABLES[name]
+    vectors = st.lists(_COORDINATES, min_size=len(products), max_size=len(products))
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert typed(mul(products, u, v, Fraction(0))) == typed(mul_oracle(products, u, v, Fraction(0)))

@@ -35,6 +35,7 @@ from support import (
     expm_series_oracle,
     float_mat_mul_oracle,
     lie_structure_oracle,
+    mat_sub,
     rand_element,
     rand_fraction,
     rand_invertible,
@@ -143,7 +144,7 @@ def test_bracket_matches_dense_commutator(name):
         m1 = [list(row) for row in d1.matrix]
         for d2 in basis:
             m2 = [list(row) for row in d2.matrix]
-            expected = la.mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
+            expected = mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
             assert_one_form(A, bracket(d1, d2), expected)
 
 

@@ -31,7 +31,18 @@ from weilkit import (
     parse_polynomial,
     truncated_polynomial_algebra,
 )
-from support import rand_element, rand_fraction, rand_near_point, rand_poly
+from weilkit.algebra import AlgebraElement
+from weilkit.nearpoints import NearPoint
+from support import (
+    mat_sub,
+    minus_image_oracle,
+    rand_element,
+    rand_fraction,
+    rand_near_point,
+    rand_poly,
+    rref_oracle,
+    scrambled,
+)
 
 
 D = dual_numbers()
@@ -180,6 +191,86 @@ def test_distribution_zero_section_rank_zero():
         assert distribution_at(A, basis, xi).rank == 0
 
 
+NEAR_POINT_ALGEBRAS = {
+    "dual": D,
+    "x3": X3,
+    "sq": SQ,
+    "m4": truncated_polynomial_algebra(2, 3),
+    "scrambled-m3": scrambled(truncated_polynomial_algebra(2, 2), random.Random(41)),
+}
+
+
+def typed(values):
+    """Type and repr of every entry: for a Fraction its value, for a float
+    its bits, signed zeros included."""
+    return [(type(x), repr(x)) for x in values]
+
+
+def oracle_points(A, rng):
+    """Near points on R^2 as (point, exact): exact ones (Fractions, the zero
+    section, ints, large coprime denominators), then float and mixed ones
+    with signed zeros."""
+    s = A.dim
+
+    def point(*rows):
+        return NearPoint(tuple(AlgebraElement(A, tuple(row)) for row in rows))
+
+    def nil(draw):
+        return [draw(q) for q in range(1, s)]
+
+    def big(q):
+        return Fraction(rng.randint(-(10**20), 10**20), (2**127 - 1, 3**80)[q % 2])
+
+    def uniform(q):
+        return rng.uniform(-2, 2)
+
+    def rational(q):
+        return rand_fraction(rng)
+
+    exact = [
+        rand_near_point(rng, A, 2),
+        make_near_point(A, [Fraction(1, 3), Fraction(-2)]),
+        point([2] + nil(lambda q: rng.randint(-5, 5)), [-3] + [0] * (s - 1)),
+        point([Fraction(1, 7)] + nil(big), [big(0)] + nil(big)),
+    ]
+    inexact = [
+        point([0.75] + nil(uniform), [-1.5] + nil(uniform)),
+        point([0.5] + nil(lambda q: (0.0, -0.0)[q % 2]), [-0.0] * s),
+        point([0.25] + nil(rational), [1.5] + [Fraction(0)] * (s - 1)),
+        point([Fraction(2)] + nil(rational), [-0.0] + nil(lambda q: (-0.0, 0.0, 1.25)[q % 3])),
+    ]
+    return [(p, True) for p in exact] + [(p, False) for p in inexact]
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_POINT_ALGEBRAS))
+def test_induced_values_match_the_two_pass_negation(name):
+    # Exact points take the integer scatter with the sign folded in; the
+    # values must be the same Fractions as scattering from Fraction(0) and
+    # negating afterwards, and float or mixed points the same bits.
+    A = NEAR_POINT_ALGEBRAS[name]
+    basis = derivation_basis(A)
+    rng = random.Random(name)
+    f = rand_poly(rng, 2)
+    for point, exact in oracle_points(A, rng):
+        old = [
+            [x for c in point.components for x in minus_image_oracle(d, c.coeffs)] for d in basis
+        ]
+        value = point.eval(f)
+        for d, gen in zip(basis, old):
+            fld = induced_field(A, d, 2)
+            assert typed(x for v in fld.value_at(point) for x in v.coeffs) == typed(gen)
+            assert typed(field_apply(fld, f, point).coeffs) == typed(
+                minus_image_oracle(d, value.coeffs)
+            )
+        sample = distribution_at(A, basis, point)
+        assert [typed(g) for g in sample.generators] == [typed(g) for g in old]
+        rational = all(isinstance(x, (int, Fraction)) for gen in old for x in gen)
+        assert sample.tolerance == (0.0 if rational else 1e-9)
+        if exact:
+            assert rational
+            assert sample.rank == len(rref_oracle(old)[1])
+
+
 def test_injectivity_of_induced_fields():
     # a nonzero derivation induces a nonzero chart field
     rng = random.Random(53)
@@ -244,7 +335,7 @@ def test_bracket_law_matrix_identity():
             for dj in basis[i + 1 :]:
                 mi = [list(r) for r in di.matrix]
                 mj = [list(r) for r in dj.matrix]
-                chart = la.mat_sub(la.mat_mul(mj, mi), la.mat_mul(mi, mj))
+                chart = mat_sub(la.mat_mul(mj, mi), la.mat_mul(mi, mj))
                 induced = [[-x for x in row] for row in bracket(di, dj).matrix]
                 assert chart == induced
 
