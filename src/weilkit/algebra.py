@@ -261,27 +261,33 @@ class Products(tuple):
     ascending k.
 
     ``numerators`` is the same index over integers, each constant times
-    ``denominator``, the lcm of the constants' denominators (1 for a
-    monomial table); :func:`mul` reads it for exact coordinates.  Both are
-    plain attributes, so a table compares and hashes by its entries alone.
+    ``denominator``, their common denominator (1 for a monomial table);
+    :func:`mul` reads it for exact coordinates.  It is None on a table that
+    is not yet verified, and on one whose :func:`compact_integer_form`
+    would outgrow the table; :func:`mul` then takes the Fraction loop.
+    Both are plain attributes, so a table compares and hashes by its
+    entries alone.
     """
 
-    numerators: tuple
-    denominator: int
+    numerators: tuple | None = None
+    denominator: int = 1
 
 
-def _sparse_products(table) -> Products:
-    """Index the non-zero structure constants of a table of Fractions."""
+def _sparse_products(table, verified: bool = True) -> Products:
+    """Index the non-zero structure constants of a table of Fractions; for
+    a ``verified`` table, attach their compact integer form if it exists."""
     products = Products(
         tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in table
     )
-    numerators, products.denominator = integer_form(
+    form = verified and compact_integer_form(
         [c for row in products for entry in row for _, c in entry]
     )
-    flat = iter(numerators)
-    products.numerators = tuple(
-        tuple(tuple((k, next(flat)) for k, _ in entry) for entry in row) for row in products
-    )
+    if form:
+        numerators, products.denominator = form
+        flat = iter(numerators)
+        products.numerators = tuple(
+            tuple(tuple((k, next(flat)) for k, _ in entry) for entry in row) for row in products
+        )
     return products
 
 
@@ -299,6 +305,31 @@ def integer_form(coords: Sequence) -> tuple[list[int], int] | None:
     return [n * (den // d) for n, d in ratios], den
 
 
+def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
+    """The :func:`integer_form` of many constants, only where it stays
+    about as small as they are.
+
+    The lcm of coprime denominators grows like their product, so over a
+    whole table it could outgrow the table by any factor.  Here the lcm is
+    given up, and None returned, as soon as it would take more than twice
+    the bits of all the values once for every value; the numerators then
+    take at most three times the bits of the values.  Integer values and
+    values over one shared denominator always qualify.  None also when a
+    value is not an int or a Fraction.
+    """
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        return None
+    ratios = [x.as_integer_ratio() for x in values]
+    budget = 2 * sum(n.bit_length() + d.bit_length() for n, d in ratios)
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() * len(ratios) > budget:
+                return None
+    return [n * (den // d) for n, d in ratios], den
+
+
 def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     """Coordinates of u*v, for coordinate vectors u and v over the basis.
 
@@ -307,18 +338,19 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     Fraction, or a zero Polynomial for symbolic chart coordinates) and the
     value of every output coordinate no term reaches.
 
-    When every coordinate of u and of v is an int or a Fraction, the
-    product runs on integers: each operand is read once in its
-    :func:`integer_form`, the terms accumulate in ints through
-    ``products.numerators``, and each non-zero output coordinate is built
-    once, as a Fraction over the product of the three denominators; a zero
-    output is ``zero``.  Float, mixed and polynomial coordinates run the
-    same loop on the constants themselves, starting every output at
+    When the table has its ``numerators`` and every coordinate of u and
+    of v is an int or a Fraction, the product runs on integers: each
+    operand is read once in its :func:`integer_form`, the terms accumulate
+    in ints through ``products.numerators``, and each non-zero output
+    coordinate is built once, as a Fraction over the product of the three
+    denominators; a zero output is ``zero``.  Otherwise (float, mixed and
+    polynomial coordinates, or a table without ``numerators``) the same
+    loop runs on the constants themselves, starting every output at
     ``zero``.  Zero coordinates are skipped by truthiness, and terms
     accumulate in the order i, then j, then k, so float products round the
     same way on every path.
     """
-    exact_u = integer_form(u)
+    exact_u = products.numerators is not None and integer_form(u)
     exact_v = exact_u and integer_form(v)
     if exact_v:
         (u, du), (v, dv) = exact_u, exact_v
@@ -554,7 +586,7 @@ def from_structure_constants(
     if len(raw_table) != len(labels):
         raise ValueError("label count does not match table size")
     table = _table_from(raw_table)
-    products = _sparse_products(table)
+    products = _sparse_products(table, verified=False)
     s = len(table)
 
     _check_commutative(table, labels)

@@ -46,6 +46,7 @@ from .algebra import (
     AlgebraElement,
     WeilAlgebra,
     check_same_algebra,
+    compact_integer_form,
     ideal_generators,
     integer_form,
     monomial_walk,
@@ -106,9 +107,11 @@ class Derivation:
     @cached_property
     def integer_columns(self) -> tuple[list[dict], int] | None:
         """The columns over integers, (columns, denominator): column q maps
-        p to matrix[p][q] times ``denominator``, the lcm of the entries'
-        denominators.  None when an entry is not an int or a Fraction."""
-        form = integer_form([c for column in self.columns for c in column.values()])
+        p to matrix[p][q] times ``denominator``, the entries' common
+        denominator.  None when the entries have no
+        :func:`~weilkit.algebra.compact_integer_form`; :meth:`apply` then
+        takes the Fraction scatter."""
+        form = compact_integer_form([c for column in self.columns for c in column.values()])
         if form is None:
             return None
         numerators, denominator = form
@@ -166,8 +169,9 @@ def exact_image(d: Derivation, u: tuple[list[int], int] | None, sign: int = 1) -
     """sign * D(u) for u given in its ``integer_form`` (numerators,
     denominator), by one integer scatter through ``d.integer_columns``;
     each non-zero coordinate is built once as a Fraction.  Negation is
-    exact in Q, so the sign folds into the denominator.  None when u or D
-    has a coordinate that is not an int or a Fraction."""
+    exact in Q, so the sign folds into the denominator.  None when u is
+    None (a coordinate is not an int or a Fraction) or D has no
+    ``integer_columns``."""
     if u is None or d.integer_columns is None:
         return None
     (numerators, denominator), (columns, scale) = u, d.integer_columns

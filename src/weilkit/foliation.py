@@ -69,18 +69,18 @@ class InducedField:
     def value_at(self, point: NearPoint) -> list[AlgebraElement]:
         """Componentwise value -D(point_i)."""
         _check_point(self, point)
-        return [_minus_image(self.derivation, c, integer_form(c.coeffs)) for c in point.components]
+        return [_minus_image(self.derivation, c) for c in point.components]
 
 
-def _minus_image(d: Derivation, u: AlgebraElement, form) -> AlgebraElement:
-    """-D(u), for ``form`` the ``integer_form`` of u's coordinates.
+def _minus_image(d: Derivation, u: AlgebraElement) -> AlgebraElement:
+    """-D(u).
 
     Exact coordinates take the integer scatter with the sign folded in.
     Float ones negate D(u) afterwards, which keeps the signed zeros of the
     float sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
     -(Fraction(0) + c*0.0) is -0.0.
     """
-    image = exact_image(d, form, -1)
+    image = exact_image(d, integer_form(u.coeffs), -1)
     if image is None:
         return -d.apply(u)
     return AlgebraElement(d.algebra, image)
@@ -103,8 +103,7 @@ def field_apply(field: InducedField, f: Polynomial, point: NearPoint) -> Algebra
     _check_point(field, point)
     if f.nvars != field.n:
         raise ValueError(f"polynomial has {f.nvars} variables, field has {field.n}")
-    value = point.eval(f)
-    return _minus_image(field.derivation, value, integer_form(value.coeffs))
+    return _minus_image(field.derivation, point.eval(f))
 
 
 def chart_flatten(field: InducedField, point: NearPoint) -> tuple:
@@ -163,9 +162,9 @@ def distribution_at(
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
     At a point whose coordinates are all ints or Fractions, each component
-    is read once in its ``integer_form`` and the r generators are built
-    from the derivations' integer columns, so they are exact by
-    construction.  A generator that leaves the float range, as inf or as
+    is read once in its ``integer_form`` and, when every derivation has
+    its ``integer_columns``, the r generators are built from them, so they
+    are exact by construction.  A generator that leaves the float range, as inf or as
     an exact value that the float arithmetic (a float coordinate, or
     ``tol`` > 0) cannot hold, raises ValueError naming it.
     """

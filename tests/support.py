@@ -311,6 +311,42 @@ def minus_image_oracle(d, coeffs):
     return [-y for y in out]
 
 
+def typed(values):
+    """Type and repr of every entry: equal exactly when the entries are, for
+    a Fraction its value, for a float its bits, signed zeros included."""
+    return [(type(x), repr(x)) for x in values]
+
+
+def coprime_denominators(count):
+    """``count`` pairwise coprime denominators of up to 60 bits: powers of
+    the first ``count`` primes."""
+    primes = []
+    q = 2
+    while len(primes) < count:
+        if all(q % p for p in primes if p * p <= q):
+            primes.append(q)
+        q += 1
+    return [p ** (60 // p.bit_length()) for p in primes]
+
+
+def coprime_table(width, rng):
+    """(labels, table) of the height-2 algebra on 1, x_1..x_w, y_1..y_w
+    with x_i x_j = sum_k c_ijk y_k, whose constants c_ijk have pairwise
+    coprime denominators: their lcm has the size of their product."""
+    s = 1 + 2 * width
+    dens = iter(coprime_denominators(width * width * (width + 1) // 2))
+    table = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
+    for i in range(s):
+        table[0][i][i] = table[i][0][i] = Fraction(1)
+    for i in range(1, width + 1):
+        for j in range(i, width + 1):
+            for k in range(width + 1, s):
+                c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**18), next(dens))
+                table[i][j][k] = table[j][i][k] = c
+    labels = ["1"] + [f"x{i}" for i in range(1, width + 1)] + [f"y{k}" for k in range(1, width + 1)]
+    return labels, table
+
+
 def mat_sub(a, b):
     """a - b for dense matrices."""
     return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -7,7 +7,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from weilkit import (
     AlgebraAxiomError,
@@ -28,11 +27,14 @@ from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from support import (
     ORACLE_CORPUS,
     associativity_oracle,
+    coprime_denominators,
+    coprime_table,
     mul_oracle,
     rand_fraction,
     rand_nilpotent,
     raw_table_mul,
     scrambled_table,
+    typed,
 )
 
 
@@ -311,12 +313,6 @@ def test_element_formatting():
 # ------------------------------------------------------------ product kernel
 
 
-def typed(values):
-    """Type and repr of every coordinate: equal exactly when the values are,
-    signed float zeros included."""
-    return [(type(x), repr(x)) for x in values]
-
-
 # Raw tables over a random basis: their constants are fractions, so the
 # kernel's table-wide denominator is above 1.
 RAW_TABLES = {
@@ -359,6 +355,7 @@ def test_mul_matches_the_fraction_loop(name):
     # same Fraction as the term-by-term loop, and float, mixed and
     # polynomial operands the same bits.
     products = kernel_products(name)
+    assert products.numerators is not None
     if name in RAW_TABLES:
         assert products.denominator > 1
     operands = kernel_operands(random.Random(name), len(products))
@@ -369,23 +366,24 @@ def test_mul_matches_the_fraction_loop(name):
             )
 
 
-_COORDINATES = st.one_of(
-    st.fractions(max_denominator=10**12),
-    st.integers(-(10**20), 10**20),
-    st.floats(-1e6, 1e6),
-    st.sampled_from([0, Fraction(0), 0.0, -0.0]),
-)
-
-
-PROPERTY_TABLES = {
-    name: kernel_products(name) for name in ("raw-m3-41", "raw-x3-y2-xy2-7", "truncated-2-2")
-}
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.sampled_from(sorted(PROPERTY_TABLES)), st.data())
-def test_mul_matches_the_fraction_loop_on_random_coordinates(name, data):
-    products = PROPERTY_TABLES[name]
-    vectors = st.lists(_COORDINATES, min_size=len(products), max_size=len(products))
-    u, v = data.draw(vectors), data.draw(vectors)
-    assert typed(mul(products, u, v, Fraction(0))) == typed(mul_oracle(products, u, v, Fraction(0)))
+def test_coprime_denominators_keep_the_fraction_loop():
+    # The lcm of coprime denominators grows like their product, so a table
+    # full of them gets no integer form: the unverified raw table is
+    # rejected, and a valid one multiplies through the Fraction loop.
+    rng = random.Random(12)
+    s = 12
+    dens = iter(coprime_denominators(s**3))
+    raw = [[[Fraction(rng.randint(1, 10**9), next(dens)) for _ in range(s)] for _ in range(s)] for _ in range(s)]
+    assert _sparse_products(raw).numerators is None
+    with pytest.raises(AlgebraAxiomError):
+        from_structure_constants([f"e{i}" for i in range(s)], raw)
+    labels, table = coprime_table(3, rng)
+    A = from_structure_constants(labels, table)
+    assert (A.dim, A.height) == (7, 2)
+    assert A.products.numerators is None
+    assert (A.basis_element(1) * A.basis_element(2)).coeffs == tuple(table[1][2])
+    operands = kernel_operands(rng, A.dim)
+    for u, v in zip(operands, operands[1:] + operands[:1]):
+        assert typed(mul(A.products, u, v, Fraction(0))) == typed(
+            mul_oracle(A.products, u, v, Fraction(0))
+        )

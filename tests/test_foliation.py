@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from weilkit import (
     field_apply,
     field_from_values,
     flow,
+    from_structure_constants,
     induced_field,
     involutivity_check,
     leaf_sample,
@@ -32,8 +35,11 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit.algebra import AlgebraElement
+from weilkit.linalg import mat_vec
 from weilkit.nearpoints import NearPoint
 from support import (
+    coprime_denominators,
+    coprime_table,
     mat_sub,
     minus_image_oracle,
     rand_element,
@@ -42,6 +48,7 @@ from support import (
     rand_poly,
     rref_oracle,
     scrambled,
+    typed,
 )
 
 
@@ -197,13 +204,23 @@ NEAR_POINT_ALGEBRAS = {
     "sq": SQ,
     "m4": truncated_polynomial_algebra(2, 3),
     "scrambled-m3": scrambled(truncated_polynomial_algebra(2, 2), random.Random(41)),
+    "coprime": from_structure_constants(*coprime_table(3, random.Random(3))),
 }
 
 
-def typed(values):
-    """Type and repr of every entry: for a Fraction its value, for a float
-    its bits, signed zeros included."""
-    return [(type(x), repr(x)) for x in values]
+def near_point_basis(name):
+    """The derivation basis of the algebra; on "coprime" one more
+    derivation, a combination over coprime denominators, whose columns get
+    no integer form and take the Fraction scatter."""
+    basis = list(derivation_basis(NEAR_POINT_ALGEBRAS[name]))
+    if name == "coprime":
+        dens = coprime_denominators(len(basis))
+        combination = functools.reduce(
+            operator.add, (Fraction(1, p) * d for p, d in zip(dens, basis))
+        )
+        assert combination.integer_columns is None
+        basis.append(combination)
+    return basis
 
 
 def oracle_points(A, rng):
@@ -248,7 +265,7 @@ def test_induced_values_match_the_two_pass_negation(name):
     # values must be the same Fractions as scattering from Fraction(0) and
     # negating afterwards, and float or mixed points the same bits.
     A = NEAR_POINT_ALGEBRAS[name]
-    basis = derivation_basis(A)
+    basis = near_point_basis(name)
     rng = random.Random(name)
     f = rand_poly(rng, 2)
     for point, exact in oracle_points(A, rng):
@@ -258,6 +275,8 @@ def test_induced_values_match_the_two_pass_negation(name):
         value = point.eval(f)
         for d, gen in zip(basis, old):
             fld = induced_field(A, d, 2)
+            for c in point.components:
+                assert typed(d.apply(c).coeffs) == typed(mat_vec(d.matrix, c.coeffs))
             assert typed(x for v in fld.value_at(point) for x in v.coeffs) == typed(gen)
             assert typed(field_apply(fld, f, point).coeffs) == typed(
                 minus_image_oracle(d, value.coeffs)
