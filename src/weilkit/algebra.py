@@ -26,7 +26,8 @@ maximal ideal; the scalar part of an element is then literally its
 coordinate 0.  Every product goes through one kernel, :func:`mul`, over
 the sparse structure constants that are indexed once per table, and it
 runs exact coordinates on integer numerators over one common
-denominator.  All scalars in this module are exact ``Fraction``s with no
+denominator, and float coordinates on a float copy of the constants.
+All scalars in this module are exact ``Fraction``s with no
 tolerances; elements may carry floats only in flow integration, which
 never feeds back into verification.
 
@@ -41,6 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -265,12 +267,23 @@ class Products(tuple):
     :func:`mul` reads it for exact coordinates.  It is None on a table that
     is not yet verified, and on one whose :func:`compact_integer_form`
     would outgrow the table; :func:`mul` then takes the Fraction loop.
-    Both are plain attributes, so a table compares and hashes by its
-    entries alone.
+    ``floats`` is the index with every constant as a float, built on first
+    use, for float coordinates; None when a constant is beyond the float
+    range.  All are plain attributes, so a table compares and hashes by
+    its entries alone.
     """
 
     numerators: tuple | None = None
     denominator: int = 1
+
+    @cached_property
+    def floats(self) -> tuple | None:
+        try:
+            return tuple(
+                tuple(tuple((k, float(c)) for k, c in entry) for entry in row) for row in self
+            )
+        except OverflowError:
+            return None
 
 
 def _sparse_products(table, verified: bool = True) -> Products:
@@ -292,16 +305,29 @@ def _sparse_products(table, verified: bool = True) -> Products:
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
+_NUMERIC_TYPES = frozenset((int, Fraction, float))
 
 
 def integer_form(coords: Sequence) -> tuple[list[int], int] | None:
     """Exact coordinates as (numerators, denominator): integer numerators
-    over the lcm of the coordinates' denominators.  None when some
-    coordinate is not an int or a Fraction (a float or a polynomial)."""
+    over the lcm of the coordinates' denominators.
+
+    None when some coordinate is not an int or a Fraction (a float or a
+    polynomial), and when the lcm would take more than 64 bits plus twice
+    the bits of the largest denominator: the lcm of coprime denominators
+    grows like their product, and integers that large cost more than the
+    Fraction arithmetic they replace.
+    """
     if not _EXACT_TYPES.issuperset(map(type, coords)):
         return None
     ratios = [x.as_integer_ratio() for x in coords]
-    den = math.lcm(*[d for _, d in ratios])
+    cap = 64 + 2 * max((d.bit_length() for _, d in ratios), default=0)
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > cap:
+                return None
     return [n * (den // d) for n, d in ratios], den
 
 
@@ -338,25 +364,32 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     Fraction, or a zero Polynomial for symbolic chart coordinates) and the
     value of every output coordinate no term reaches.
 
-    When the table has its ``numerators`` and every coordinate of u and
-    of v is an int or a Fraction, the product runs on integers: each
-    operand is read once in its :func:`integer_form`, the terms accumulate
-    in ints through ``products.numerators``, and each non-zero output
-    coordinate is built once, as a Fraction over the product of the three
-    denominators; a zero output is ``zero``.  Otherwise (float, mixed and
-    polynomial coordinates, or a table without ``numerators``) the same
-    loop runs on the constants themselves, starting every output at
-    ``zero``.  Zero coordinates are skipped by truthiness, and terms
-    accumulate in the order i, then j, then k, so float products round the
-    same way on every path.
+    Every path gives, bit for bit and type for type, what the plain loop
+    gives: out[k] = out[k] + (a*b)*c over the non-zero coordinates a of u
+    and b of v, in the order i, then j, then k, from ``zero``.  Exact
+    operands in their :func:`integer_form` accumulate in ints through
+    ``products.numerators``, and each non-zero output is built once, as a
+    Fraction over the product of the three denominators.  When both
+    operands are numeric and the non-zero coordinates of one are all
+    floats, every term is a float that Fraction's mixed arithmetic forms
+    on float() of the exact values, so the loop runs on ``products.floats``
+    from float(zero).  Other operands, or a table without those copies,
+    run the loop on the constants themselves.
     """
     exact_u = products.numerators is not None and integer_form(u)
     exact_v = exact_u and integer_form(v)
     if exact_v:
         (u, du), (v, dv) = exact_u, exact_v
-        table, start = products.numerators, 0
-    else:
-        table, start = products, zero
+        out = _mul_loop(products.numerators, u, v, 0)
+        den = du * dv * products.denominator
+        return [Fraction(x, den) if x else zero for x in out]
+    out = _float_mul(products, u, v, zero)
+    if out is not None:
+        return out
+    return _mul_loop(products, u, v, zero)
+
+
+def _mul_loop(table, u: Sequence, v: Sequence, start) -> list:
     out = [start] * len(table)
     nonzero_v = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
@@ -367,10 +400,34 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
             ab = a * b
             for k, c in row[j]:
                 out[k] = out[k] + ab * c
-    if exact_v:
-        den = du * dv * products.denominator
-        return [Fraction(x, den) if x else zero for x in out]
     return out
+
+
+def _float_mul(products: Products, u: Sequence, v: Sequence, zero) -> list | None:
+    """The float path of :func:`mul`, or None where it does not apply; an
+    output no term reaches is ``zero``."""
+    table = products.floats
+    if table is None or not (
+        _NUMERIC_TYPES.issuperset(map(type, u)) and _NUMERIC_TYPES.issuperset(map(type, v))
+    ):
+        return None
+    if not (all(type(a) is float for a in u if a) or all(type(b) is float for b in v if b)):
+        return None
+    try:
+        nonzero_u = [(i, float(a)) for i, a in enumerate(u) if a]
+        nonzero_v = [(j, float(b)) for j, b in enumerate(v) if b]
+    except OverflowError:  # the loop on the constants raises it where a term needs it
+        return None
+    start = float(zero)
+    out = [None] * len(table)
+    for i, a in nonzero_u:
+        row = table[i]
+        for j, b in nonzero_v:
+            ab = a * b
+            for k, c in row[j]:
+                x = out[k]
+                out[k] = (start if x is None else x) + ab * c
+    return [zero if x is None else x for x in out]
 
 
 def multiplication_operator(products: Products, u: Sequence) -> list[list[Fraction]]:
@@ -661,8 +718,7 @@ def _height_and_width(products: Products) -> tuple[int, int]:
             if any(w := mul(products, g, u, Fraction(0)))
         ]
         current = [
-            [row.get(k, Fraction(0)) for k in range(s)]
-            for row in linalg.echelon_form(spanning).values()
+            [row.get(k, 0) for k in range(s)] for row in linalg.echelon_form(spanning).values()
         ]
         height += 1
     return height, len(generators)

@@ -20,12 +20,13 @@ the restricted basis, r x width*s entries, instead of all s^2 entries.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
 k to the non-zero coefficient of basis element k in D(e_q)); the dense
-``matrix`` and the ``integer_columns`` are views derived from them on
-first use.  Verification happens once, at the trust boundary: the public
-``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
-Results computed here (the solved basis, brackets, sums, scalar multiples
-and module multiples) are derivations by construction (Kolář, Michor and
-Slovák, ch. VIII) and are built on columns without the re-check.
+``matrix``, the ``integer_columns`` and the ``float_columns`` are views
+derived from them on first use.  Verification happens once, at the trust
+boundary: the public ``Derivation(algebra, matrix)`` constructor checks
+every matrix exactly.  Results computed here (the solved basis, brackets,
+sums, scalar multiples and module multiples) are derivations by
+construction (Kolář, Michor and Slovák, ch. VIII) and are built on
+columns without the re-check.
 
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
@@ -118,25 +119,24 @@ class Derivation:
         flat = iter(numerators)
         return [{p: next(flat) for p in column} for column in self.columns], denominator
 
+    @cached_property
+    def float_columns(self) -> list[dict] | None:
+        """The columns with every entry as a float, the value that the
+        mixed Fraction-float arithmetic converts it to.  None when an entry
+        is beyond the float range."""
+        try:
+            return [{p: float(c) for p, c in column.items()} for column in self.columns]
+        except OverflowError:
+            return None
+
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
 
         The result is bit for bit ``linalg.mat_vec(self.matrix, u.coeffs)``,
-        types and signed float zeros included.  Exact coordinates take the
-        integer scatter of :func:`exact_image`.  Otherwise only zero matrix
-        entries are skipped, never zero coordinates of u, and each output
-        coordinate adds its terms in ascending column order, starting from
-        Fraction(0).
+        types and signed float zeros included; see :func:`signed_image`.
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
-        image = exact_image(self, integer_form(u.coeffs))
-        if image is not None:
-            return AlgebraElement(self.algebra, image)
-        out = [Fraction(0)] * self.algebra.dim
-        for x, column in zip(u.coeffs, self.columns):
-            for p, c in column.items():
-                out[p] = out[p] + c * x
-        return AlgebraElement(self.algebra, tuple(out))
+        return AlgebraElement(self.algebra, signed_image(self, u.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -165,13 +165,40 @@ _DIFFERENT_ALGEBRAS = "derivations belong to different algebras"
 _ZERO = Fraction(0)
 
 
-def exact_image(d: Derivation, u: tuple[list[int], int] | None, sign: int = 1) -> tuple | None:
-    """sign * D(u) for u given in its ``integer_form`` (numerators,
-    denominator), by one integer scatter through ``d.integer_columns``;
-    each non-zero coordinate is built once as a Fraction.  Negation is
-    exact in Q, so the sign folds into the denominator.  None when u is
-    None (a coordinate is not an int or a Fraction) or D has no
-    ``integer_columns``."""
+def signed_image(d: Derivation, coords: Sequence, sign: int = 1) -> tuple:
+    """sign * D(u) for u with coordinates ``coords``: bit for bit and type
+    for type, each output is the sum of its terms c * x in ascending
+    column order from Fraction(0), negated afterwards for sign -1.  Zero
+    column entries are skipped, zero coordinates are not.
+
+    Exact coordinates take :func:`integer_image`.  Coordinates that are all
+    floats scatter through ``d.float_columns`` from the 0.0 that
+    Fraction(0) + x converts to; an output no entry reaches stays
+    Fraction(0).  Other coordinates run on the columns themselves.
+    """
+    image = integer_image(d, integer_form(coords))
+    if image is not None:
+        return image_fractions(image, sign)
+    columns = d.float_columns
+    if columns is not None and all(type(x) is float for x in coords):
+        out = [None] * len(coords)
+        for x, column in zip(coords, columns):
+            for p, c in column.items():
+                y = out[p]
+                out[p] = (0.0 if y is None else y) + c * x
+        return tuple(_ZERO if y is None else sign * y for y in out)
+    out = [_ZERO] * len(coords)
+    for x, column in zip(coords, d.columns):
+        for p, c in column.items():
+            out[p] = out[p] + c * x
+    return tuple(out) if sign == 1 else tuple(-y for y in out)
+
+
+def integer_image(d: Derivation, u: tuple[list[int], int] | None) -> tuple[list[int], int] | None:
+    """D(u) as (numerators, denominator), for u given in its
+    ``integer_form``: one integer scatter through ``d.integer_columns``.
+    None when u is None (a coordinate is not an int or a Fraction, or the
+    form was given up) or D has no ``integer_columns``."""
     if u is None or d.integer_columns is None:
         return None
     (numerators, denominator), (columns, scale) = u, d.integer_columns
@@ -180,7 +207,15 @@ def exact_image(d: Derivation, u: tuple[list[int], int] | None, sign: int = 1) -
         if x:
             for p, c in column.items():
                 out[p] += c * x
-    denominator *= sign * scale
+    return out, denominator * scale
+
+
+def image_fractions(image: tuple[list[int], int], sign: int = 1) -> tuple:
+    """sign * an :func:`integer_image`, each non-zero coordinate built once
+    as a Fraction.  Negation is exact in Q, so the sign folds into the
+    denominator."""
+    out, denominator = image
+    denominator *= sign
     return tuple(Fraction(y, denominator) if y else _ZERO for y in out)
 
 
@@ -443,9 +478,19 @@ _EXP_TERMS = 18
 
 
 def exp_flow(d: Derivation, t: float) -> Automorphism:
-    """exp(tD) by scaling and squaring on a truncated exponential series."""
+    """exp(tD) by scaling and squaring on a truncated exponential series,
+    from ``d.float_columns``; ValueError when D has an entry beyond the
+    float range."""
     s = d.algebra.dim
-    scaled = [[float(x) * float(t) for x in row] for row in d.matrix]
+    columns = d.float_columns
+    if columns is None:
+        raise ValueError("a derivation entry overflows floating point")
+    t = float(t)
+    zero = 0.0 * t  # what a zero entry of D contributes, float(0) * t
+    scaled = [[zero] * s for _ in range(s)]
+    for q, column in enumerate(columns):
+        for p, x in column.items():
+            scaled[p][q] = x * t
     norm = max((sum(abs(x) for x in row) for row in scaled), default=0.0)
     if not math.isfinite(norm):
         raise ValueError("flow time too large: t*D overflows floating point")

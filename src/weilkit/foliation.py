@@ -38,8 +38,10 @@ from .derivations import (
     LieStructure,
     commutator_on,
     derivation_basis,
-    exact_image,
     exp_flow,
+    image_fractions,
+    integer_image,
+    signed_image,
 )
 from .nearpoints import (
     ChartVectorField,
@@ -73,17 +75,10 @@ class InducedField:
 
 
 def _minus_image(d: Derivation, u: AlgebraElement) -> AlgebraElement:
-    """-D(u).
-
-    Exact coordinates take the integer scatter with the sign folded in.
-    Float ones negate D(u) afterwards, which keeps the signed zeros of the
-    float sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
-    -(Fraction(0) + c*0.0) is -0.0.
-    """
-    image = exact_image(d, integer_form(u.coeffs), -1)
-    if image is None:
-        return -d.apply(u)
-    return AlgebraElement(d.algebra, image)
+    """-D(u), negated after the sum, which keeps the signed zeros of float
+    sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
+    -(Fraction(0) + c*0.0) is -0.0."""
+    return AlgebraElement(d.algebra, signed_image(d, u.coeffs, -1))
 
 
 def induced_field(algebra: WeilAlgebra, d: Derivation, n: int) -> InducedField:
@@ -163,20 +158,26 @@ def distribution_at(
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
     At a point whose coordinates are all ints or Fractions, each component
     is read once in its ``integer_form`` and, when every derivation has
-    its ``integer_columns``, the r generators are built from them, so they
-    are exact by construction.  A generator that leaves the float range, as inf or as
-    an exact value that the float arithmetic (a float coordinate, or
-    ``tol`` > 0) cannot hold, raises ValueError naming it.
+    its ``integer_columns``, the r generators are built from their
+    :func:`~weilkit.derivations.integer_image`, so they are exact by
+    construction; the exact rank is then taken on those integer rows,
+    which are the generators with each row and each component's columns
+    scaled by a non-zero factor.  A generator that leaves the float range,
+    as inf or as an exact value that the float arithmetic (a float
+    coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
     """
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [integer_form(c.coeffs) for c in point.components]
     exact = None not in forms and all(d.integer_columns is not None for d in basis)
     generators = []
+    integer_rows = []
     for d, what in zip(basis, names):
         field = induced_field(algebra, d, point.n)
         if exact:
             _check_point(field, point)
-            generators.append(tuple(x for form in forms for x in exact_image(d, form, -1)))
+            images = [integer_image(d, form) for form in forms]
+            integer_rows.append([y for out, _ in images for y in out])
+            generators.append(tuple(x for image in images for x in image_fractions(image, -1)))
             continue
         try:
             gen = chart_flatten(field, point)
@@ -185,10 +186,12 @@ def distribution_at(
         _check_finite(gen, what)
         generators.append(gen)
     if tol is None:
-        exact = exact or all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
-        tol = 0.0 if exact else 1e-9
+        rational = exact or all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
+        tol = 0.0 if rational else 1e-9
     if tol:
         rows = [_floats(gen, what) for gen, what in zip(generators, names)]
+    elif exact:
+        rows = integer_rows
     else:
         rows = [list(gen) for gen in generators]
     rank = linalg.rank_with_tolerance(rows, tol)
@@ -262,9 +265,10 @@ def _check_finite(values, what: str) -> None:
 
 def _floats(values, what: str) -> list[float]:
     """``values`` as floats; ValueError naming ``what`` when an exact value
-    is beyond the float range."""
+    is beyond the float range.  Floats pass as they are and exact zeros
+    become the 0.0 that float() gives them, without the conversion."""
     try:
-        return [float(x) for x in values]
+        return [x if type(x) is float else float(x) if x else 0.0 for x in values]
     except OverflowError:
         raise ValueError(f"{what} overflows floating point") from None
 

@@ -1,15 +1,25 @@
-"""Exact linear algebra over ``fractions.Fraction``.
+"""Exact linear algebra over the rationals, on integer rows.
 
-Dense matrices are row-major lists of lists; sparse rows are dicts from
-column to non-zero entry.  One incremental sparse echelon,
-:func:`eliminate`, serves every exact system, dense or sparse: the reduced
-row echelon form, rank, nullspace, solutions and inverses are all read
-from it.  Only :func:`rank_with_tolerance` has a float elimination of its
-own, for points with float coordinates.
+Dense matrices are row-major lists of lists of ``fractions.Fraction``;
+sparse rows are dicts from column to non-zero entry.  One incremental
+sparse echelon, :func:`eliminate`, serves every exact system, dense or
+sparse.  It is fraction-free in the manner of Bareiss (Math. Comp. 22,
+1968): a row enters as integers over one common denominator, each
+reduction cross-multiplies by the two leading entries and divides out the
+row's content, and the echelon holds primitive integer rows, so no
+``Fraction`` is formed inside the elimination.  A reduced row is a
+non-zero multiple of the row that elimination over ``Fraction`` with
+leading ones would give, so the rank and the spans are the same, and
+``Fraction``s are built only where a caller reads values: a remainder
+left by :func:`eliminate`, and the reduced row echelon form of
+:func:`back_reduce`, from which the rref, nullspace, solutions and
+inverses are read.  Only :func:`rank_with_tolerance` has a float
+elimination of its own, for points with float coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vector = list[Fraction]
@@ -61,29 +71,74 @@ def add_scaled(target: dict, c: Fraction, form: dict) -> None:
 
 
 def eliminate(echelon: dict, row: dict, limit: int) -> bool:
-    """Reduce the sparse ``row`` in place against ``echelon`` (leading
-    column -> row with a leading 1 there) over the columns below ``limit``.
+    """Reduce the sparse ``row`` against ``echelon`` (leading column ->
+    primitive integer row with a positive entry there) over the columns
+    below ``limit``.
 
-    When a column below ``limit`` survives, the normalised row joins the
-    echelon and the result is True; otherwise ``row`` keeps only its
-    columns >= ``limit`` and the result is False.
+    ``row`` holds ints, Fractions or floats, each taken exactly.  When a
+    column below ``limit`` survives, the reduced row joins the echelon as a
+    primitive integer row and the result is True.  Otherwise ``row`` is
+    left, in place, with only its columns >= ``limit``, as the Fractions
+    that reduction against pivot rows with leading ones leaves there, and
+    the result is False.
     """
-    while row:
-        lead = min(row)
+    work, scale = _integer_row(row)
+    num, den = scale, 1  # work = num/den * row, reduced
+    while work:
+        lead = min(work)
         if lead >= limit:
+            row.clear()
+            row.update((x, Fraction(v * den, num)) for x, v in work.items())
             return False
         pivot = echelon.get(lead)
         if pivot is None:
-            scale = 1 / row[lead]
-            echelon[lead] = {x: v * scale for x, v in row.items()}
+            content = math.gcd(*work.values())
+            if work[lead] < 0:
+                content = -content
+            echelon[lead] = {x: v // content for x, v in work.items()}
             return True
-        add_scaled(row, -row[lead], pivot)
+        factor, content = _clear(work, pivot, lead)
+        num *= factor
+        den *= content
+    row.clear()
     return False
 
 
+def _integer_row(row: dict) -> tuple[dict, int]:
+    """(integer row, d): ``row`` times d, the lcm of its denominators."""
+    if all(type(v) is int for v in row.values()):
+        return dict(row), 1
+    ratios = {x: v.as_integer_ratio() for x, v in row.items()}
+    den = math.lcm(*[d for _, d in ratios.values()])
+    return {x: n * (den // d) for x, (n, d) in ratios.items()}, den
+
+
+def _clear(row: dict, pivot: dict, x) -> tuple[int, int]:
+    """Clear column ``x`` of the integer ``row`` with the integer ``pivot``
+    (positive at ``x``), in place: row becomes (a*row - b*pivot) / content
+    for the smallest a > 0 that makes b an integer.  Returns (a, content)."""
+    a, b = pivot[x], row[x]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in pivot.items():
+        y = row.get(k, 0) - b * v
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+    content = math.gcd(*row.values())
+    if content > 1:
+        for k in row:
+            row[k] //= content
+    return a, content
+
+
 def echelon_form(rows: Matrix) -> dict:
-    """The sparse echelon of dense ``rows`` built by :func:`eliminate` over
-    all their columns: leading column -> row with a leading 1 there.
+    """The sparse integer echelon of dense ``rows`` built by
+    :func:`eliminate` over all their columns.
 
     The rows are eliminated sparsest first.  The span, and so the rank and
     the reduced form, do not depend on the order; but pivot rows taken
@@ -99,19 +154,26 @@ def echelon_form(rows: Matrix) -> dict:
 
 
 def back_reduce(echelon: dict) -> dict:
-    """Clear each pivot column from every other row of ``echelon``, in place,
-    which makes it the reduced row echelon form; returns ``echelon``.
+    """The reduced row echelon form of an integer ``echelon``, as a new
+    dict in the same order: leading column -> row of Fractions with 1
+    there and 0 at every other leading column.
 
     An echelon row is zero left of its leading column, so rows are reduced
-    from the last pivot down: a pivot row subtracted from an earlier row is
-    already zero at every other pivot, and each entry at a later pivot is
-    cleared by one subtraction.
+    from the last pivot down: a reduced row subtracted from an earlier row
+    is already zero at every other pivot, and each entry at a later pivot
+    is cleared by one subtraction.  The rows stay integers until each is
+    divided by its leading entry at the end.
     """
+    reduced: dict = {}
     for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
+        row = dict(echelon[lead])
         for pivot in [x for x in row if x != lead and x in echelon]:
-            add_scaled(row, -row[pivot], echelon[pivot])
-    return echelon
+            _clear(row, reduced[pivot], pivot)
+        reduced[lead] = row
+    return {
+        lead: {x: Fraction(v, reduced[lead][lead]) for x, v in reduced[lead].items()}
+        for lead in echelon
+    }
 
 
 def null_vectors(reduced: dict, ncols: int) -> list[dict]:
@@ -179,10 +241,10 @@ def invert(mat: Matrix) -> Matrix:
 
 def rank_with_tolerance(rows: list[list[float]], tol: float) -> int:
     """Rank by float Gaussian elimination with partial pivoting; pivots of
-    absolute value <= tol count as zero.  With tol = 0 and Fraction entries
-    this degenerates to the exact rank."""
+    absolute value <= tol count as zero.  With tol = 0 it is the exact rank
+    of the entries (ints, Fractions or floats, each taken exactly)."""
     if tol == 0:
-        return rank([[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in rows])
+        return rank(rows)
     m = [[float(x) for x in row] for row in rows]
     if not m:
         return 0

@@ -61,6 +61,16 @@ class Polynomial:
         self.nvars = nvars
         self._terms = clean  # never mutated after construction
 
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: Mapping[Exponents, Scalar]) -> "Polynomial":
+        """A polynomial from terms already known to be well formed: exponent
+        tuples of length ``nvars`` with non-negative ints, and non-zero int
+        or Fraction coefficients."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p._terms = {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()}
+        return p
+
     # ---------------------------------------------------------------- factories
 
     @classmethod
@@ -333,31 +343,35 @@ class _Parser:
         raise PolynomialParseError(message, self.peek()[2])
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        terms = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise PolynomialParseError(f"unexpected {value!r}", pos)
-        return p
+        return Polynomial._from_terms(self.nvars, terms)
 
-    def expr(self) -> Polynomial:
+    # Each rule returns its value as terms: a dict from exponent tuples to
+    # non-zero int or Fraction coefficients, which skips the validation of
+    # a Polynomial for every intermediate result.
+
+    def expr(self) -> dict:
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.advance()[0] == "-" else 1
-        total = self.term() * sign
+        total: dict = {}
+        _add_terms(total, self.term(), sign)
         while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            nxt = self.term()
-            total = total + nxt if op == "+" else total - nxt
+            sign = -1 if self.advance()[0] == "-" else 1
+            _add_terms(total, self.term(), sign)
         return total
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         total = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            total = total * self.factor()
+            total = _product(total, self.factor())
         return total
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -365,10 +379,10 @@ class _Parser:
             if kind != "int":
                 raise PolynomialParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            return base ** int(value)
+            return _power(base, int(value), self.nvars)
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
@@ -381,13 +395,15 @@ class _Parser:
                 self.advance()
                 if int(dvalue) == 0:
                     raise PolynomialParseError("zero denominator", dpos)
-                return Polynomial.constant(self.nvars, Fraction(numerator, int(dvalue)))
-            return Polynomial.constant(self.nvars, numerator)
+                numerator = Fraction(numerator, int(dvalue))
+            return {(0,) * self.nvars: numerator} if numerator else {}
         if kind == "name":
             self.advance()
             if value not in self.index:
                 raise PolynomialParseError(f"unknown variable {value!r}", pos)
-            return Polynomial.variable(self.nvars, self.index[value])
+            exponents = [0] * self.nvars
+            exponents[self.index[value]] = 1
+            return {tuple(exponents): 1}
         if kind == "(":
             self.advance()
             inner = self.expr()
@@ -400,6 +416,41 @@ class _Parser:
             "expected a number, variable or '('" if kind != "end" else "unexpected end of input",
             pos,
         )
+
+
+def _add_terms(total: dict, terms: dict, sign: int) -> None:
+    """total += sign * terms, in place, dropping cancelled terms."""
+    for exp, coeff in terms.items():
+        value = total.get(exp, 0) + sign * coeff
+        if value:
+            total[exp] = value
+        else:
+            del total[exp]
+
+
+def _product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+def _power(base: dict, n: int, nvars: int) -> dict:
+    """base^n; a single term, such as a bare variable, has its exponents
+    multiplied, and any other base is raised by repeated squaring."""
+    if len(base) == 1:
+        ((exp, coeff),) = base.items()
+        return {tuple(e * n for e in exp): coeff**n}
+    result = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            result = _product(result, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return result
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

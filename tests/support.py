@@ -10,9 +10,10 @@ series summation or by scaling and squaring on dense float products, the
 reduced row echelon form by dense Gauss-Jordan elimination rather than
 the sparse echelon, Taylor values with every nilpotent power rebuilt
 for each multi-index, products through the structure constants by the
-term-by-term loop on the constants rather than on integer numerators, and
-the values of induced fields by a scatter from Fraction(0) followed by a
-separate negation.
+term-by-term loop on the constants rather than on integer numerators or
+float copies, the values of induced fields by a scatter from Fraction(0)
+followed by a separate negation, and parsed polynomials by the old
+parser, which builds every intermediate result as a Polynomial.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 import weilkit.linalg as linalg
+import weilkit.poly as poly_module
 from weilkit import (
     Polynomial,
+    PolynomialParseError,
     WeilAlgebra,
     from_structure_constants,
     monomial_quotient_algebra,
@@ -345,6 +348,101 @@ def coprime_table(width, rng):
                 table[i][j][k] = table[j][i][k] = c
     labels = ["1"] + [f"x{i}" for i in range(1, width + 1)] + [f"y{k}" for k in range(1, width + 1)]
     return labels, table
+
+
+class _OldPolynomialParser:
+    """The recursive-descent polynomial parser as it was before terms were
+    gathered into one dict: every sum, product and power is a Polynomial
+    operation, and x^k is k products."""
+
+    def __init__(self, text, variables):
+        self.tokens = poly_module._tokenize(text)
+        self.pos = 0
+        self.nvars = len(variables)
+        self.index = {name: i for i, name in enumerate(variables)}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        p = self.expr()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise PolynomialParseError(f"unexpected {value!r}", pos)
+        return p
+
+    def expr(self):
+        sign = 1
+        if self.peek()[0] in "+-":
+            sign = -1 if self.advance()[0] == "-" else 1
+        total = self.term() * sign
+        while self.peek()[0] in "+-":
+            op = self.advance()[0]
+            nxt = self.term()
+            total = total + nxt if op == "+" else total - nxt
+        return total
+
+    def term(self):
+        total = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            total = total * self.factor()
+        return total
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            kind, value, pos = self.peek()
+            if kind != "int":
+                raise PolynomialParseError("exponent must be a non-negative integer", pos)
+            self.advance()
+            return base ** int(value)
+        return base
+
+    def atom(self):
+        kind, value, pos = self.peek()
+        if kind == "int":
+            self.advance()
+            numerator = int(value)
+            if self.peek()[0] == "/":
+                self.advance()
+                dkind, dvalue, dpos = self.peek()
+                if dkind != "int":
+                    raise PolynomialParseError("expected integer denominator", dpos)
+                self.advance()
+                if int(dvalue) == 0:
+                    raise PolynomialParseError("zero denominator", dpos)
+                return Polynomial.constant(self.nvars, Fraction(numerator, int(dvalue)))
+            return Polynomial.constant(self.nvars, numerator)
+        if kind == "name":
+            self.advance()
+            if value not in self.index:
+                raise PolynomialParseError(f"unknown variable {value!r}", pos)
+            return Polynomial.variable(self.nvars, self.index[value])
+        if kind == "(":
+            self.advance()
+            inner = self.expr()
+            ckind, _, cpos = self.peek()
+            if ckind != ")":
+                raise PolynomialParseError("expected ')'", cpos)
+            self.advance()
+            return inner
+        raise PolynomialParseError(
+            "expected a number, variable or '('" if kind != "end" else "unexpected end of input",
+            pos,
+        )
+
+
+def parse_polynomial_oracle(text, variables):
+    """``poly.parse_polynomial`` by the old parser: the same grammar, with
+    every intermediate result a validated Polynomial."""
+    return _OldPolynomialParser(text, variables).parse()
 
 
 def mat_sub(a, b):

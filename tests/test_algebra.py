@@ -22,7 +22,7 @@ from weilkit import (
     split_scalar_nilpotent,
     truncated_polynomial_algebra,
 )
-from weilkit.algebra import _sparse_products, mul
+from weilkit.algebra import _sparse_products, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from support import (
     ORACLE_CORPUS,
@@ -346,6 +346,10 @@ def kernel_operands(rng, s):
         [rand_fraction(rng) for _ in range(s)],
         [rng.uniform(-2, 2) for _ in range(s)],
         [(0.0, -0.0, rand_fraction(rng), rng.uniform(-1, 1))[q % 4] for q in range(s)],
+        # floats among exact zeros, then terms that underflow to signed
+        # zeros or overflow to inf and nan
+        [(0.0, -0.0, Fraction(0), rng.uniform(-1, 1), 0)[q % 5] for q in range(s)],
+        [(1e-200, -1e-200, 1e200, -0.0)[q % 4] for q in range(s)],
     ]
 
 
@@ -364,6 +368,70 @@ def test_mul_matches_the_fraction_loop(name):
             assert typed(mul(products, a, b, Fraction(0))) == typed(
                 mul_oracle(products, a, b, Fraction(0))
             )
+
+
+def test_float_copy_is_read_by_float_operands_only():
+    # With a poisoned float copy, operands whose non-zero coordinates are
+    # all floats on one side read it, and exact, mixed and polynomial ones
+    # never do.
+    rng = random.Random(9)
+    products = _sparse_products(truncated_polynomial_algebra(2, 2).table)
+    s = len(products)
+    products.floats = tuple(
+        tuple(tuple((k, c + 1.0) for k, c in entry) for entry in row) for row in products.floats
+    )
+    x = Polynomial.variable(2, 0)
+    poly = [rand_fraction(rng) * x + 1 for _ in range(s)]
+    exact = [rand_fraction(rng) for _ in range(s)]
+    mixed = [(rand_fraction(rng), rng.uniform(-1, 1))[q % 2] for q in range(s)]
+    floats = [rng.uniform(-1, 1) for _ in range(s)]
+    for u, v in [(poly, exact), (exact, poly), ([0.0] * s, poly), (exact, exact), (mixed, mixed)]:
+        assert typed(mul(products, u, v, Fraction(0))) == typed(mul_oracle(products, u, v, Fraction(0)))
+    for u, v in [(floats, exact), (mixed, floats)]:
+        assert mul(products, u, v, Fraction(0)) != mul_oracle(products, u, v, Fraction(0))
+
+
+def test_constant_beyond_float_range_keeps_the_fraction_loop():
+    # A constant beyond the float range gets no float copy; float operands
+    # then take the loop on the constants, which raises where a term needs
+    # float() of that constant, and not where none does.
+    s = 3
+    table = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
+    for i in range(s):
+        table[0][i][i] = table[i][0][i] = Fraction(1)
+    table[1][1][2] = Fraction(10**400)
+    A = from_structure_constants(["1", "a", "b"], table)
+    assert A.products.floats is None
+    u = [0.5, 0.25, -0.0]
+    with pytest.raises(OverflowError):
+        mul_oracle(A.products, u, u, Fraction(0))
+    with pytest.raises(OverflowError):
+        mul(A.products, u, u, Fraction(0))
+    v = [0.5, 0.0, 0.125]
+    assert typed(mul(A.products, v, u, Fraction(0))) == typed(mul_oracle(A.products, v, u, Fraction(0)))
+
+
+def test_operand_integer_form_is_bounded():
+    # Small denominators, such as those of rational chart points, keep the
+    # integer path; coordinates over many large coprime denominators, whose
+    # lcm grows like their product, take the Fraction loop.
+    rng = random.Random(21)
+    s = 21
+    A = truncated_polynomial_algebra(2, 5)
+    assert A.dim == s
+    small_primes = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)] + [Fraction(0)] * (s - 4)
+    assert integer_form(small_primes) == ([105, 70, 42, 30] + [0] * (s - 4), 210)
+    for _ in range(20):
+        point = [Fraction(rng.randint(-24, 24), rng.randint(1, 6)) for _ in range(s)]
+        assert integer_form(point) is not None
+    assert integer_form([Fraction(1, 2**3000 + 1)] + [Fraction(3, 2**3000 + 1)] * (s - 1)) is not None
+    primes = [p for p in range(2, 80) if all(p % q for q in range(2, p))][:s]
+    coprime = [Fraction(rng.randint(1, 10**9), p ** (3840 // p.bit_length())) for p in primes]
+    assert integer_form(coprime) is None
+    for v in (A.unit().coeffs, small_primes):
+        assert typed(mul(A.products, coprime, v, Fraction(0))) == typed(
+            mul_oracle(A.products, coprime, v, Fraction(0))
+        )
 
 
 def test_coprime_denominators_keep_the_fraction_loop():

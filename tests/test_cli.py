@@ -333,6 +333,46 @@ def test_exact_coordinate_beyond_float_range_exits_1(capsys, files, tmp_path, na
     assert "Traceback" not in err
 
 
+def beyond_float_range_table():
+    """R[x, y]/(x^2 - 10^400 y^2, xy, y^3) on the basis 1, x, y, y^2: the
+    table holds the constant 10^400, and the derivation x -> -10^400 y,
+    y -> x (d1 of its basis) the entry -10^400."""
+    zero, one = "0/1", "1/1"
+    table = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        table[0][i][i] = table[i][0][i] = one
+    table[1][1][3] = "1" + "0" * 400
+    table[2][2][3] = one
+    return {"type": "structure_constants", "labels": ["1", "x", "y", "Y"], "table": table}
+
+
+# A table constant or derivation entry beyond the float range that meets a
+# float point, a rank at --tol > 0, or the float exponential of a flow.
+BEYOND_FLOAT_ENTRIES = {
+    "foliation-float-point": (["foliation", "--point", "float"], "generator d1* at this point"),
+    "foliation-tol": (["foliation", "--point", "exact", "--tol", "1e-9"], "generator d1* at this point"),
+    "flow": (["flow", "--point", "float", "--derivation", "1", "--t", "0.5"], "a derivation entry"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOAT_ENTRIES))
+def test_entries_beyond_float_range_exit_1(capsys, tmp_path, name, as_json):
+    spec = tmp_path / "beyond_table.json"
+    spec.write_text(json.dumps(beyond_float_range_table()), encoding="utf-8")
+    points = {
+        "float": '{"base": [0.5], "nilparts": [[0.25, -0.125, 0.5]]}',
+        "exact": '{"base": ["1/2"], "nilparts": [["1/4", "-1/8", "1/2"]]}',
+    }
+    (command, _, kind, *flags), what = BEYOND_FLOAT_ENTRIES[name]
+    path = tmp_path / "point.json"
+    path.write_text(points[kind], encoding="utf-8")
+    argv = [command, str(spec), "--n", "1", "--point", str(path), *flags]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} overflows floating point\n"
+
+
 def test_exact_rank_holds_coordinates_beyond_float_range(capsys, files, tmp_path):
     path = tmp_path / "beyond.json"
     path.write_text('{"base": ["0/1"], "nilparts": [["1e400", "0/1"]]}', encoding="utf-8")

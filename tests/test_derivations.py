@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from weilkit import (
+    AlgebraElement,
     Derivation,
+    Polynomial,
     NotClosedError,
     bracket,
     derivation_basis,
@@ -482,6 +484,60 @@ def test_float_products_match_dense_reference(name):
                 coords = [float(c) for c in v.coeffs]
                 reference = [sum(row[q] * coords[q] for q in range(A.dim)) for row in phi.matrix]
                 assert float_bits([phi.apply(v).coeffs]) == float_bits([reference])
+
+
+@pytest.mark.parametrize("name", ["truncated-2-3", "quotient-x3-y2-xy2", "scrambled-m3-41"])
+def test_exp_flow_reads_the_float_copy_bit_for_bit(name):
+    # The zero entries of tD are float(0) * t, signed zero or nan included;
+    # the zero derivation at an infinite time is nan throughout and is
+    # refused like any other non-finite t*D.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    for d in [*basis[:3], basis[-1] + Fraction(-2, 9) * basis[0], Fraction(0) * basis[0]]:
+        for t in (0.0, -0.0, 2, Fraction(-3, 4), -1e-300, 7.5):
+            assert float_bits(exp_flow(d, t).matrix) == float_bits(exp_flow_oracle(d.matrix, t))
+    with pytest.raises(ValueError, match="t\\*D overflows"):
+        exp_flow(Fraction(0) * basis[0], math.inf)
+
+
+def test_derivation_float_copy_is_read_by_float_coordinates_only():
+    # With a poisoned float copy, apply reads it for coordinates that are
+    # all floats, and exp_flow reads it; exact, mixed and polynomial
+    # coordinates never do.
+    A = truncated_polynomial_algebra(2, 2)
+    d = derivation_basis(A)[1]
+    exact = d.matrix
+    d.__dict__["float_columns"] = [
+        {p: c + 1.0 for p, c in column.items()} for column in d.float_columns
+    ]
+    rng = random.Random(4)
+    x = Polynomial.variable(1, 0)
+    s = A.dim
+    for coords in (
+        [rand_fraction(rng) for _ in range(s)],
+        [(rand_fraction(rng), rng.uniform(-1, 1))[q % 2] for q in range(s)],
+        [rand_fraction(rng) * x + 2 for _ in range(s)],
+        [Fraction(0)] + [rng.uniform(-1, 1) for _ in range(s - 1)],
+    ):
+        value = d.apply(AlgebraElement(A, tuple(coords))).coeffs
+        assert float_bits([value]) == float_bits([la.mat_vec(exact, coords)])
+    floats = [rng.uniform(-1, 1) for _ in range(s)]
+    assert d.apply(AlgebraElement(A, tuple(floats))).coeffs != tuple(la.mat_vec(exact, floats))
+    assert exp_flow(d, 0.5).matrix != tuple(map(tuple, exp_flow_oracle(exact, 0.5)))
+
+
+def test_derivation_entry_beyond_float_range_has_no_float_copy():
+    A = truncated_polynomial_algebra(1, 2)
+    d = Fraction(10**400) * derivation_basis(A)[0]
+    assert d.float_columns is None
+    with pytest.raises(ValueError, match="a derivation entry overflows floating point"):
+        exp_flow(d, 0.0)
+    u = AlgebraElement(A, (0.5, 0.25, -0.0))
+    with pytest.raises(OverflowError):
+        d.apply(u)
+    with pytest.raises(OverflowError):
+        la.mat_vec(d.matrix, u.coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))

@@ -1,19 +1,41 @@
-"""The product kernel against the term-by-term loop on random coordinates.
+"""The exact kernel against independent oracles on random inputs: the
+product kernel against the term-by-term loop, the integer echelon against
+dense Gauss-Jordan elimination, the Lie structure against full
+commutators, and the exact distribution rank against the oracle's pivots.
 
-A property test with hypothesis; it is skipped where hypothesis is not
-installed, so that the rest of the suite never depends on it.
+Property tests with hypothesis, each with a small example count; the
+module is skipped where hypothesis is not installed, so that the rest of
+the suite never depends on it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weilkit import monomial_quotient_algebra, truncated_polynomial_algebra
+import weilkit.linalg as la
+from weilkit import (
+    AlgebraElement,
+    NearPoint,
+    derivation_basis,
+    distribution_at,
+    lie_structure,
+    monomial_quotient_algebra,
+    truncated_polynomial_algebra,
+)
 from weilkit.algebra import _sparse_products, mul
-from support import mul_oracle, scrambled_table, typed
+from support import (
+    coprime_denominators,
+    lie_structure_oracle,
+    mul_oracle,
+    rref_oracle,
+    scrambled,
+    scrambled_table,
+    typed,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -48,3 +70,144 @@ def test_mul_matches_the_fraction_loop_on_random_coordinates(name, data):
     vectors = st.lists(COORDINATES, min_size=len(products), max_size=len(products))
     u, v = data.draw(vectors), data.draw(vectors)
     assert typed(mul(products, u, v, Fraction(0))) == typed(mul_oracle(products, u, v, Fraction(0)))
+
+
+# ------------------------------------------------- the integer echelon
+
+
+SETTINGS = hypothesis.settings(max_examples=30, deadline=None, database=None)
+COPRIME = coprime_denominators(12)
+ENTRIES = {
+    "integer": st.integers(-40, 40),
+    "small-rational": st.fractions(-5, 5, max_denominator=7),
+    "coprime": st.builds(
+        lambda n, d: Fraction(n, d), st.integers(-(10**18), 10**18), st.sampled_from(COPRIME)
+    ),
+}
+
+
+@st.composite
+def matrices(draw):
+    """A matrix of rank at most k, as the product of n x k and k x m factors
+    over one kind of entry, with entries zeroed at random."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(entry) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(entry) for _ in range(ncols)] for _ in range(k)]
+    keep = draw(st.lists(st.booleans(), min_size=nrows * ncols, max_size=nrows * ncols))
+    return [
+        [
+            sum((a * b[j] for a, b in zip(row, right)), Fraction(0)) if keep[i * ncols + j] else Fraction(0)
+            for j in range(ncols)
+        ]
+        for i, row in enumerate(left)
+    ]
+
+
+def _oracle_nullspace(rows, ncols):
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return rref_oracle(basis)[0] if basis else []
+
+
+@SETTINGS
+@hypothesis.given(matrices(), st.data())
+def test_integer_echelon_matches_gauss_jordan(rows, data):
+    ncols = len(rows[0])
+    red, pivots = rref_oracle(rows)
+    assert la.rref(rows) == (red, pivots)
+    assert la.rank(rows) == la.rank_with_tolerance(rows, 0) == len(pivots)
+    assert la.nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
+    rhs = data.draw(st.lists(ENTRIES["small-rational"], min_size=len(rows), max_size=len(rows)))
+    for b in (rhs, la.mat_vec(rows, [Fraction(j + 1, 3) for j in range(ncols)])):
+        aug_red, aug_pivots = rref_oracle([row + [y] for row, y in zip(rows, b)])
+        x = la.solve(rows, b)
+        if ncols in aug_pivots:
+            assert x is None
+        else:
+            expected = [Fraction(0)] * ncols
+            for row, pc in zip(aug_red, aug_pivots):
+                expected[pc] = row[ncols]
+            assert x == expected
+
+
+@SETTINGS
+@hypothesis.given(matrices())
+def test_eliminate_leaves_the_exact_combination(rows):
+    # Each row enters with a tracking column of its own.  A row that reduces
+    # to zero below the limit leaves, as Fractions, the unique combination
+    # of itself (coefficient 1) and the earlier independent rows that
+    # vanishes; a row that joins the echelon is primitive over integers.
+    ncols = len(rows[0])
+    echelon: dict = {}
+    independent = []
+    for k, vector in enumerate(rows):
+        row = {j: x for j, x in enumerate(vector) if x}
+        row[ncols + k] = Fraction(1)
+        if la.eliminate(echelon, row, ncols):
+            independent.append(k)
+            continue
+        assert all(col >= ncols and type(x) is Fraction for col, x in row.items())
+        combination = {col - ncols: x for col, x in row.items()}
+        assert combination[k] == 1 and set(combination) <= set(independent) | {k}
+        assert all(
+            sum((c * rows[i][j] for i, c in combination.items()), Fraction(0)) == 0
+            for j in range(ncols)
+        )
+    assert len(independent) == len(rref_oracle(rows)[1])
+    for lead, row in echelon.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(x) is int for x in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+# ------------------------------------------- Lie structure and exact rank
+
+
+SCRAMBLE_BASES = {
+    "dual": truncated_polynomial_algebra(1, 1),
+    "x5": truncated_polynomial_algebra(1, 4),
+    "m3": truncated_polynomial_algebra(2, 2),
+    "x3-y2-xy2": monomial_quotient_algebra(["x", "y"], [(3, 0), (0, 2), (1, 2)]),
+}
+
+
+@hypothesis.settings(max_examples=8, deadline=None, database=None)
+@hypothesis.given(st.sampled_from(sorted(SCRAMBLE_BASES)), st.integers(0, 10**6))
+def test_lie_structure_matches_full_commutators_on_scrambled_tables(name, seed):
+    A = scrambled(SCRAMBLE_BASES[name], random.Random(seed))
+    basis = derivation_basis(A)
+    assert lie_structure(basis).brackets == lie_structure_oracle(basis)
+
+
+COORDINATES_EXACT = st.one_of(
+    st.fractions(-4, 4, max_denominator=6),
+    st.integers(-5, 5),
+    st.just(Fraction(0)),
+    ENTRIES["coprime"],
+)
+
+
+@hypothesis.settings(max_examples=15, deadline=None, database=None)
+@hypothesis.given(st.sampled_from(["m3", "x3-y2-xy2", "scrambled-m3"]), st.integers(1, 2), st.data())
+def test_exact_distribution_rank_is_the_oracle_pivot_count(name, n, data):
+    A = (
+        scrambled(SCRAMBLE_BASES["m3"], random.Random(41))
+        if name == "scrambled-m3"
+        else SCRAMBLE_BASES[name]
+    )
+    basis = derivation_basis(A)
+    components = []
+    for _ in range(n):
+        coords = data.draw(st.lists(COORDINATES_EXACT, min_size=A.dim, max_size=A.dim))
+        components.append(AlgebraElement(A, tuple(coords)))
+    sample = distribution_at(A, basis, NearPoint(tuple(components)))
+    assert sample.tolerance == 0.0
+    assert sample.rank == len(rref_oracle([list(g) for g in sample.generators])[1])

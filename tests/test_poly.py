@@ -16,7 +16,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit.poly import parse_monomial
-from support import rand_fraction, rand_poly
+from support import parse_polynomial_oracle, rand_fraction, rand_poly
 
 
 def P(text: str, *names: str) -> Polynomial:
@@ -158,6 +158,79 @@ def test_parse_unknown_variable():
 def test_parse_missing_operand():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1 *", ["x1"])
+
+
+# Malformed texts, one or more for every error of the grammar, with the
+# texts of the error tests above; the overlong integers are a ValueError of
+# int() rather than a parse error.
+PARSE_ERROR_CORPUS = [
+    "x1 + @", "x9", "x1 *", "z^2", "x^", "x^y", "", "(", ")", "x)", "(x", "((x + y)",
+    "1/0", "1/x", "1/", "3/4/5", "x^-1", "x^(2)", "x ^ 1/2 ^", "x y", "2 3", "--x", "+",
+    "x +", "*x", "x^2^", "x + (y *) ", "2/0*x", "x^2^3", "(x+y)^", "x*-y", "@",
+    "9" * 5000, "x^" + "9" * 5000, "1/" + "9" * 5000,
+]
+
+
+def _parse_outcome(parse, text, names):
+    try:
+        p = parse(text, names)
+    except (PolynomialParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return [(e, type(c), c) for e, c in p.terms()]
+
+
+def _random_text(rng, names, depth=0):
+    """A random text of the parser's grammar, with random spacing."""
+    space = lambda: rng.choice(["", "", " ", "  "])  # noqa: E731
+    pieces = [rng.choice(["", "", "-", "+"])]
+    for t in range(rng.randint(1, 4 if depth else 12)):
+        if t:
+            pieces.append(space() + rng.choice("+-") + space())
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.45:
+                atom = rng.choice(names)
+            elif kind < 0.75:
+                atom = str(rng.randint(0, 12))
+                if rng.random() < 0.4:
+                    atom += "/" + str(rng.randint(1, 9))
+            elif depth < 2:
+                atom = "(" + _random_text(rng, names, depth + 1) + ")"
+            else:
+                atom = rng.choice(names)
+            if rng.random() < 0.3:
+                atom += space() + "^" + space() + str(rng.randint(0, 4))
+            factors.append(atom)
+        pieces.append((space() + "*" + space()).join(factors))
+    return "".join(pieces)
+
+
+def test_parse_matches_the_old_parser_on_random_texts():
+    rng = random.Random(12)
+    names = ["x", "y", "z1"]
+    for _ in range(200):
+        text = _random_text(rng, names)
+        if rng.random() < 0.3:  # a typo: one character dropped or inserted
+            at = rng.randrange(len(text) + 1)
+            typo = rng.choice(["", rng.choice("+-*^()/ 07xy@")])
+            text = text[:at] + typo + text[at + 1 :]
+        assert _parse_outcome(parse_polynomial, text, names) == _parse_outcome(
+            parse_polynomial_oracle, text, names
+        ), text
+
+
+@pytest.mark.parametrize("text", PARSE_ERROR_CORPUS)
+def test_parse_errors_match_the_old_parser(text):
+    outcome = _parse_outcome(parse_polynomial, text, ["x", "y"])
+    assert isinstance(outcome, tuple)
+    assert outcome == _parse_outcome(parse_polynomial_oracle, text, ["x", "y"])
+
+
+def test_parse_power_of_a_variable_is_an_exponent():
+    # The old parser formed x^k by k products.
+    assert parse_polynomial("x^123456789*y", ["x", "y"]) == Polynomial.monomial(2, (123456789, 1))
+    assert parse_polynomial("(2*x)^3 - (x + 1)^0", ["x"]) == P("8*x^3 - 1", "x")
 
 
 @pytest.mark.parametrize(
