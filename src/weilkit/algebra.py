@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -110,22 +109,74 @@ def check_same_algebra(a: "WeilAlgebra", b: "WeilAlgebra", message: str) -> None
         raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class WeilAlgebra:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    Instances compare, hash and print by the attributes that the class
+    names in ``_fields``, and only equal to instances of the same class.
+    Each subclass sets its attributes in its own ``__init__`` through
+    ``object.__setattr__``; setting or deleting one afterwards raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore an instance here, past __setattr__: state
+        # is its __dict__, or (__dict__ or None, slots) under __slots__.
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class WeilAlgebra(Frozen):
     """Verified local algebra over a normalised basis.
 
     ``table[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j.  Basis element 0 is the unit; elements
     1..dim-1 span the maximal ideal.  ``height`` is the smallest k with
     m^(k+1) = 0 and ``width`` is dim(m/m^2).  ``products`` is the sparse
-    index of ``table`` that :func:`mul` reads.
+    index of ``table`` that :func:`mul` reads; it stays out of ``==`` and
+    ``hash``.
     """
+
+    __slots__ = ("labels", "table", "height", "width", "products")
+    _fields = ("labels", "table", "height", "width")
 
     labels: tuple[str, ...]
     table: Table
     height: int
     width: int
-    products: Products = field(compare=False)
+    products: Products
+
+    def __init__(self, labels, table, height, width, products):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "products", products)
 
     @property
     def dim(self) -> int:
@@ -171,16 +222,21 @@ class WeilAlgebra:
         return multiplication_operator(self.products, u.coeffs)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """Coefficient vector over an algebra's basis.
 
     Coefficients are Fractions on the exact path; flows produce float
     coefficients, and mixed arithmetic degrades to float as usual.
     """
 
+    __slots__ = _fields = ("algebra", "coeffs")
+
     algebra: WeilAlgebra
     coeffs: tuple
+
+    def __init__(self, algebra, coeffs):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check_same(self, other: "AlgebraElement") -> None:
         check_same_algebra(self.algebra, other.algebra, "elements belong to different algebras")

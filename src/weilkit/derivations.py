@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -45,6 +44,7 @@ from typing import Sequence
 from . import linalg
 from .algebra import (
     AlgebraElement,
+    Frozen,
     WeilAlgebra,
     check_same_algebra,
     compact_integer_form,
@@ -61,8 +61,7 @@ class NotClosedError(ValueError):
     """A bracket escaped the span of the supplied derivation basis."""
 
 
-@dataclass(frozen=True, init=False)
-class Derivation:
+class Derivation(Frozen):
     """Derivation of a local algebra, stored as its sparse matrix columns.
 
     ``columns[q]`` maps k to the non-zero coefficient of basis element k in
@@ -73,6 +72,8 @@ class Derivation:
     module computes from verified ones are derivations by construction and
     skip that check.
     """
+
+    _fields = ("algebra", "columns")
 
     algebra: WeilAlgebra
     columns: list[dict]
@@ -95,7 +96,8 @@ class Derivation:
         object.__setattr__(self, "columns", _columns(matrix))
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.matrix))
+        # Equal columns hash equal whatever order their dicts were filled in.
+        return hash((self.algebra, tuple(frozenset(column.items()) for column in self.columns)))
 
     @cached_property
     def matrix(self) -> RationalMatrix:
@@ -363,8 +365,7 @@ def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
     return _trusted(d.algebra, _columns(linalg.mat_mul(mult, d.matrix)))
 
 
-@dataclass(frozen=True)
-class LieStructure:
+class LieStructure(Frozen):
     """A derivation basis together with its exact non-zero brackets: for
     i < j, [basis[i], basis[j]] = sum_k brackets[i, j][k] * basis[k].
 
@@ -372,8 +373,14 @@ class LieStructure:
     vanishes has no entry, and [basis[j], basis[i]] is the negation of
     [basis[i], basis[j]]."""
 
+    __slots__ = _fields = ("basis", "brackets")
+
     basis: tuple[Derivation, ...]
     brackets: dict[tuple[int, int], dict[int, Fraction]]
+
+    def __init__(self, basis, brackets):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "brackets", brackets)
 
     @property
     def rank(self) -> int:
@@ -454,15 +461,20 @@ def jacobi_residual(lie: LieStructure) -> Fraction:
     return worst
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Frozen):
     """Floating-point algebra automorphism, e.g. exp(tD) for a derivation D.
 
     Multiplicative up to round-off; fixes the unit exactly (the unit row of
     a derivation matrix is zero, so it survives scaling and squaring)."""
 
+    __slots__ = _fields = ("algebra", "matrix")
+
     algebra: WeilAlgebra
     matrix: tuple[tuple[float, ...], ...]
+
+    def __init__(self, algebra, matrix):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")

@@ -20,13 +20,13 @@ tangent bundle: one generator, the Liouville field, fiber dilation e^t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .algebra import (
     AlgebraElement,
+    Frozen,
     WeilAlgebra,
     check_same_algebra,
     dual_numbers,
@@ -53,16 +53,19 @@ from .nearpoints import (
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class InducedField:
+class InducedField(Frozen):
     """Chart vector field induced by a derivation: blockwise u -> -D(u)."""
+
+    __slots__ = _fields = ("derivation", "n")
 
     derivation: Derivation
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, derivation, n):
+        if n < 1:
             raise ValueError("need at least one manifold coordinate")
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "n", n)
 
     @property
     def algebra(self) -> WeilAlgebra:
@@ -136,14 +139,21 @@ def chart_field(field: InducedField) -> ChartVectorField:
     return field_from_values(coordinate_values(field))
 
 
-@dataclass(frozen=True)
-class DistributionSample:
+class DistributionSample(Frozen):
     """Distribution generators and their rank at a single near point."""
+
+    __slots__ = _fields = ("point", "generators", "rank", "tolerance")
 
     point: NearPoint
     generators: tuple[tuple, ...]
     rank: int
     tolerance: float
+
+    def __init__(self, point, generators, rank, tolerance):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 def distribution_at(

@@ -31,11 +31,10 @@ beyond the algebra height, so the finite Taylor sum is exact at that point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, WeilAlgebra, check_same_algebra, eval_in_algebra
+from .algebra import AlgebraElement, Frozen, WeilAlgebra, check_same_algebra, eval_in_algebra
 from .poly import Exponents, Polynomial
 
 
@@ -51,18 +50,20 @@ class MissingPartialError(ValueError):
     """A Taylor oracle lacks a partial derivative the algebra height needs."""
 
 
-@dataclass(frozen=True)
-class NearPoint:
+class NearPoint(Frozen):
     """Point of the chart model: one algebra element per coordinate of R^n."""
+
+    __slots__ = _fields = ("components",)
 
     components: tuple[AlgebraElement, ...]
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components):
+        if not components:
             raise ValueError("a near point needs at least one component")
-        first = self.components[0].algebra
-        for comp in self.components[1:]:
+        first = components[0].algebra
+        for comp in components[1:]:
             check_same_algebra(comp.algebra, first, "components belong to different algebras")
+        object.__setattr__(self, "components", components)
 
     @property
     def algebra(self) -> WeilAlgebra:
@@ -243,21 +244,25 @@ def chart_components(f: Polynomial, algebra: WeilAlgebra, n: int) -> list[Polyno
     return list(f.evaluate(args, one=one).coeffs)
 
 
-@dataclass(frozen=True)
-class ChartVectorField:
+class ChartVectorField(Frozen):
     """Vector field on the chart R^(n*s); one polynomial per chart direction,
     flattened as i*s + j."""
+
+    __slots__ = _fields = ("n", "s", "components")
 
     n: int
     s: int
     components: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.n * self.s:
+    def __init__(self, n, s, components):
+        if len(components) != n * s:
             raise ValueError("component count must be n*s")
-        for comp in self.components:
-            if comp.nvars != self.n * self.s:
+        for comp in components:
+            if comp.nvars != n * s:
                 raise ValueError("components must be polynomials in the n*s chart variables")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def zero(cls, n: int, s: int) -> "ChartVectorField":

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weilkit
 from weilkit.cli import main
 
 
@@ -638,3 +643,19 @@ def test_liouville_json_report(capsys):
     assert report["pass"] is True
     assert len(report["assertions"]) == 5
     assert report["status"] == 0
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Every weil command imports weilkit.cli in a fresh process.  Checked in
+    # a subprocess, because pytest itself imports these modules.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weilkit.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, weilkit.cli; print(sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(ast.literal_eval(result.stdout))
+    assert "weilkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -27,6 +27,7 @@ from weilkit import (
     multiplicativity_residual,
     truncated_polynomial_algebra,
 )
+from weilkit.derivations import _trusted
 from weilkit.jsonio import lie_constants_to_json, rational_from_json
 import weilkit.linalg as la
 from support import (
@@ -52,13 +53,17 @@ def F(rows):
 def assert_one_form(A, d, dense):
     """d's dense view equals the oracle ``dense``, its stored columns are
     the non-zero entries of that view, and the public, checking constructor
-    rebuilds an equal derivation with an equal hash."""
+    rebuilds an equal derivation with an equal hash.  So do the same
+    columns filled in reverse order, whose hash builds no dense view."""
     assert d.matrix == F(dense)
     s = A.dim
     assert d.columns == [{p: d.matrix[p][q] for p in range(s) if d.matrix[p][q]} for q in range(s)]
     assert d.is_zero() == all(x == 0 for row in dense for x in row)
     rebuilt = Derivation(A, d.matrix)
     assert rebuilt == d and hash(rebuilt) == hash(d)
+    reversed_fill = _trusted(A, [dict(reversed(column.items())) for column in d.columns])
+    assert reversed_fill == d and hash(reversed_fill) == hash(d)
+    assert "matrix" not in reversed_fill.__dict__
 
 
 def test_dual_number_generator():
