@@ -159,7 +159,7 @@ class WeilAlgebra(Frozen):
     1..dim-1 span the maximal ideal.  ``height`` is the smallest k with
     m^(k+1) = 0 and ``width`` is dim(m/m^2).  ``products`` is the sparse
     index of ``table`` that :func:`mul` reads; it stays out of ``==`` and
-    ``hash``.
+    ``hash``, and the hash reads only the labels, height and width.
     """
 
     __slots__ = ("labels", "table", "height", "width", "products")
@@ -177,6 +177,9 @@ class WeilAlgebra(Frozen):
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "products", products)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.height, self.width))
 
     @property
     def dim(self) -> int:

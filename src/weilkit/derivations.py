@@ -19,14 +19,14 @@ are read from its width generator columns against one sparse echelon of
 the restricted basis, r x width*s entries, instead of all s^2 entries.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
-k to the non-zero coefficient of basis element k in D(e_q)); the dense
-``matrix``, the ``integer_columns`` and the ``float_columns`` are views
-derived from them on first use.  Verification happens once, at the trust
-boundary: the public ``Derivation(algebra, matrix)`` constructor checks
-every matrix exactly.  Results computed here (the solved basis, brackets,
-sums, scalar multiples and module multiples) are derivations by
-construction (Kolář, Michor and Slovák, ch. VIII) and are built on
-columns without the re-check.
+k to the non-zero coefficient of basis element k in D(e_q)); the
+``integer_columns`` and the ``float_columns`` are views derived from them
+on first use, and the dense ``matrix`` is a view that only callers read.
+Verification happens once, at the trust boundary: the public
+``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
+Results computed here (the solved basis, brackets, sums, scalar multiples
+and module multiples) are derivations by construction (Kolář, Michor and
+Slovák, ch. VIII) and are built on columns without the re-check.
 
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
@@ -93,7 +93,8 @@ class Derivation(Frozen):
         if any(matrix[0][j] != 0 for j in range(s)):
             raise ValueError("a derivation must preserve the maximal ideal")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "columns", _columns(matrix))
+        columns = [{p: c for p, c in enumerate(column) if c} for column in zip(*matrix)]
+        object.__setattr__(self, "columns", columns)
 
     def __hash__(self) -> int:
         # Equal columns hash equal whatever order their dicts were filled in.
@@ -134,8 +135,8 @@ class Derivation(Frozen):
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
 
-        The result is bit for bit ``linalg.mat_vec(self.matrix, u.coeffs)``,
-        types and signed float zeros included; see :func:`signed_image`.
+        The result is bit for bit ``linalg.mat_vec`` of the dense matrix and
+        ``u.coeffs``, types and signed float zeros included; see :func:`signed_image`.
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
         return AlgebraElement(self.algebra, signed_image(self, u.coeffs))
@@ -230,16 +231,6 @@ def _trusted(algebra: WeilAlgebra, columns: list[dict]) -> Derivation:
     return d
 
 
-def _columns(matrix) -> list[dict]:
-    """Sparse columns of a dense s x s matrix: entry q maps p to the
-    non-zero matrix[p][q]."""
-    return [{p: row[q] for p, row in enumerate(matrix) if row[q]} for q in range(len(matrix))]
-
-
-def _freeze(mat) -> RationalMatrix:
-    return tuple(tuple(row) for row in mat)
-
-
 def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
     """First basis pair (i, j) where D(a_i a_j) != D(a_i)a_j + a_i D(a_j),
     or None when the Leibniz identity holds exactly everywhere."""
@@ -267,12 +258,12 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     a product that is a combination of kept monomials makes that rule a
     linear constraint.  Together the constraints give D(g x) = g D(x) +
     x D(g) for every generator g and every x, which is the Leibniz rule by
-    induction over monomials.  The solutions are expanded to full matrices
-    and returned in canonical reduced form (leading entry 1 in row-major
-    matrix order).  For a two-dimensional algebra the single generator is
-    rescaled so the nilpotent generator maps to minus itself, which makes
-    the induced field on a tangent-bundle chart the Liouville field with
-    flow e^t.
+    induction over monomials.  The solutions become sparse row-major rows
+    and are returned in canonical reduced form (leading entry 1 in
+    row-major matrix order).  For a two-dimensional algebra the single
+    generator is rescaled so the nilpotent generator maps to minus itself,
+    which makes the induced field on a tangent-bundle chart the Liouville
+    field with flow e^t.
     """
     s = algebra.dim
     products = algebra.products
@@ -282,7 +273,10 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
         products, units[0], ideal_generators(products)
     )
     n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
-    operators = [[mul(products, m, e, zero) for e in units] for m in monomials]  # M_t * e_q
+    operators = [  # M_t * e_q, sparse
+        [{k: c for k, c in enumerate(mul(products, m, e, zero)) if c} for e in units]
+        for m in monomials
+    ]
     images: list[list[dict]] = [[{} for _ in range(s)]]  # D(M_u) as s linear forms
 
     def leibniz(a: int, t: int) -> list[dict]:
@@ -292,9 +286,8 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
             for k, c in products[generators[a]][q] if form else ():
                 linalg.add_scaled(forms[k], c, form)
         for q, column in enumerate(operators[t]):
-            for k, c in enumerate(column):
-                if c:
-                    linalg.add_scaled(forms[k], c, {a * s + q: one})
+            for k, c in column.items():
+                linalg.add_scaled(forms[k], c, {a * s + q: one})
         return forms
 
     for a, t in parents[1:]:
@@ -311,25 +304,33 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
             linalg.eliminate(constraints, form, n_unknowns)
 
     # D maps monomial u to images[u], so D = D_M M^-1 for the matrix M whose
-    # columns are the monomials.
+    # columns are the monomials: entry (p, u) of D_M adds its multiple of
+    # row u of M^-1 to row p of D, which is entry p*s + q of a row-major row.
     inverse = linalg.invert([list(row) for row in zip(*monomials)])
+    inverse = [{q: c for q, c in enumerate(row) if c} for row in inverse]
     expansion: dict = {}  # unknown -> [(p, u, its coefficient in D(M_u)_p)]
     for u, image in enumerate(images):
         for p, form in enumerate(image):
             for x, c in form.items():
                 expansion.setdefault(x, []).append((p, u, c))
-    flat = []
+    rows = []
     for solution in linalg.null_vectors(linalg.back_reduce(constraints), n_unknowns):
-        d_m = linalg.zeros(s, s)
+        d_m: dict = {}
         for x, value in solution.items():
             for p, u, c in expansion.get(x, ()):
-                d_m[p][u] += value * c
-        flat.append([y for row in linalg.mat_mul(d_m, inverse) for y in row])
-    reduced = linalg.back_reduce(linalg.echelon_form(flat))  # the canonical rows, by pivot
+                d_m[p, u] = d_m.get((p, u), 0) + value * c
+        row: dict = {}
+        for (p, u), value in d_m.items():
+            if value:
+                linalg.add_scaled(row, value, {p * s + q: y for q, y in inverse[u].items()})
+        rows.append(row)
+    echelon: dict = {}
+    for row in sorted(rows, key=len):  # sparsest first: sparse pivot rows stay sparse
+        linalg.eliminate(echelon, row, s * s)
     basis = []
-    for lead in sorted(reduced):
+    for _, row in sorted(linalg.back_reduce(echelon).items()):  # the canonical rows
         columns: list[dict] = [{} for _ in range(s)]
-        for x, value in reduced[lead].items():  # entry x = p*s + q is matrix[p][q]
+        for x, value in row.items():
             columns[x % s][x // s] = value
         basis.append(_trusted(algebra, columns))
     if s == 2 and len(basis) == 1 and basis[0].columns[1].get(1, 0) > 0:
@@ -358,11 +359,13 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
-    """The derivation u -> a * d(u); its matrix is M_a D for the
-    multiplication operator M_a."""
+    """The derivation u -> a * d(u), column by column: column q is
+    a * D(e_q), so its matrix is M_a D for the multiplication operator M_a."""
     check_same_algebra(a.algebra, d.algebra, "element and derivation belong to different algebras")
-    mult = d.algebra.multiplication_matrix(a)
-    return _trusted(d.algebra, _columns(linalg.mat_mul(mult, d.matrix)))
+    products, s = d.algebra.products, d.algebra.dim
+    dense = ([column.get(k, _ZERO) for k in range(s)] for column in d.columns)
+    images = (mul(products, a.coeffs, v, _ZERO) for v in dense)
+    return _trusted(d.algebra, [{p: y for p, y in enumerate(image) if y} for image in images])
 
 
 class LieStructure(Frozen):
@@ -483,7 +486,8 @@ class Automorphism(Frozen):
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         check_same_algebra(other.algebra, self.algebra, "automorphisms belong to different algebras")
-        return Automorphism(self.algebra, _freeze(linalg.mat_mul(self.matrix, other.matrix, 0.0)))
+        product = linalg.mat_mul(self.matrix, other.matrix, 0.0)
+        return Automorphism(self.algebra, tuple(map(tuple, product)))
 
 
 _EXP_TERMS = 18
@@ -525,7 +529,7 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
         result = linalg.mat_mul(result, result, 0.0)
     if not all(math.isfinite(x) for row in result for x in row):
         raise ValueError("flow time too large: exp(tD) overflows floating point")
-    return Automorphism(d.algebra, _freeze(result))
+    return Automorphism(d.algebra, tuple(map(tuple, result)))
 
 
 def multiplicativity_residual(phi: Automorphism) -> float:

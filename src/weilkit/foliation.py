@@ -324,7 +324,7 @@ def liouville_demo(n: int) -> dict:
 
     generator_ok = (
         len(basis) == 1
-        and basis[0].matrix == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1)))
+        and basis[0].columns == [{}, {1: Fraction(-1)}]
     )
     assertions.append(
         {

@@ -56,10 +56,8 @@ def scalar_from_json(value):
 
 
 def scalar_to_json(value):
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return fraction_to_str(value)
-    if isinstance(value, int):
-        return fraction_to_str(Fraction(value))
     return float(value)
 
 
@@ -251,8 +249,12 @@ def _parse_multi_index(key: str, arity: int):
 
 
 def derivation_to_json(d: Derivation) -> list[list[str]]:
-    """Row-major rational matrix."""
-    return [[fraction_to_str(x) for x in row] for row in d.matrix]
+    """Row-major rational matrix from the sparse columns; zeros are "0/1"."""
+    rows = [["0/1"] * len(d.columns) for _ in d.columns]
+    for q, column in enumerate(d.columns):
+        for p, x in column.items():
+            rows[p][q] = fraction_to_str(x)
+    return rows
 
 
 def lie_constants_to_json(lie: LieStructure) -> list[list]:

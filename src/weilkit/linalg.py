@@ -33,10 +33,6 @@ def identity(n: int) -> Matrix:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[_ZERO] * cols for _ in range(rows)]
-
-
 def mat_vec(a: Matrix, v: list, zero=_ZERO) -> list:
     return [sum((row[j] * v[j] for j in range(len(v)) if row[j]), zero) for row in a]
 
@@ -197,7 +193,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     reduced = back_reduce(echelon_form(rows))
     pivots = sorted(reduced)
     dense = [[reduced[p].get(j, _ZERO) for j in range(ncols)] for p in pivots]
-    return dense + zeros(len(rows) - len(pivots), ncols), pivots
+    return dense + [[_ZERO] * ncols for _ in range(len(rows) - len(pivots))], pivots
 
 
 def rank(rows: Matrix) -> int:

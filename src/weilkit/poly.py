@@ -148,14 +148,15 @@ class Polynomial:
         if other is None:
             return NotImplemented
         out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return Polynomial(self.nvars, out)
+        _add_terms(out, other._terms, 1)
+        return Polynomial._from_terms(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        out: dict = {}
+        _add_terms(out, self._terms, -1)
+        return Polynomial._from_terms(self.nvars, out)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -173,22 +174,16 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+        return Polynomial._from_terms(self.nvars, _product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return Polynomial._from_terms(self.nvars, _power(self._terms, n, self.nvars))
 
     def partial(self, var: int) -> "Polynomial":
         """Formal partial derivative with respect to variable ``var``."""
@@ -202,7 +197,7 @@ class Polynomial:
             new = list(exp)
             new[var] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._from_terms(self.nvars, out)
 
     def evaluate(self, args: Sequence, one=Fraction(1)):
         """Value under the ring homomorphism sending variable i to args[i].

@@ -15,10 +15,13 @@ from weilkit import (
     NotClosedError,
     bracket,
     derivation_basis,
+    distribution_at,
     dual_numbers,
     exp_flow,
+    flow,
     from_structure_constants,
     LieStructure,
+    involutivity_check,
     jacobi_residual,
     leibniz_residual,
     lie_structure,
@@ -28,7 +31,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit.derivations import _trusted
-from weilkit.jsonio import lie_constants_to_json, rational_from_json
+from weilkit.jsonio import derivation_to_json, lie_constants_to_json, rational_from_json
 import weilkit.linalg as la
 from support import (
     ORACLE_CORPUS,
@@ -42,6 +45,7 @@ from support import (
     rand_element,
     rand_fraction,
     rand_invertible,
+    rand_near_point,
     sparse_brackets,
 )
 
@@ -578,9 +582,31 @@ def test_apply_matches_dense_product(name):
 
 
 def test_derivation_json_wire_format():
-    from weilkit.jsonio import derivation_to_json
-
     d = derivation_basis(dual_numbers())[0]
     wire = derivation_to_json(d)
     assert wire == [["0/1", "0/1"], ["0/1", "-1/1"]]
     assert rational_from_json(wire[1][1]) == Fraction(-1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_package_never_builds_the_dense_view(name):
+    """The solver, brackets, module multiples, the JSON writer, the
+    distribution, the involutivity check and the flows read the sparse
+    columns only: none of them builds the cached dense ``matrix``."""
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    rng = random.Random(7)
+    basis = derivation_basis(A)
+    derived = [bracket(d1, d2) for d1 in basis[:4] for d2 in basis[:4]]
+    derived += [module_scale(rand_element(rng, A), d) for d in basis[:4]]
+    involved = basis + derived
+    wire = [derivation_to_json(d) for d in involved]
+    point = rand_near_point(rng, A, 2)
+    distribution_at(A, basis, point)
+    involutivity_check(lie_structure(basis), 2)
+    for d in basis[:3]:
+        distribution_at(A, basis, flow(A, d, 0.5, point))
+    assert not [d for d in involved if "matrix" in d.__dict__]
+    assert wire == [
+        [[f"{x.numerator}/{x.denominator}" for x in row] for row in d.matrix] for d in involved
+    ]

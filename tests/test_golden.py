@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from support import scrambled_table
+from weilkit import truncated_polynomial_algebra
 from weilkit.cli import main
 
 # name -> (spec, manifold dimension n, derivation index for field and flow)
@@ -235,3 +238,38 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
     code = main(CASES[case])
     captured = capsys.readouterr()
     assert digest(code, captured.out, captured.err) == GOLDEN[case]
+
+
+def _scrambled_spec() -> dict:
+    """R[x,y]/m^4 (s = 10) over a random basis: a dense rational table."""
+    table = scrambled_table(truncated_polynomial_algebra(2, 3), random.Random(41))
+    return {
+        "type": "structure_constants",
+        "labels": [f"f{i}" for i in range(len(table))],
+        "table": [[[f"{x.numerator}/{x.denominator}" for x in entry] for entry in row] for row in table],
+    }
+
+
+# name -> (spec, SHA-256 of the stdout of ``weil derivations <name>.json --json``)
+DERIVATION_BYTES = {
+    "m4": (
+        {"type": "truncated_polynomial", "variables": ["x", "y", "z"], "order": 3},
+        "ec1e24731a7c6cd56b4a5dee8cc254be20bc360536c414e8f1ef36b3ac0126bb",
+    ),
+    "scrambled10": (
+        _scrambled_spec(),
+        "a3b26f98a023bc1eeb96ff76d92245f9a356e9f09f318ee95a7eed7a9b2d433c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_BYTES))
+def test_derivations_json_bytes(name, tmp_path, monkeypatch, capsys):
+    """The canonical basis and the Lie constants of a larger sparse rung
+    and of a dense table, byte for byte."""
+    spec, expected = DERIVATION_BYTES[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["derivations", f"{name}.json", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected

@@ -176,3 +176,17 @@ def test_checks_raise_the_same_messages():
         ChartVectorField(1, 2, (Polynomial.zero(1), Polynomial.zero(1)))
     with pytest.raises(ValueError, match="^a derivation matrix must be 2 x 2$"):
         Derivation(A, ((0,),))
+
+
+class _UnhashableTable(tuple):
+    __hash__ = None
+
+
+def test_algebra_hash_does_not_read_the_table():
+    A = truncated_polynomial_algebra(2, 2)
+    wrapped = WeilAlgebra(A.labels, _UnhashableTable(A.table), A.height, A.width, A.products)
+    with pytest.raises(TypeError):
+        hash(wrapped.table)
+    assert wrapped == A and hash(wrapped) == hash(A)
+    rebuilt = truncated_polynomial_algebra(2, 2)
+    assert rebuilt is not A and hash(rebuilt) == hash(A)
