@@ -222,7 +222,8 @@ class WeilAlgebra(Frozen):
     def multiplication_matrix(self, u: "AlgebraElement") -> list[list[Fraction]]:
         """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
         check_same_algebra(u.algebra, self, "element belongs to a different algebra")
-        return multiplication_operator(self.products, u.coeffs)
+        columns = [mul(self.products, u.coeffs, e, Fraction(0)) for e in linalg.identity(self.dim)]
+        return [list(row) for row in zip(*columns)]
 
 
 class AlgebraElement(Frozen):
@@ -323,9 +324,10 @@ class Products(tuple):
 
     ``numerators`` is the same index over integers, each constant times
     ``denominator``, their common denominator (1 for a monomial table);
-    :func:`mul` reads it for exact coordinates.  It is None on a table that
-    is not yet verified, and on one whose :func:`compact_integer_form`
-    would outgrow the table; :func:`mul` then takes the Fraction loop.
+    :func:`mul` reads it for exact coordinates, on a raw table under
+    verification as on a verified one.  It is None on a table whose
+    :func:`compact_integer_form` would outgrow the table; :func:`mul` then
+    takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
     use, for float coordinates; None when a constant is beyond the float
     range.  All are plain attributes, so a table compares and hashes by
@@ -345,15 +347,13 @@ class Products(tuple):
             return None
 
 
-def _sparse_products(table, verified: bool = True) -> Products:
-    """Index the non-zero structure constants of a table of Fractions; for
-    a ``verified`` table, attach their compact integer form if it exists."""
+def _sparse_products(table) -> Products:
+    """Index the non-zero structure constants of a table of Fractions, and
+    attach their compact integer form if it exists."""
     products = Products(
         tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in table
     )
-    form = verified and compact_integer_form(
-        [c for row in products for entry in row for _, c in entry]
-    )
+    form = compact_integer_form([c for row in products for entry in row for _, c in entry])
     if form:
         numerators, products.denominator = form
         flat = iter(numerators)
@@ -432,8 +432,8 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     operands are numeric and the non-zero coordinates of one are all
     floats, every term is a float that Fraction's mixed arithmetic forms
     on float() of the exact values, so the loop runs on ``products.floats``
-    from float(zero).  Other operands, or a table without those copies,
-    run the loop on the constants themselves.
+    from float(zero).  Other operands, or a table too large for its integer
+    form or float copy, run the loop on the constants themselves.
     """
     exact_u = products.numerators is not None and integer_form(u)
     exact_v = exact_u and integer_form(v)
@@ -487,12 +487,6 @@ def _float_mul(products: Products, u: Sequence, v: Sequence, zero) -> list | Non
                 x = out[k]
                 out[k] = (start if x is None else x) + ab * c
     return [zero if x is None else x for x in out]
-
-
-def multiplication_operator(products: Products, u: Sequence) -> list[list[Fraction]]:
-    """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
-    columns = [mul(products, u, e, Fraction(0)) for e in linalg.identity(len(products))]
-    return [list(row) for row in zip(*columns)]
 
 
 def ideal_generators(products: Products) -> list[int]:
@@ -578,31 +572,22 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
 
 def _table_from(raw) -> list[list[list[Fraction]]]:
     s = len(raw)
-    table = []
-    for i in range(s):
-        if len(raw[i]) != s:
+
+    def sized(part):
+        if len(part) != s:
             raise ValueError("structure-constant tensor is not s x s x s")
-        row = []
-        for j in range(s):
-            entry = raw[i][j]
-            if len(entry) != s:
-                raise ValueError("structure-constant tensor is not s x s x s")
-            row.append([Fraction(x) for x in entry])
-        table.append(row)
-    return table
+        return part
+
+    return [[[Fraction(x) for x in sized(entry)] for entry in sized(row)] for row in raw]
 
 
-def _check_commutative(table, labels) -> None:
-    s = len(table)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if table[i][j] != table[j][i]:
-                raise NotCommutativeError(
-                    f"{labels[i]}*{labels[j]} != {labels[j]}*{labels[i]}"
-                )
+def _check_commutative(products, labels) -> None:
+    for i, j in itertools.combinations(range(len(products)), 2):
+        if products[i][j] != products[j][i]:
+            raise NotCommutativeError(f"{labels[i]}*{labels[j]} != {labels[j]}*{labels[i]}")
 
 
-def _check_associative(table, products, unit, labels) -> None:
+def _check_associative(products, unit, labels) -> None:
     """Associativity of a commutative table whose unit ``unit`` satisfies
     L_unit = I, checked on algebra generators in O(w^2 s^3 + s^4) for w
     generators, instead of the O(s^5) of a scan over all basis triples.
@@ -618,53 +603,57 @@ def _check_associative(table, products, unit, labels) -> None:
     the triple scan runs on a table that is known to be bad and names its
     first failing triple.
     """
-    s = len(table)
+    s = len(products)
     zero = Fraction(0)
     units = linalg.identity(s)
-    _, monomials, parents, _ = monomial_walk(products, unit, range(s))
-    operators = [multiplication_operator(products, m) for m in monomials]
+    generators, monomials, parents, _ = monomial_walk(products, unit, range(s))
+    # columns[u][q] = M_u * e_q, the columns of L_{M_u}; L_x L_y e_q = x * (y * e_q).
+    columns = [[mul(products, m, e, zero) for e in units] for m in monomials]
     # Monomial g * unit = g is the one a generator enters the walk with.
-    generators = [operators[u] for u, parent in enumerate(parents) if parent and parent[1] == 0]
+    entered = [columns[u] for u, parent in enumerate(parents) if parent and parent[1] == 0]
     if all(
-        linalg.mat_mul(x, y) == linalg.mat_mul(y, x)
-        for x, y in itertools.combinations(generators, 2)
+        mul(products, units[g], y[q], zero) == mul(products, units[h], x[q], zero)
+        for (g, x), (h, y) in itertools.combinations(zip(generators, entered), 2)
+        for q in range(s)
     ) and all(
-        operators[u] == linalg.mat_mul(generators[a], operators[t])
+        columns[u][q] == mul(products, units[generators[a]], columns[t][q], zero)
         for u, (a, t) in enumerate(parents[1:], start=1)
         if t
+        for q in range(s)
     ):
         return
-    for i in range(s):
-        for j in range(s):
-            for l in range(s):
-                left = mul(products, table[i][j], units[l], zero)
-                right = mul(products, units[i], table[j][l], zero)
-                if left != right:
-                    raise NotAssociativeError(
-                        f"({labels[i]}*{labels[j]})*{labels[l]} != "
-                        f"{labels[i]}*({labels[j]}*{labels[l]})"
-                    )
+    pairs = [[mul(products, x, y, zero) for y in units] for x in units]
+    for i, j, l in itertools.product(range(s), repeat=3):
+        if mul(products, pairs[i][j], units[l], zero) != mul(products, units[i], pairs[j][l], zero):
+            raise NotAssociativeError(
+                f"({labels[i]}*{labels[j]})*{labels[l]} != "
+                f"{labels[i]}*({labels[j]}*{labels[l]})"
+            )
 
 
-def _find_unit(table) -> list[Fraction] | None:
+def _find_unit(products) -> list[Fraction] | None:
     # Solve u * a_j = a_j for all j; commutativity makes this two-sided.
-    s = len(table)
-    rows, rhs = [], []
-    for j in range(s):
-        for k in range(s):
-            rows.append([table[i][j][k] for i in range(s)])
-            rhs.append(Fraction(1) if j == k else Fraction(0))
-    return linalg.solve(rows, rhs)
+    # Row j*s + k holds the constants table[i][j][k] over i.
+    s = len(products)
+    rows = [[Fraction(0)] * s for _ in range(s * s)]
+    for i, row in enumerate(products):
+        for j, entry in enumerate(row):
+            for k, c in entry:
+                rows[j * s + k][i] = c
+    return linalg.solve(rows, [Fraction(int(j == k)) for j in range(s) for k in range(s)])
 
 
-def _trace_form_kernel(table) -> list[list[Fraction]]:
+def _trace_form_kernel(products) -> list[list[Fraction]]:
     # In characteristic zero the radical is the kernel of the trace form
     # of the regular representation: x is nilpotent iff trace(M_{x*a}) = 0
     # for every a.
-    s = len(table)
-    traces = [sum(table[k][q][q] for q in range(s)) for k in range(s)]
+    s = len(products)
+    traces = [
+        sum((c for q, entry in enumerate(row) for k, c in entry if k == q), Fraction(0))
+        for row in products
+    ]
     gram = [
-        [sum(table[i][j][k] * traces[k] for k in range(s)) for i in range(s)]
+        [sum((c * traces[k] for k, c in products[i][j]), Fraction(0)) for i in range(s)]
         for j in range(s)
     ]
     return linalg.nullspace(gram, s)
@@ -690,10 +679,11 @@ def from_structure_constants(
     NotNilpotentError when the corresponding axiom fails, and
     SizeLimitError for more than MAX_DIM labels.
 
-    Associativity is checked on the w algebra generators of the raw table,
-    in O(w^2 s^3 + s^4) rather than over all s^3 basis triples; see
-    :func:`_check_associative` for why that is an exact proof.  Width and
-    height come from the generators of m in the same way.
+    Every check reads the sparse index of the raw table, with its compact
+    integer form, through :func:`mul`.  Associativity is checked on the w
+    algebra generators, in O(w^2 s^3 + s^4) rather than over all s^3 basis
+    triples; see :func:`_check_associative` for why that is an exact proof.
+    Width and height come from the generators of m in the same way.
     """
     check_size("algebra dimension", len(labels), MAX_DIM)
     labels = tuple(str(x) for x in labels)
@@ -701,50 +691,52 @@ def from_structure_constants(
         raise ValueError("algebra dimension must be at least 1")
     if len(raw_table) != len(labels):
         raise ValueError("label count does not match table size")
-    table = _table_from(raw_table)
-    products = _sparse_products(table, verified=False)
-    s = len(table)
+    products = _sparse_products(_table_from(raw_table))
+    s = len(products)
 
-    _check_commutative(table, labels)
-    unit = _find_unit(table)
+    _check_commutative(products, labels)
+    unit = _find_unit(products)
     if unit is None:
         raise NoUnitError("no element satisfies u*a = a for every basis element a")
-    _check_associative(table, products, unit, labels)
+    _check_associative(products, unit, labels)
 
-    radical = _trace_form_kernel(table)
+    radical = _trace_form_kernel(products)
     if len(radical) != s - 1:
         raise NotLocalError(
             f"nilpotent elements span dimension {len(radical)}, expected {s - 1}; "
             "the algebra contains a nontrivial idempotent or semisimple part"
         )
-    for vec in radical:
-        if not _is_nilpotent(products, vec):
-            raise NotNilpotentError("candidate maximal ideal contains a non-nilpotent element")
-    span = linalg.echelon_form(radical)
-    for vec in radical:
-        for e in linalg.identity(s):
-            product = mul(products, e, vec, Fraction(0))
-            if linalg.eliminate(span, {k: x for k, x in enumerate(product) if x}, s):
-                raise NotLocalError("nilpotent elements do not form an ideal")
+    if not all(_is_nilpotent(products, vec) for vec in radical):
+        raise NotNilpotentError("candidate maximal ideal contains a non-nilpotent element")
+    # The radical basis is reduced: vector i is 1 at its pivot p_i and 0 at
+    # the other pivots, and one column f is free.  So the radical is the
+    # kernel of w(x) = x[f] - sum_i rad_i[f] x[p_i].
+    pivots = [next(p for p, x in enumerate(vec) if x) for vec in radical]
+    (free,) = set(range(s)).difference(pivots)
+    form = {free: Fraction(1), **{p: -vec[free] for p, vec in zip(pivots, radical) if vec[free]}}
 
-    # Change of basis: unit first, then the canonical radical basis.
-    change = [[unit[p]] + [vec[p] for vec in radical] for p in range(s)]
-    try:
-        inverse = linalg.invert(change)
-    except ValueError:
-        raise NotLocalError("unit lies in the span of the nilpotent elements") from None
+    def w(x) -> Fraction:
+        return sum(c * x[p] for p, c in form.items())
 
-    is_identity = change == linalg.identity(s)
-    columns = [[change[p][i] for p in range(s)] for i in range(s)]
+    if any(w(mul(products, e, vec, Fraction(0))) for vec in radical for e in linalg.identity(s)):
+        raise NotLocalError("nilpotent elements do not form an ideal")
+
+    # Change of basis: unit first, then the canonical radical basis, in which
+    # x = c unit + sum_i (x[p_i] - c unit[p_i]) rad_i for c = w(x) / w(unit).
+    scale = w(unit)
+    if not scale:
+        raise NotLocalError("unit lies in the span of the nilpotent elements")
+    columns = [unit, *radical]
     new_table = [[None] * s for _ in range(s)]
     for i in range(s):
         for j in range(i, s):  # the table is commutative
             product = mul(products, columns[i], columns[j], Fraction(0))
-            new_table[i][j] = new_table[j][i] = tuple(linalg.mat_vec(inverse, product))
+            c = w(product) / scale
+            new_table[i][j] = new_table[j][i] = (c, *(product[p] - c * unit[p] for p in pivots))
     new_table = tuple(tuple(row) for row in new_table)
     new_products = _sparse_products(new_table)
 
-    if is_identity:
+    if columns == linalg.identity(s):
         new_labels = labels
     else:
         new_labels = ("1",) + tuple(signed_sum(zip(vec, labels), sep="") for vec in radical)

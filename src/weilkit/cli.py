@@ -66,8 +66,13 @@ def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError:
+            raise
         except RecursionError:
             raise SpecFormatError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bytes that are not UTF-8, or an int beyond int()'s digit limit
+            what = "not valid UTF-8" if isinstance(exc, UnicodeDecodeError) else exc
+            raise SpecFormatError(f"{path}: {what}") from None
 
 
 def _emit(report: dict) -> None:

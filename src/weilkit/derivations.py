@@ -233,17 +233,18 @@ def _trusted(algebra: WeilAlgebra, columns: list[dict]) -> Derivation:
 
 def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
     """First basis pair (i, j) where D(a_i a_j) != D(a_i)a_j + a_i D(a_j),
-    or None when the Leibniz identity holds exactly everywhere."""
+    or None when the Leibniz identity holds exactly everywhere.  D(a_i a_j)
+    is summed over the non-zero constants of a_i a_j."""
     s = algebra.dim
+    products = algebra.products
     units = linalg.identity(s)
     columns = [[matrix[k][j] for k in range(s)] for j in range(s)]
-    for i in range(s):
-        for j in range(i, s):
-            lhs = linalg.mat_vec(matrix, algebra.table[i][j])
-            rhs_a = mul(algebra.products, columns[i], units[j], Fraction(0))
-            rhs_b = mul(algebra.products, columns[j], units[i], Fraction(0))
-            if any(lhs[p] != rhs_a[p] + rhs_b[p] for p in range(s)):
-                return (i, j)
+    for i, j in itertools.combinations_with_replacement(range(s), 2):
+        lhs = [sum((columns[k][p] * c for k, c in products[i][j]), _ZERO) for p in range(s)]
+        rhs_a = mul(products, columns[i], units[j], _ZERO)
+        rhs_b = mul(products, columns[j], units[i], _ZERO)
+        if any(lhs[p] != rhs_a[p] + rhs_b[p] for p in range(s)):
+            return (i, j)
     return None
 
 
@@ -539,14 +540,13 @@ def multiplicativity_residual(phi: Automorphism) -> float:
     algebra = phi.algebra
     s = algebra.dim
     worst = 0.0
-    images = [phi.apply(algebra.basis_element(i)) for i in range(s)]
-    for i in range(s):
-        for j in range(i, s):
-            product = algebra.element(algebra.table[i][j])
-            lhs = phi.apply(product)
-            rhs = images[i] * images[j]
-            worst = max(
-                worst,
-                max(abs(float(a) - float(b)) for a, b in zip(lhs.coeffs, rhs.coeffs)),
-            )
+    basis = [algebra.basis_element(i) for i in range(s)]
+    images = [phi.apply(e) for e in basis]
+    for i, j in itertools.combinations_with_replacement(range(s), 2):
+        lhs = phi.apply(basis[i] * basis[j])
+        rhs = images[i] * images[j]
+        worst = max(
+            worst,
+            max(abs(float(a) - float(b)) for a, b in zip(lhs.coeffs, rhs.coeffs)),
+        )
     return worst

@@ -129,6 +129,8 @@ def _string_list(spec: dict, key: str) -> list[str]:
         or not all(isinstance(x, str) for x in value)
     ):
         raise SpecFormatError(f"{key} must be a non-empty list of strings")
+    if any("\ud800" <= ch <= "\udfff" for x in value for ch in x):
+        raise SpecFormatError(f"{key} must not contain lone surrogates")
     check_size(f"number of {key}", len(value), MAX_DIM)
     if len(set(value)) != len(value):
         raise SpecFormatError(f"{key} must be distinct")

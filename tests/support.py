@@ -222,6 +222,29 @@ def associativity_oracle(table):
     return None
 
 
+def leibniz_oracle(algebra: WeilAlgebra, matrix):
+    """First basis pair (i, j), j >= i, in that order, with D(e_i e_j) !=
+    D(e_i) e_j + e_i D(e_j) for the dense ``matrix`` of D, read straight
+    from the dense table; None when there is none."""
+    s = algebra.dim
+    table = algebra.table
+    units = [[Fraction(int(p == q)) for p in range(s)] for q in range(s)]
+    columns = [[matrix[p][q] for p in range(s)] for q in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            lhs = [sum((matrix[p][k] * table[i][j][k] for k in range(s)), Fraction(0)) for p in range(s)]
+            rhs = [
+                a + b
+                for a, b in zip(
+                    raw_table_mul(table, columns[i], units[j]),
+                    raw_table_mul(table, units[i], columns[j]),
+                )
+            ]
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
 def expm_series_oracle(matrix, terms: int = 60):
     """Plain truncated series sum of the matrix exponential."""
     m = np.array([[float(x) for x in row] for row in matrix])
@@ -558,12 +581,19 @@ def rand_invertible(rng: random.Random, size: int):
 def scrambled_table(algebra: WeilAlgebra, rng: random.Random) -> list:
     """The algebra's structure constants over a random basis, in which the
     unit is in general not a basis element."""
-    s = algebra.dim
+    return rebased_table(algebra.table, rng)
+
+
+def rebased_table(table, rng: random.Random) -> list:
+    """A raw structure-constant table over a random basis.  The product is
+    the same, so the new table is commutative, unital or associative
+    exactly when ``table`` is."""
+    s = len(table)
     change = rand_invertible(rng, s)
     inverse = linalg.invert([row[:] for row in change])
     columns = [[change[p][i] for p in range(s)] for i in range(s)]
     return [
-        [linalg.mat_vec(inverse, raw_table_mul(algebra.table, columns[i], columns[j])) for j in range(s)]
+        [linalg.mat_vec(inverse, raw_table_mul(table, columns[i], columns[j])) for j in range(s)]
         for i in range(s)
     ]
 

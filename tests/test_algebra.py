@@ -22,6 +22,7 @@ from weilkit import (
     split_scalar_nilpotent,
     truncated_polynomial_algebra,
 )
+from weilkit import algebra, linalg
 from weilkit.algebra import _sparse_products, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from support import (
@@ -33,9 +34,11 @@ from support import (
     rand_fraction,
     rand_nilpotent,
     raw_table_mul,
+    rebased_table,
     scrambled_table,
     typed,
 )
+from test_golden import INVALID
 
 
 def dual_table():
@@ -169,18 +172,36 @@ def test_not_associative_names_the_first_failing_triple(name):
     assert str(exc.value) == expected
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
-def test_associativity_verdicts_match_the_triple_scan(name):
+# The corpus algebras whose tables are also checked over a random basis: a
+# dense table of fractional constants, so the raw table's index has a
+# common denominator above 1.  The oracle's triple scan of a dense table
+# takes O(s^5) Fraction products, so these stop at s = 8.
+REBASED = sorted(name for name, (build, args) in ORACLE_CORPUS.items() if build(*args).dim <= 8)
+
+
+@pytest.mark.parametrize(
+    "name, rebased",
+    [pytest.param(name, False, id=name) for name in sorted(ORACLE_CORPUS)]
+    + [pytest.param(name, True, id=f"{name}-rebased") for name in REBASED],
+)
+def test_associativity_verdicts_match_the_triple_scan(name, rebased):
     # The corpus table itself, then copies with one symmetric entry of m * m
     # perturbed: commutativity and the unit e_0 survive, associativity
-    # mostly does not.
+    # mostly does not.  A rebased case changes the basis of each table
+    # after the perturbation, which keeps all three properties as they are.
     build, args = ORACLE_CORPUS[name]
     A = build(*args)
     s = A.dim
+    basis_rng = random.Random(1000 + s)
+
+    def rebase(table):
+        return rebased_table(table, basis_rng) if rebased else table
+
     labels = [f"a{i}" for i in range(s)]
     table = [[list(entry) for entry in row] for row in A.table]
-    assert _associativity_message(labels, table) is None
-    assert associativity_oracle(table) is None
+    good = rebase(table)
+    assert _associativity_message(labels, good) is None
+    assert associativity_oracle(good) is None
     rng = random.Random(s)
     for _ in range(3 if s > 1 else 0):
         i, j, k = rng.randrange(1, s), rng.randrange(1, s), rng.randrange(s)
@@ -188,6 +209,7 @@ def test_associativity_verdicts_match_the_triple_scan(name):
         bad[i][j][k] += 1
         if i != j:
             bad[j][i][k] += 1
+        bad = rebase(bad)
         assert _associativity_message(labels, bad) == _oracle_message(labels, bad)
 
 
@@ -455,3 +477,49 @@ def test_coprime_denominators_keep_the_fraction_loop():
         assert typed(mul(A.products, u, v, Fraction(0))) == typed(
             mul_oracle(A.products, u, v, Fraction(0))
         )
+
+
+def _corpus_raw_tables() -> dict:
+    """The raw tables of the scrambled corpus algebras, by name."""
+    raw = {}
+    for name, (_, params) in ORACLE_CORPUS.items():
+        if name.startswith("scrambled-"):
+            build, args, seed = params
+            raw[name] = scrambled_table(build(*args), random.Random(seed))
+    return raw
+
+
+def test_verifier_forms_no_dense_matrix_products(monkeypatch):
+    # Every check at the trust boundary, and the change to the normalised
+    # basis, multiplies through the one sparse kernel, on valid tables and
+    # on tables that fail an axiom.
+    raw = _corpus_raw_tables()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier formed a dense matrix product")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(linalg, "mat_vec", refuse)
+    for table in raw.values():
+        assert from_structure_constants([f"f{i}" for i in range(len(table))], table).dim == len(table)
+    for spec in INVALID.values():
+        with pytest.raises(AlgebraAxiomError):
+            algebra_from_spec(spec)
+
+
+def test_verifier_multiplies_on_integers_within_the_budget(monkeypatch):
+    # A raw table within the compact budget is verified on its integer
+    # form from the start: the kernel never enters its Fraction loop.
+    raw = _corpus_raw_tables()
+    fraction_loop = algebra._mul_loop
+
+    def integer_loop_only(table, u, v, start):
+        assert not isinstance(table, algebra.Products), "mul entered the Fraction loop"
+        return fraction_loop(table, u, v, start)
+
+    assert all(_sparse_products(table).numerators is not None for table in raw.values())
+    assert any(_sparse_products(table).denominator > 1 for table in raw.values())
+    monkeypatch.setattr(algebra, "_mul_loop", integer_loop_only)
+    for name, table in raw.items():
+        A = from_structure_constants([f"f{i}" for i in range(len(table))], table)
+        assert A == ORACLE_CORPUS[name][0](*ORACLE_CORPUS[name][1]), name

@@ -404,6 +404,58 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     assert err.startswith("parse error:") and "nested too deeply" in err
 
 
+# Input files that json.load refuses before any JSON is read: bytes that
+# are not UTF-8, and an integer beyond int()'s limit of 4300 digits.  Each
+# is a parse failure naming the file, as spec or as point.
+UNREADABLE = {
+    "not-utf8": (b'{"type": "truncated_polynomial", "variables": ["x\xff"], "order": 2}',
+                 "not valid UTF-8"),
+    "long-int": (b'{"type": "truncated_polynomial", "variables": ["x"], "order": '
+                 + b"9" * 5000 + b"}", "4300 digits"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("role", ["spec", "point"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_file_exits_2(capsys, files, tmp_path, name, role, as_json):
+    content, what = UNREADABLE[name]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if role == "spec":
+        argv = ["check", str(path)]
+    else:
+        argv = ["foliation", files["x3"], "--n", "1", "--point", str(path)]
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error: {path}: ") and what in err
+    assert "Traceback" not in err
+
+
+# A lone surrogate cannot be written as UTF-8, so a name holding one would
+# fail only once printed; it is refused with the spec.
+SURROGATE_SPECS = {
+    "variables": {"type": "truncated_polynomial", "variables": ["x", "\ud800"], "order": 2},
+    "labels": {"type": "structure_constants", "labels": ["1", "e\udfff"],
+               "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]},
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command", ["check", "derivations", "field"])
+@pytest.mark.parametrize("key", sorted(SURROGATE_SPECS))
+def test_names_with_lone_surrogates_exit_2(capsys, tmp_path, key, command, as_json):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SURROGATE_SPECS[key]), encoding="utf-8")
+    argv = [command, str(path)] + ["--n", "1"] * (command == "field")
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {key} must not contain lone surrogates\n"
+    assert "Traceback" not in err
+
+
 def test_liouville_all_pass(capsys):
     for n in ("1", "3"):
         code, out, _ = run(capsys, ["liouville", "--n", n])

@@ -40,6 +40,7 @@ from support import (
     exp_flow_oracle,
     expm_series_oracle,
     float_mat_mul_oracle,
+    leibniz_oracle,
     lie_structure_oracle,
     mat_sub,
     rand_element,
@@ -201,6 +202,35 @@ def test_non_derivation_matrix_rejected():
     for rows in ([[0]], [[0, 0, 0], [0, 0, -1]], [[0, 0], [0, -1], [0, 0]]):
         with pytest.raises(ValueError, match="must be 2 x 2"):
             Derivation(D, F(rows))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_checking_constructor_names_the_dense_scans_first_failing_pair(name, monkeypatch):
+    # Perturb one entry of each of a few basis matrices; the constructor
+    # names the first pair the dense scan finds, from the sparse index and
+    # without a dense matrix-vector product.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    s = A.dim
+    rng = random.Random(s)
+    cases = []
+    for d in derivation_basis(A)[:3]:
+        matrix = [list(row) for row in d.matrix]
+        p, q = rng.randrange(s), rng.randrange(s)
+        matrix[p][q] += rand_fraction(rng) or 1
+        cases.append((matrix, leibniz_oracle(A, matrix)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Leibniz check formed a dense matrix-vector product")
+
+    monkeypatch.setattr(la, "mat_vec", refuse)
+    for matrix, pair in cases:
+        if pair is None:
+            assert leibniz_residual(A, matrix) is None
+            continue
+        with pytest.raises(ValueError) as exc:
+            Derivation(A, matrix)
+        assert str(exc.value) == f"matrix violates the Leibniz identity on basis pair {pair}"
 
 
 def test_dimension_is_basis_independent():
