@@ -104,7 +104,7 @@ def check_size(what: str, value: int, cap: int) -> None:
 
 def check_same_algebra(a: "WeilAlgebra", b: "WeilAlgebra", message: str) -> None:
     """Raise ValueError(message) unless ``a`` and ``b`` are equal algebras;
-    the identity test first spares the table comparison."""
+    the identity test first spares comparing their structure constants."""
     if a is not b and a != b:
         raise ValueError(message)
 
@@ -154,32 +154,41 @@ class Frozen:
 class WeilAlgebra(Frozen):
     """Verified local algebra over a normalised basis.
 
-    ``table[i][j][k]`` is the coefficient of basis element k in the product
-    of basis elements i and j.  Basis element 0 is the unit; elements
-    1..dim-1 span the maximal ideal.  ``height`` is the smallest k with
-    m^(k+1) = 0 and ``width`` is dim(m/m^2).  ``products`` is the sparse
-    index of ``table`` that :func:`mul` reads; it stays out of ``==`` and
-    ``hash``, and the hash reads only the labels, height and width.
+    ``products`` is the sparse index of the structure constants that
+    :func:`mul` reads: ``products[i][j]`` lists the pairs (k, c) with c the
+    non-zero coefficient of basis element k in the product of basis
+    elements i and j.  Basis element 0 is the unit; elements 1..dim-1 span
+    the maximal ideal.  ``height`` is the smallest k with m^(k+1) = 0 and
+    ``width`` is dim(m/m^2).  Algebras compare by all four fields; the hash
+    reads only the labels, height and width.
     """
 
-    __slots__ = ("labels", "table", "height", "width", "products")
-    _fields = ("labels", "table", "height", "width")
+    __slots__ = _fields = ("labels", "products", "height", "width")
 
     labels: tuple[str, ...]
-    table: Table
+    products: Products
     height: int
     width: int
-    products: Products
 
-    def __init__(self, labels, table, height, width, products):
+    def __init__(self, labels, products, height, width):
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "products", products)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "products", products)
 
     def __hash__(self) -> int:
         return hash((self.labels, self.height, self.width))
+
+    @property
+    def table(self) -> Table:
+        """Dense view of ``products``, built on each read: ``table[i][j][k]``
+        is the coefficient of basis element k in the product of basis
+        elements i and j.  Nothing in the package reads it."""
+        zero, s = Fraction(0), self.dim
+        return tuple(
+            tuple(tuple(dict(entry).get(k, zero) for k in range(s)) for entry in row)
+            for row in self.products
+        )
 
     @property
     def dim(self) -> int:
@@ -319,8 +328,8 @@ def format_element(u: AlgebraElement) -> str:
 
 class Products(tuple):
     """The sparse index of a structure-constant table: ``products[i][j]``
-    lists the pairs (k, c) with a non-zero constant c = table[i][j][k], in
-    ascending k.
+    lists the pairs (k, c), in ascending k, with c the non-zero coefficient
+    of basis element k in the product of basis elements i and j.
 
     ``numerators`` is the same index over integers, each constant times
     ``denominator``, their common denominator (1 for a monomial table);
@@ -330,7 +339,7 @@ class Products(tuple):
     takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
     use, for float coordinates; None when a constant is beyond the float
-    range.  All are plain attributes, so a table compares and hashes by
+    range.  All are plain attributes, so an index compares and hashes by
     its entries alone.
     """
 
@@ -347,12 +356,11 @@ class Products(tuple):
             return None
 
 
-def _sparse_products(table) -> Products:
-    """Index the non-zero structure constants of a table of Fractions, and
-    attach their compact integer form if it exists."""
-    products = Products(
-        tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in table
-    )
+def _sparse_products(rows) -> Products:
+    """The :class:`Products` index of ``rows`` of sparse entries, tuples of
+    pairs (k, c) with non-zero Fractions c in ascending k, with the compact
+    integer form of the constants attached if it exists."""
+    products = Products(tuple(row) for row in rows)
     form = compact_integer_form([c for row in products for entry in row for _, c in entry])
     if form:
         numerators, products.denominator = form
@@ -570,7 +578,9 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
 # ----------------------------------------------------------------- raw tables
 
 
-def _table_from(raw) -> list[list[list[Fraction]]]:
+def _sparse_rows(raw) -> list[tuple]:
+    """The sparse rows of a raw s x s x s table (see :class:`Products`),
+    its entries read as Fractions."""
     s = len(raw)
 
     def sized(part):
@@ -578,7 +588,13 @@ def _table_from(raw) -> list[list[list[Fraction]]]:
             raise ValueError("structure-constant tensor is not s x s x s")
         return part
 
-    return [[[Fraction(x) for x in sized(entry)] for entry in sized(row)] for row in raw]
+    return [
+        tuple(
+            tuple((k, c) for k, c in enumerate(map(Fraction, sized(entry))) if c)
+            for entry in sized(row)
+        )
+        for row in raw
+    ]
 
 
 def _check_commutative(products, labels) -> None:
@@ -633,20 +649,33 @@ def _check_associative(products, unit, labels) -> None:
 
 def _find_unit(products) -> list[Fraction] | None:
     # Solve u * a_j = a_j for all j; commutativity makes this two-sided.
-    # Row j*s + k holds the constants table[i][j][k] over i.
+    # Row (j, k) holds the constants table[i][j][k] over i in column i and
+    # its right-hand side, 1 for j = k, in column s.  The system has at most
+    # one solution, the unit.
     s = len(products)
-    rows = [[Fraction(0)] * s for _ in range(s * s)]
+    rows: dict = {}
     for i, row in enumerate(products):
         for j, entry in enumerate(row):
             for k, c in entry:
-                rows[j * s + k][i] = c
-    return linalg.solve(rows, [Fraction(int(j == k)) for j in range(s) for k in range(s)])
+                rows.setdefault((j, k), {})[i] = c
+    for j in range(s):
+        rows.setdefault((j, j), {})[s] = 1
+    echelon: dict = {}
+    for row in sorted(rows.values(), key=len):
+        if not linalg.eliminate(echelon, row, s) and row:
+            return None  # the row reduced to 0 = its non-zero right-hand side
+    unit = [Fraction(0)] * s
+    for lead, row in linalg.back_reduce(echelon).items():
+        if s in row:
+            unit[lead] = row[s]
+    return unit
 
 
 def _trace_form_kernel(products) -> list[list[Fraction]]:
     # In characteristic zero the radical is the kernel of the trace form
     # of the regular representation: x is nilpotent iff trace(M_{x*a}) = 0
-    # for every a.
+    # for every a.  The kernel basis is returned reduced: each vector is 1
+    # at its own leading column and 0 at the others', in increasing order.
     s = len(products)
     traces = [
         sum((c for q, entry in enumerate(row) for k, c in entry if k == q), Fraction(0))
@@ -656,7 +685,11 @@ def _trace_form_kernel(products) -> list[list[Fraction]]:
         [sum((c * traces[k] for k, c in products[i][j]), Fraction(0)) for i in range(s)]
         for j in range(s)
     ]
-    return linalg.nullspace(gram, s)
+    kernel: dict = {}
+    for vec in linalg.null_vectors(linalg.back_reduce(linalg.echelon_form(gram)), s):
+        linalg.eliminate(kernel, vec, s)
+    reduced = sorted(linalg.back_reduce(kernel).items())
+    return [[vec.get(k, Fraction(0)) for k in range(s)] for _, vec in reduced]
 
 
 def _is_nilpotent(products, vec: Sequence[Fraction]) -> bool:
@@ -691,7 +724,7 @@ def from_structure_constants(
         raise ValueError("algebra dimension must be at least 1")
     if len(raw_table) != len(labels):
         raise ValueError("label count does not match table size")
-    products = _sparse_products(_table_from(raw_table))
+    products = _sparse_products(_sparse_rows(raw_table))
     s = len(products)
 
     _check_commutative(products, labels)
@@ -727,14 +760,14 @@ def from_structure_constants(
     if not scale:
         raise NotLocalError("unit lies in the span of the nilpotent elements")
     columns = [unit, *radical]
-    new_table = [[None] * s for _ in range(s)]
+    rows = [[None] * s for _ in range(s)]
     for i in range(s):
         for j in range(i, s):  # the table is commutative
             product = mul(products, columns[i], columns[j], Fraction(0))
             c = w(product) / scale
-            new_table[i][j] = new_table[j][i] = (c, *(product[p] - c * unit[p] for p in pivots))
-    new_table = tuple(tuple(row) for row in new_table)
-    new_products = _sparse_products(new_table)
+            coords = (c, *(product[p] - c * unit[p] for p in pivots))
+            rows[i][j] = rows[j][i] = tuple((k, x) for k, x in enumerate(coords) if x)
+    new_products = _sparse_products(rows)
 
     if columns == linalg.identity(s):
         new_labels = labels
@@ -742,9 +775,7 @@ def from_structure_constants(
         new_labels = ("1",) + tuple(signed_sum(zip(vec, labels), sep="") for vec in radical)
 
     height, width = _height_and_width(new_products)
-    return WeilAlgebra(
-        labels=new_labels, table=new_table, height=height, width=width, products=new_products
-    )
+    return WeilAlgebra(labels=new_labels, products=new_products, height=height, width=width)
 
 
 def _height_and_width(products: Products) -> tuple[int, int]:
@@ -882,22 +913,16 @@ def _monomial_basis_algebra(names, exponents) -> WeilAlgebra:
     # after it, so the table is already normalised.  A product is the basis
     # monomial with the summed exponent, or zero when that exponent is not
     # standard; m^k is spanned by the standard monomials of degree >= k.
-    index = {e: i for i, e in enumerate(exponents)}
-    zero, one = Fraction(0), Fraction(1)
-    table = []
-    for ei in exponents:
-        row = []
-        for ej in exponents:
-            k = index.get(tuple(a + b for a, b in zip(ei, ej)))
-            row.append(tuple(one if q == k else zero for q in range(len(exponents))))
-        table.append(tuple(row))
-    table = tuple(table)
+    index = {e: ((i, Fraction(1)),) for i, e in enumerate(exponents)}
+    rows = [
+        tuple(index.get(tuple(a + b for a, b in zip(ei, ej)), ()) for ej in exponents)
+        for ei in exponents
+    ]
     return WeilAlgebra(
         labels=tuple(monomial_str(e, names) for e in exponents),
-        table=table,
+        products=_sparse_products(rows),
         height=max(sum(e) for e in exponents),
         width=sum(1 for e in exponents if sum(e) == 1),
-        products=_sparse_products(table),
     )
 
 

@@ -48,7 +48,7 @@ from .jsonio import (
     scalar_to_json,
 )
 from .nearpoints import NearPoint, chart_variable_names
-from .poly import PolynomialParseError, format_scalar
+from .poly import PolynomialParseError, format_scalar, quoted
 
 
 def _use_color() -> bool:
@@ -341,7 +341,7 @@ def _number(kind, low=None, high=None):
         try:
             value = kind(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from exc
+            raise argparse.ArgumentTypeError(f"{quoted(text)} is not a valid {kind.__name__}") from exc
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError("must be finite")
         if low is not None and value < low:

@@ -307,8 +307,17 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     # D maps monomial u to images[u], so D = D_M M^-1 for the matrix M whose
     # columns are the monomials: entry (p, u) of D_M adds its multiple of
     # row u of M^-1 to row p of D, which is entry p*s + q of a row-major row.
-    inverse = linalg.invert([list(row) for row in zip(*monomials)])
-    inverse = [{q: c for q, c in enumerate(row) if c} for row in inverse]
+    # The monomials span the algebra, so the reduced rows of [M | I] are
+    # [I | M^-1]: row u holds row u of M^-1 in columns s + q.
+    augmented: dict = {}
+    for p in range(s):
+        row = {u: m[p] for u, m in enumerate(monomials) if m[p]}
+        row[s + p] = one
+        linalg.eliminate(augmented, row, s)
+    inverse = [
+        {q - s: c for q, c in sorted(row.items()) if q >= s}
+        for _, row in sorted(linalg.back_reduce(augmented).items())
+    ]
     expansion: dict = {}  # unknown -> [(p, u, its coefficient in D(M_u)_p)]
     for u, image in enumerate(images):
         for p, form in enumerate(image):

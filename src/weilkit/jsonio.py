@@ -1,4 +1,4 @@
-"""JSON formats for algebra specs, near points, oracles and reports.
+"""JSON formats for algebra specs, near points and reports.
 
 Rationals travel as strings ``"p/q"`` in lowest terms with the sign on the
 numerator, so serialised data round-trips bit for bit.  Floats are accepted
@@ -20,8 +20,8 @@ from .algebra import (
     truncated_polynomial_algebra,
 )
 from .derivations import Derivation, LieStructure
-from .nearpoints import NearPoint, TaylorOracle, make_near_point
-from .poly import parse_monomial
+from .nearpoints import NearPoint, make_near_point
+from .poly import parse_monomial, quoted
 
 
 class SpecFormatError(ValueError):
@@ -35,22 +35,22 @@ def fraction_to_str(x: Fraction) -> str:
 def rational_from_json(value) -> Fraction:
     """Exact rational from a JSON int or "p/q" string; floats are rejected."""
     if isinstance(value, bool):
-        raise SpecFormatError(f"expected a rational, got {value!r}")
+        raise SpecFormatError(f"expected a rational, got {quoted(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFormatError(f"bad rational literal {value!r}") from exc
-    raise SpecFormatError(f"expected a rational, got {value!r}")
+            raise SpecFormatError(f"bad rational literal {quoted(value)}") from exc
+    raise SpecFormatError(f"expected a rational, got {quoted(value)}")
 
 
 def scalar_from_json(value):
     """Rational where possible, float when the JSON value is a finite float."""
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise SpecFormatError(f"expected a finite number, got {value!r}")
+            raise SpecFormatError(f"expected a finite number, got {quoted(value)}")
         return value
     return rational_from_json(value)
 
@@ -104,18 +104,23 @@ def algebra_from_spec(spec: dict) -> WeilAlgebra:
             raise SpecFormatError(f"table must be a {s} x {s} x {s} nested list for {s} labels")
         rational = [[[rational_from_json(x) for x in entry] for entry in row] for row in table]
         return from_structure_constants(labels, rational)
-    raise SpecFormatError(f"unknown algebra spec type {kind!r}")
+    raise SpecFormatError(f"unknown algebra spec type {quoted(kind)}")
 
 
 def algebra_to_spec(algebra: WeilAlgebra) -> dict:
-    """Emit the verified table as a structure-constants spec."""
+    """Emit the verified table as a structure-constants spec, written from
+    the sparse index with "0/1" for every zero constant."""
+
+    def entry(pairs) -> list[str]:
+        out = ["0/1"] * algebra.dim
+        for k, c in pairs:
+            out[k] = fraction_to_str(c)
+        return out
+
     return {
         "type": "structure_constants",
         "labels": list(algebra.labels),
-        "table": [
-            [[fraction_to_str(x) for x in entry] for entry in row]
-            for row in algebra.table
-        ],
+        "table": [[entry(pairs) for pairs in row] for row in algebra.products],
     }
 
 
@@ -139,10 +144,10 @@ def _string_list(spec: dict, key: str) -> list[str]:
 
 def _monomial_exponents(text: str, variables: Sequence[str]):
     if not isinstance(text, str):
-        raise SpecFormatError(f"relation must be a string, got {text!r}")
+        raise SpecFormatError(f"relation must be a string, got {quoted(text)}")
     exponents = parse_monomial(text, variables)
     if exponents is None:
-        raise SpecFormatError(f"relation {text!r} is not a plain monomial")
+        raise SpecFormatError(f"relation {quoted(text)} is not a plain monomial")
     return exponents
 
 
@@ -194,57 +199,6 @@ def near_point_to_json(point: NearPoint) -> dict:
             [scalar_to_json(c) for c in comp.coeffs[1:]] for comp in point.components
         ],
     }
-
-
-# -------------------------------------------------------------- Taylor oracles
-
-
-def taylor_oracle_from_json(data: dict) -> TaylorOracle:
-    """Oracle from {"base": [...], "partials": {"(2,0)": value, ...}}."""
-    if not isinstance(data, dict):
-        raise SpecFormatError("oracle must be a JSON object")
-    base = data.get("base")
-    if not isinstance(base, list) or not base:
-        raise SpecFormatError("base must be a non-empty list")
-    raw = data.get("partials")
-    if not isinstance(raw, dict):
-        raise SpecFormatError("partials must be an object keyed by multi-index")
-    partials = {}
-    for key, value in raw.items():
-        partials[_parse_multi_index(key, len(base))] = _finite_float(value)
-    return TaylorOracle([_finite_float(b) for b in base], partials)
-
-
-def _finite_float(value) -> float:
-    """Finite float from a JSON number or rational string."""
-    try:
-        return float(scalar_from_json(value))
-    except OverflowError as exc:
-        raise SpecFormatError(f"{value!r} overflows floating point") from exc
-
-
-def taylor_oracle_to_json(oracle: TaylorOracle) -> dict:
-    return {
-        "base": list(oracle.base),
-        "partials": {
-            "(" + ",".join(str(e) for e in alpha) + ")": value
-            for alpha, value in sorted(oracle.partials().items())
-        },
-    }
-
-
-def _parse_multi_index(key: str, arity: int):
-    text = key.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        alpha = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise SpecFormatError(f"bad multi-index {key!r}") from exc
-    if len(alpha) != arity:
-        raise SpecFormatError(f"multi-index {key!r} does not match base arity {arity}")
-    return alpha
 
 
 # ------------------------------------------------------------------ reports

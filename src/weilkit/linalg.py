@@ -1,20 +1,23 @@
 """Exact linear algebra over the rationals, on integer rows.
 
-Dense matrices are row-major lists of lists of ``fractions.Fraction``;
-sparse rows are dicts from column to non-zero entry.  One incremental
-sparse echelon, :func:`eliminate`, serves every exact system, dense or
-sparse.  It is fraction-free in the manner of Bareiss (Math. Comp. 22,
-1968): a row enters as integers over one common denominator, each
-reduction cross-multiplies by the two leading entries and divides out the
-row's content, and the echelon holds primitive integer rows, so no
-``Fraction`` is formed inside the elimination.  A reduced row is a
-non-zero multiple of the row that elimination over ``Fraction`` with
-leading ones would give, so the rank and the spans are the same, and
-``Fraction``s are built only where a caller reads values: a remainder
-left by :func:`eliminate`, and the reduced row echelon form of
-:func:`back_reduce`, from which the rref, nullspace, solutions and
-inverses are read.  Only :func:`rank_with_tolerance` has a float
-elimination of its own, for points with float coordinates.
+Sparse rows are dicts from column to non-zero entry; dense matrices are
+row-major lists of lists.  One incremental sparse echelon,
+:func:`eliminate`, serves every exact system: callers feed it sparse rows,
+with a right-hand side or tracking columns at and beyond a column
+``limit`` where they need one, and read the results off the rows of
+:func:`back_reduce` and :func:`null_vectors`.  It is fraction-free in the
+manner of Bareiss (Math. Comp. 22, 1968): a row enters as integers over
+one common denominator, each reduction cross-multiplies by the two leading
+entries and divides out the row's content, and the echelon holds
+primitive integer rows, so no ``Fraction`` is formed inside the
+elimination.  A reduced row is a non-zero multiple of the row that
+elimination over ``Fraction`` with leading ones would give, so the rank
+and the spans are the same, and ``Fraction``s are built only where a
+caller reads values: a remainder left by :func:`eliminate`, and the
+reduced row echelon form of :func:`back_reduce`.  Only
+:func:`rank_with_tolerance` has a float elimination of its own, for points
+with float coordinates, and :func:`mat_mul` and :func:`mat_vec` serve the
+float flows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 _ZERO = Fraction(0)
@@ -186,7 +188,9 @@ def null_vectors(reduced: dict, ncols: int) -> list[dict]:
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form.  Returns (reduced rows, pivot columns);
-    the rows beyond the rank are zero."""
+    the rows beyond the rank are zero.  The dense front door of
+    :func:`back_reduce`: nothing in the package calls it, the tests and the
+    benchmark's spans do."""
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -196,51 +200,12 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return dense + [[_ZERO] * ncols for _ in range(len(rows) - len(pivots))], pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(echelon_form(rows))
-
-
-def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
-    """Canonical basis of the right nullspace of a matrix.
-
-    The returned basis is itself in reduced row echelon form, hence unique
-    for a given solution space: each vector leads with 1 in a column where
-    every other basis vector vanishes, and leading columns increase.
-    """
-    basis = null_vectors(back_reduce(echelon_form(rows)), ncols)
-    return rref([[vec.get(j, _ZERO) for j in range(ncols)] for vec in basis])[0]
-
-
-def solve(rows: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution of ``rows @ x = rhs`` (free variables set to 0),
-    or None when the system is inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [_ZERO] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
-
-
-def invert(mat: Matrix) -> Matrix:
-    n = len(mat)
-    aug = [list(row) + ident_row for row, ident_row in zip(mat, identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
-
-
 def rank_with_tolerance(rows: list[list[float]], tol: float) -> int:
     """Rank by float Gaussian elimination with partial pivoting; pivots of
     absolute value <= tol count as zero.  With tol = 0 it is the exact rank
     of the entries (ints, Fractions or floats, each taken exactly)."""
     if tol == 0:
-        return rank(rows)
+        return len(echelon_form(rows))
     m = [[float(x) for x in row] for row in rows]
     if not m:
         return 0

@@ -30,6 +30,16 @@ def grlex_key(exponents: Exponents) -> tuple:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
+QUOTE_LIMIT = 40
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, cut to QUOTE_LIMIT characters
+    ending in "…", so that a message about a long input stays short."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 1] + "…"
+
+
 class PolynomialParseError(ValueError):
     """Malformed polynomial text; ``position`` is the 0-based offset of the error."""
 
@@ -341,7 +351,7 @@ class _Parser:
         terms = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
-            raise PolynomialParseError(f"unexpected {value!r}", pos)
+            raise PolynomialParseError(f"unexpected {quoted(value)}", pos)
         return Polynomial._from_terms(self.nvars, terms)
 
     # Each rule returns its value as terms: a dict from exponent tuples to
@@ -395,7 +405,7 @@ class _Parser:
         if kind == "name":
             self.advance()
             if value not in self.index:
-                raise PolynomialParseError(f"unknown variable {value!r}", pos)
+                raise PolynomialParseError(f"unknown variable {quoted(value)}", pos)
             exponents = [0] * self.nvars
             exponents[self.index[value]] = 1
             return {tuple(exponents): 1}
@@ -476,7 +486,7 @@ def parse_monomial(text: str, variables: Sequence[str]) -> Exponents | None:
             unit_factors = _integer(value, pos) == 1 and unit_factors
         elif kind == "name":
             if value not in parser.index:
-                raise PolynomialParseError(f"unknown variable {value!r}", pos)
+                raise PolynomialParseError(f"unknown variable {quoted(value)}", pos)
             power = 1
             if parser.peek()[0] == "^":
                 parser.advance()

@@ -99,7 +99,7 @@ def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
                     rows.append(row)
     matrices = [
         tuple(tuple(vec[p * s : (p + 1) * s]) for p in range(s))
-        for vec in linalg.nullspace(rows, n_unknowns)
+        for vec in nullspace_oracle(rows, n_unknowns)
     ]
     if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
         matrices = [tuple(tuple(-x for x in row) for row in matrices[0])]
@@ -200,6 +200,32 @@ def rref_oracle(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def nullspace_oracle(rows, ncols):
+    """Canonical basis of the right nullspace, from :func:`rref_oracle`: one
+    vector per free column, the basis itself in reduced row echelon form."""
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return rref_oracle(basis)[0]
+
+
+def invert_oracle(mat):
+    """Inverse of a square rational matrix, read from :func:`rref_oracle` of
+    [M | I]; ValueError when the matrix is singular."""
+    n = len(mat)
+    red, pivots = rref_oracle(
+        [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red[:n]]
 
 
 def associativity_oracle(table):
@@ -572,7 +598,7 @@ def rand_invertible(rng: random.Random, size: int):
             [Fraction(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)
         ]
         try:
-            linalg.invert([row[:] for row in mat])
+            invert_oracle(mat)
             return mat
         except ValueError:
             continue
@@ -590,7 +616,7 @@ def rebased_table(table, rng: random.Random) -> list:
     exactly when ``table`` is."""
     s = len(table)
     change = rand_invertible(rng, s)
-    inverse = linalg.invert([row[:] for row in change])
+    inverse = invert_oracle(change)
     columns = [[change[p][i] for p in range(s)] for i in range(s)]
     return [
         [linalg.mat_vec(inverse, raw_table_mul(table, columns[i], columns[j])) for j in range(s)]

@@ -23,7 +23,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit import algebra, linalg
-from weilkit.algebra import _sparse_products, integer_form, mul
+from weilkit.algebra import _sparse_products, _sparse_rows, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from support import (
     ORACLE_CORPUS,
@@ -35,6 +35,7 @@ from support import (
     rand_nilpotent,
     raw_table_mul,
     rebased_table,
+    rref_oracle,
     scrambled_table,
     typed,
 )
@@ -350,7 +351,7 @@ RAW_TABLES = {
 def kernel_products(name):
     if name in RAW_TABLES:
         build, args, seed = RAW_TABLES[name]
-        return _sparse_products(scrambled_table(build(*args), random.Random(seed)))
+        return _sparse_products(_sparse_rows(scrambled_table(build(*args), random.Random(seed))))
     build, args = ORACLE_CORPUS[name]
     return build(*args).products
 
@@ -397,7 +398,7 @@ def test_float_copy_is_read_by_float_operands_only():
     # all floats on one side read it, and exact, mixed and polynomial ones
     # never do.
     rng = random.Random(9)
-    products = _sparse_products(truncated_polynomial_algebra(2, 2).table)
+    products = _sparse_products(truncated_polynomial_algebra(2, 2).products)
     s = len(products)
     products.floats = tuple(
         tuple(tuple((k, c + 1.0) for k, c in entry) for entry in row) for row in products.floats
@@ -464,7 +465,7 @@ def test_coprime_denominators_keep_the_fraction_loop():
     s = 12
     dens = iter(coprime_denominators(s**3))
     raw = [[[Fraction(rng.randint(1, 10**9), next(dens)) for _ in range(s)] for _ in range(s)] for _ in range(s)]
-    assert _sparse_products(raw).numerators is None
+    assert _sparse_products(_sparse_rows(raw)).numerators is None
     with pytest.raises(AlgebraAxiomError):
         from_structure_constants([f"e{i}" for i in range(s)], raw)
     labels, table = coprime_table(3, rng)
@@ -487,6 +488,41 @@ def _corpus_raw_tables() -> dict:
             build, args, seed = params
             raw[name] = scrambled_table(build(*args), random.Random(seed))
     return raw
+
+
+def test_unit_solve_matches_gauss_jordan():
+    # The unit is solved for on the sparse echelon, with the right-hand side
+    # of u * e_j = e_j past the limit; the oracle solves the dense system by
+    # Gauss-Jordan.  Perturbing one symmetric constant of a raw table keeps
+    # it commutative and mostly leaves no unit.
+    rng = random.Random(3)
+    tables = [dual_table(), product_table(), [[[0]]]]
+    for table in _corpus_raw_tables().values():
+        s = len(table)
+        i, j, k = rng.randrange(s), rng.randrange(s), rng.randrange(s)
+        bad = [[list(entry) for entry in row] for row in table]
+        bad[i][j][k] += 1
+        if i != j:
+            bad[j][i][k] += 1
+        tables += [table, bad]
+    found = []
+    for table in tables:
+        s = len(table)
+        rows = [
+            [Fraction(table[i][j][k]) for i in range(s)] + [Fraction(int(j == k))]
+            for j in range(s)
+            for k in range(s)
+        ]
+        red, pivots = rref_oracle(rows)
+        expected = None
+        if s not in pivots:
+            expected = [Fraction(0)] * s
+            for row, pc in zip(red, pivots):
+                expected[pc] = row[s]
+        unit = algebra._find_unit(_sparse_products(_sparse_rows(table)))
+        assert unit == expected
+        found.append(unit is not None)
+    assert any(found) and not all(found)
 
 
 def test_verifier_forms_no_dense_matrix_products(monkeypatch):
@@ -517,8 +553,9 @@ def test_verifier_multiplies_on_integers_within_the_budget(monkeypatch):
         assert not isinstance(table, algebra.Products), "mul entered the Fraction loop"
         return fraction_loop(table, u, v, start)
 
-    assert all(_sparse_products(table).numerators is not None for table in raw.values())
-    assert any(_sparse_products(table).denominator > 1 for table in raw.values())
+    indexed = [_sparse_products(_sparse_rows(table)) for table in raw.values()]
+    assert all(products.numerators is not None for products in indexed)
+    assert any(products.denominator > 1 for products in indexed)
     monkeypatch.setattr(algebra, "_mul_loop", integer_loop_only)
     for name, table in raw.items():
         A = from_structure_constants([f"f{i}" for i in range(len(table))], table)

@@ -6,13 +6,17 @@ import ast
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import weilkit
+from weilkit import WeilAlgebra, linalg, truncated_polynomial_algebra
 from weilkit.cli import main
+from weilkit.jsonio import algebra_from_spec, fraction_to_str
+from support import scrambled_table
 
 
 @pytest.fixture()
@@ -454,6 +458,88 @@ def test_names_with_lone_surrogates_exit_2(capsys, tmp_path, key, command, as_js
     assert out == ""
     assert err == f"parse error: {key} must not contain lone surrogates\n"
     assert "Traceback" not in err
+
+
+# Specs whose offending value runs to thousands of characters.
+LONG_VALUES = {
+    "table-literal": {"type": "structure_constants", "labels": ["1"],
+                      "table": [[["9" * 5000 + "/7"]]]},
+    "table-non-string": {"type": "structure_constants", "labels": ["1"],
+                         "table": [[[[9] * 2500]]]},
+    "relation-unknown-variable": {"type": "monomial_quotient", "variables": ["x"],
+                                  "relations": ["x^2", "y" * 5000]},
+    "relation-not-monomial": {"type": "monomial_quotient", "variables": ["x"],
+                              "relations": ["x^2", "x+" * 2500 + "x"]},
+    "relation-non-string": {"type": "monomial_quotient", "variables": ["x"],
+                            "relations": ["x^2", [9] * 2500]},
+    "spec-type": {"type": "t" * 5000},
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", sorted(LONG_VALUES))
+def test_long_values_are_quoted_briefly(capsys, tmp_path, name, as_json):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_VALUES[name]), encoding="utf-8")
+    code, out, err = run(capsys, ["check", str(path)] + ["--json"] * as_json)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and "…" in err
+    assert len(err.encode()) < 300
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--t"])
+def test_long_flag_values_are_quoted_briefly(capsys, files, flag):
+    argv = ["flow", files["dual"], "--n", "1", "--t", "1", "--point", files["pt_dual"]]
+    argv[argv.index(flag) + 1] = "1" * 2500 + "x" * 2500
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: '111" in err and "…" in err
+    assert len(err.encode()) < 300
+
+
+def _scrambled_spec():
+    table = scrambled_table(truncated_polynomial_algebra(2, 2), random.Random(41))
+    return {
+        "type": "structure_constants",
+        "labels": [f"f{i}" for i in range(len(table))],
+        "table": [[[fraction_to_str(x) for x in entry] for entry in row] for row in table],
+    }
+
+
+@pytest.mark.parametrize("name", ["monomial", "scrambled"])
+def test_commands_read_no_dense_form(capsys, monkeypatch, tmp_path, name):
+    # With the dense table view and the dense rref made to raise, every
+    # command exits as before with the same stdout: no code in the package
+    # reads them.
+    if name == "monomial":
+        spec = {"type": "monomial_quotient", "variables": ["x", "y"],
+                "relations": ["x^3", "x*y^2", "y^3"]}
+    else:
+        spec = _scrambled_spec()
+    spec_path, point_path = str(tmp_path / "spec.json"), str(tmp_path / "point.json")
+    with open(spec_path, "w", encoding="utf-8") as handle:
+        json.dump(spec, handle)
+    nil = [f"{(3 * q + 1) % 7 - 3}/{q + 2}" for q in range(1, algebra_from_spec(spec).dim)]
+    with open(point_path, "w", encoding="utf-8") as handle:
+        json.dump({"base": ["1/2"], "nilparts": [nil]}, handle)
+    commands = [
+        ["check", spec_path],
+        ["derivations", spec_path],
+        ["field", spec_path, "--n", "1", "--derivation", "1"],
+        ["foliation", spec_path, "--n", "1", "--point", point_path],
+        ["flow", spec_path, "--n", "1", "--derivation", "1", "--t", "0.5", "--point", point_path],
+    ]
+    argvs = [argv + flag for argv in commands for flag in ([], ["--json"])]
+    before = [run(capsys, argv)[:2] for argv in argvs]
+    assert all(code == 0 for code, _ in before)
+
+    def refuse(*args):
+        raise AssertionError("a dense form was read")
+
+    monkeypatch.setattr(WeilAlgebra, "table", property(refuse))
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert [run(capsys, argv)[:2] for argv in argvs] == before
 
 
 def test_liouville_all_pass(capsys):

@@ -26,11 +26,12 @@ from weilkit import (
     monomial_quotient_algebra,
     truncated_polynomial_algebra,
 )
-from weilkit.algebra import _sparse_products, mul
+from weilkit.algebra import _sparse_products, _sparse_rows, mul
 from support import (
     coprime_denominators,
     lie_structure_oracle,
     mul_oracle,
+    nullspace_oracle,
     rref_oracle,
     scrambled,
     scrambled_table,
@@ -52,11 +53,13 @@ COORDINATES = st.one_of(
 TABLES = {
     "truncated-2-2": truncated_polynomial_algebra(2, 2).products,
     "raw-m3-41": _sparse_products(
-        scrambled_table(truncated_polynomial_algebra(2, 2), random.Random(41))
+        _sparse_rows(scrambled_table(truncated_polynomial_algebra(2, 2), random.Random(41)))
     ),
     "raw-x3-y2-xy2-7": _sparse_products(
-        scrambled_table(
-            monomial_quotient_algebra(["x", "y"], [(3, 0), (0, 2), (1, 2)]), random.Random(7)
+        _sparse_rows(
+            scrambled_table(
+                monomial_quotient_algebra(["x", "y"], [(3, 0), (0, 2), (1, 2)]), random.Random(7)
+            )
         )
     ),
 }
@@ -105,33 +108,35 @@ def matrices(draw):
     ]
 
 
-def _oracle_nullspace(rows, ncols):
-    red, pivots = rref_oracle(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[f]
-        basis.append(vec)
-    return rref_oracle(basis)[0] if basis else []
-
-
 @SETTINGS
 @hypothesis.given(matrices(), st.data())
 def test_integer_echelon_matches_gauss_jordan(rows, data):
     ncols = len(rows[0])
     red, pivots = rref_oracle(rows)
     assert la.rref(rows) == (red, pivots)
-    assert la.rank(rows) == la.rank_with_tolerance(rows, 0) == len(pivots)
-    assert la.nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
+    assert la.rank_with_tolerance(rows, 0) == len(pivots)
+    null = la.null_vectors(la.back_reduce(la.echelon_form(rows)), ncols)
+    dense = [[vec.get(j, Fraction(0)) for j in range(ncols)] for vec in null]
+    assert rref_oracle(dense)[0] == nullspace_oracle(rows, ncols)
+    # A right-hand side in column ncols, past the limit: the system is
+    # inconsistent exactly when a row reduces to a non-zero remainder there,
+    # and otherwise the reduced rows give the solution with free unknowns 0.
     rhs = data.draw(st.lists(ENTRIES["small-rational"], min_size=len(rows), max_size=len(rows)))
     for b in (rhs, la.mat_vec(rows, [Fraction(j + 1, 3) for j in range(ncols)])):
         aug_red, aug_pivots = rref_oracle([row + [y] for row, y in zip(rows, b)])
-        x = la.solve(rows, b)
-        if ncols in aug_pivots:
-            assert x is None
-        else:
+        echelon: dict = {}
+        remainders = []
+        for row, y in zip(rows, b):
+            sparse = {j: x for j, x in enumerate(row) if x}
+            if y:
+                sparse[ncols] = y
+            if not la.eliminate(echelon, sparse, ncols) and sparse:
+                remainders.append(sparse)
+        assert bool(remainders) == (ncols in aug_pivots)
+        if not remainders:
+            x = [Fraction(0)] * ncols
+            for lead, row in la.back_reduce(echelon).items():
+                x[lead] = row.get(ncols, Fraction(0))
             expected = [Fraction(0)] * ncols
             for row, pc in zip(aug_red, aug_pivots):
                 expected[pc] = row[ncols]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import weilkit.linalg as la
-from support import rand_fraction, rref_oracle
+from support import nullspace_oracle, rand_fraction, rref_oracle
 
 
 def F(rows):
@@ -21,48 +21,6 @@ def test_rref_identity_pivots():
     assert pivots == [0, 1]
 
 
-def test_nullspace_canonical_and_annihilating():
-    rows = F([[1, 2, 3], [2, 4, 6]])
-    basis = la.nullspace(rows, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert all(
-            sum(r * v for r, v in zip(row, vec)) == 0 for row in rows
-        )
-    # canonical form: leading ones at increasing positions
-    leads = [next(i for i, x in enumerate(v) if x) for v in basis]
-    assert leads == sorted(leads)
-    assert all(v[leads[i]] == 1 for i, v in enumerate(basis))
-
-
-def test_nullspace_of_empty_system_is_full():
-    assert la.nullspace([], 3) == la.identity(3)
-
-
-def test_solve_consistent_and_inconsistent():
-    rows = F([[1, 1], [1, -1]])
-    x = la.solve(rows, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
-    rows = F([[1, 1], [2, 2]])
-    assert la.solve(rows, [Fraction(1), Fraction(3)]) is None
-
-
-def test_invert_roundtrip():
-    rng = random.Random(2)
-    for _ in range(10):
-        mat = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
-        try:
-            inv = la.invert(mat)
-        except ValueError:
-            continue
-        assert la.mat_mul(mat, inv) == la.identity(3)
-
-
-def test_invert_singular_raises():
-    with pytest.raises(ValueError):
-        la.invert(F([[1, 2], [2, 4]]))
-
-
 def test_rank_with_tolerance_float_path():
     rows = [[1.0, 0.0], [1e-12, 0.0]]
     assert la.rank_with_tolerance(rows, 1e-9) == 1
@@ -71,7 +29,6 @@ def test_rank_with_tolerance_float_path():
 
 def test_rank_exact_path():
     rows = F([[1, 2], [2, 4], [0, 1]])
-    assert la.rank(rows) == 2
     assert la.rank_with_tolerance(rows, 0) == 2
 
 
@@ -109,53 +66,21 @@ def _random_matrices(seed: int, count: int = 40) -> list:
 MATRICES = _random_matrices(5)
 
 
-def _oracle_nullspace(rows, ncols):
-    red, pivots = rref_oracle(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[f]
-        basis.append(vec)
-    return rref_oracle(basis)[0]
-
-
-def _oracle_solve(rows, rhs, ncols):
-    red, pivots = rref_oracle([row + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
-
-
 @pytest.mark.parametrize("index", range(len(MATRICES)))
 def test_elimination_matches_gauss_jordan(index):
     rows = MATRICES[index]
     ncols = len(rows[0]) if rows else 4
     red, pivots = rref_oracle(rows)
     assert la.rref(rows) == (red, pivots)
-    assert la.rank(rows) == len(pivots)
     assert la.rank_with_tolerance(rows, 0) == len(pivots)
-    assert la.nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
-    if not rows:
-        return
-    rng = random.Random(index)
-    consistent = la.mat_vec(rows, [rand_fraction(rng) for _ in range(ncols)])
-    for rhs in ([rand_fraction(rng) for _ in rows], consistent):
-        x = la.solve(rows, rhs)
-        assert x == _oracle_solve(rows, rhs, ncols)
-        assert x is None or la.mat_vec(rows, x) == rhs
-    assert la.solve(rows, consistent) is not None
-    if len(rows) == ncols:
-        red, pivots = rref_oracle([row + e for row, e in zip(rows, la.identity(ncols))])
-        if pivots[:ncols] != list(range(ncols)):
-            with pytest.raises(ValueError):
-                la.invert(rows)
-        else:
-            assert la.invert(rows) == [row[ncols:] for row in red[:ncols]]
+    reduced = la.back_reduce(la.echelon_form(rows))
+    assert sorted(reduced) == pivots
+    null = la.null_vectors(reduced, ncols)
+    assert len(null) == ncols - len(pivots)
+    for vec in null:
+        assert all(sum(row[j] * x for j, x in vec.items()) == 0 for row in rows)
+    dense = [[vec.get(j, Fraction(0)) for j in range(ncols)] for vec in null]
+    assert rref_oracle(dense)[0] == nullspace_oracle(rows, ncols)
 
 
 def test_exact_rank_of_float_entries():

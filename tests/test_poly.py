@@ -155,6 +155,21 @@ def test_parse_unknown_variable():
         parse_polynomial("x9", ["x1"])
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_polynomial, "x*" + "z" * 5000),  # unknown variable
+        (parse_polynomial, "x " + "y" * 5000),  # unexpected token
+        (parse_monomial, "x*" + "z" * 5000),
+    ],
+)
+def test_parse_errors_quote_long_tokens_briefly(parse, text):
+    with pytest.raises(PolynomialParseError) as info:
+        parse(text, ["x", "y"])
+    message = str(info.value)
+    assert len(message) < 100 and "…" in message and message.endswith("(at position 2)")
+
+
 def test_parse_missing_operand():
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1 *", ["x1"])

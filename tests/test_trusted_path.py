@@ -111,23 +111,23 @@ def _coefficients(rng, s, kind):
 @pytest.mark.parametrize("kind", ["fraction", "float"])
 def test_element_products_match_reference(algebra, kind):
     rng = random.Random(11)
-    s = algebra.dim
+    s, table = algebra.dim, algebra.table
     for _ in range(20):
         u = _coefficients(rng, s, kind)
         v = _coefficients(rng, s, kind)
         product = algebra.element(u) * algebra.element(v)
-        assert list(product.coeffs) == raw_table_mul(algebra.table, u, v)
+        assert list(product.coeffs) == raw_table_mul(table, u, v)
 
 
 @pytest.mark.parametrize("kind", ["fraction", "float"])
 def test_multiplication_matrix_matches_reference(algebra, kind):
     rng = random.Random(13)
-    s = algebra.dim
+    s, table = algebra.dim, algebra.table
     for _ in range(5):
         u = _coefficients(rng, s, kind)
         mat = algebra.multiplication_matrix(algebra.element(u))
         for q in range(s):
-            column = raw_table_mul(algebra.table, u, [Fraction(int(p == q)) for p in range(s)])
+            column = raw_table_mul(table, u, [Fraction(int(p == q)) for p in range(s)])
             assert [mat[p][q] for p in range(s)] == column
 
 

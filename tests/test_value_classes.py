@@ -29,7 +29,7 @@ from weilkit.algebra import Products
 
 # Every attribute of each class, in constructor order.
 FIELDS = {
-    WeilAlgebra: ("labels", "table", "height", "width", "products"),
+    WeilAlgebra: ("labels", "products", "height", "width"),
     AlgebraElement: ("algebra", "coeffs"),
     Derivation: ("algebra", "columns"),
     LieStructure: ("basis", "brackets"),
@@ -123,14 +123,20 @@ def test_equality_and_hash(cls):
         assert len({x, y, z}) == 2
 
 
-def test_algebras_differing_only_in_products_are_equal():
-    A = dual_numbers()
+def test_algebras_differing_in_one_constant_are_unequal():
+    A = truncated_polynomial_algebra(1, 2)  # 1, x, x^2
+    assert A.products[1][1] == ((2, Fraction(1)),)
+    rows = [list(row) for row in A.products]
+    rows[1][1] = ((2, Fraction(2)),)  # x * x = 2 x^2
     B = WeilAlgebra(
-        labels=A.labels, table=A.table, height=A.height, width=A.width, products=Products()
+        labels=A.labels, products=Products(map(tuple, rows)), height=A.height, width=A.width
     )
-    assert B.products != A.products
-    assert A == B and hash(A) == hash(B)
-    assert A != WeilAlgebra(A.labels, A.table, A.height, A.width + 1, A.products)
+    assert A != B and not A == B
+    assert hash(A) == hash(B)  # the hash reads no constants
+    assert A == WeilAlgebra(A.labels, Products(A.products), A.height, A.width)
+    assert A != WeilAlgebra(A.labels, A.products, A.height, A.width + 1)
+    assert A != WeilAlgebra(A.labels, A.products, A.height + 1, A.width)
+    assert A != WeilAlgebra(("1", "y", "y^2"), A.products, A.height, A.width)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -178,15 +184,15 @@ def test_checks_raise_the_same_messages():
         Derivation(A, ((0,),))
 
 
-class _UnhashableTable(tuple):
+class _UnhashableProducts(Products):
     __hash__ = None
 
 
-def test_algebra_hash_does_not_read_the_table():
+def test_algebra_hash_does_not_read_the_products():
     A = truncated_polynomial_algebra(2, 2)
-    wrapped = WeilAlgebra(A.labels, _UnhashableTable(A.table), A.height, A.width, A.products)
+    wrapped = WeilAlgebra(A.labels, _UnhashableProducts(A.products), A.height, A.width)
     with pytest.raises(TypeError):
-        hash(wrapped.table)
+        hash(wrapped.products)
     assert wrapped == A and hash(wrapped) == hash(A)
     rebuilt = truncated_polynomial_algebra(2, 2)
     assert rebuilt is not A and hash(rebuilt) == hash(A)
