@@ -334,9 +334,11 @@ class Products(tuple):
     ``numerators`` is the same index over integers, each constant times
     ``denominator``, their common denominator (1 for a monomial table);
     :func:`mul` reads it for exact coordinates, on a raw table under
-    verification as on a verified one.  It is None on a table whose
-    :func:`compact_integer_form` would outgrow the table; :func:`mul` then
-    takes the Fraction loop.
+    verification as on a verified one, and ``derivation_basis`` solves on
+    it as the table of x∘y = denominator·xy.  A denominator of up to 64
+    bits is always admitted; it is None on a table whose larger common
+    denominator would outgrow the table (:func:`compact_integer_form`),
+    and :func:`mul` then takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
     use, for float coordinates; None when a constant is beyond the float
     range.  All are plain attributes, so an index compares and hashes by
@@ -403,12 +405,14 @@ def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
     about as small as they are.
 
     The lcm of coprime denominators grows like their product, so over a
-    whole table it could outgrow the table by any factor.  Here the lcm is
-    given up, and None returned, as soon as it would take more than twice
-    the bits of all the values once for every value; the numerators then
-    take at most three times the bits of the values.  Integer values and
-    values over one shared denominator always qualify.  None also when a
-    value is not an int or a Fraction.
+    whole table it could outgrow the table by any factor.  A common
+    denominator of up to 64 bits is always admitted, as :func:`integer_form`
+    admits one for operands; each numerator then takes at most its value's
+    bits plus 64.  Beyond 64 bits the lcm is given up, and None returned, as
+    soon as it would take more than twice the bits of all the values once
+    for every value; the numerators then take at most three times the bits
+    of the values.  Integer values and values over one shared denominator
+    always qualify.  None also when a value is not an int or a Fraction.
     """
     if not _EXACT_TYPES.issuperset(map(type, values)):
         return None
@@ -418,7 +422,8 @@ def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
     for _, d in ratios:
         if den % d:
             den = math.lcm(den, d)
-            if den.bit_length() * len(ratios) > budget:
+            bits = den.bit_length()
+            if bits > 64 and bits * len(ratios) > budget:
                 return None
     return [n * (den // d) for n, d in ratios], den
 

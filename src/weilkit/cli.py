@@ -75,6 +75,14 @@ def _load_json_file(path: str):
             raise SpecFormatError(f"{path}: {what}") from None
 
 
+def _os_error(exc: OSError) -> str:
+    """``str(exc)`` with the file name cut by ``quoted``, so that a failure
+    to open a long path stays short."""
+    if exc.filename is None or exc.strerror is None:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
@@ -414,7 +422,10 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, SpecFormatError, PolynomialParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, SizeLimitError) as exc:
+    except OSError as exc:
+        print(f"error: {_os_error(exc)}", file=sys.stderr)
+        return 2
+    except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AlgebraAxiomError, InfiniteDimensionalError) as exc:

@@ -9,14 +9,18 @@ coordinates of those values, one solver for every table.  The constraints
 come from walking the monomials in the generators
 (``algebra.monomial_walk``): each product of a generator with a monomial
 that is a combination of earlier monomials must have the same combination
-of images.  The dimension r is exact; it is also the dimension of the
-foliation the derivations induce on near-point charts.
+of images.  Where the table has integer numerators over a denominator λ,
+the walk runs on x∘y = λ·xy, which has the same derivations.  The
+dimension r is exact; it is also the dimension of the foliation the
+derivations induce on near-point charts.
 
 The same fact makes bracket coordinates cheap.  Restricting derivations
 to the columns of the generators is injective, and a bracket of
 derivations is a derivation, so the coordinates of [D_i, D_j] in the basis
 are read from its width generator columns against one sparse echelon of
 the restricted basis, r x width*s entries, instead of all s^2 entries.
+A commutator of two derivations with ``integer_columns`` is formed in
+ints over the product of their denominators.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
 k to the non-zero coefficient of basis element k in D(e_q)); the
@@ -45,6 +49,7 @@ from . import linalg
 from .algebra import (
     AlgebraElement,
     Frozen,
+    Products,
     WeilAlgebra,
     check_same_algebra,
     compact_integer_form,
@@ -259,25 +264,37 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     a product that is a combination of kept monomials makes that rule a
     linear constraint.  Together the constraints give D(g x) = g D(x) +
     x D(g) for every generator g and every x, which is the Leibniz rule by
-    induction over monomials.  The solutions become sparse row-major rows
-    and are returned in canonical reduced form (leading entry 1 in
-    row-major matrix order).  For a two-dimensional algebra the single
+    induction over monomials.  Where the table has integer numerators over
+    a denominator λ (1 on a monomial table), the walk and the Leibniz
+    forms run on the product x∘y = λ·xy, whose constants are those
+    numerators and whose unit is e_0/λ; since D(x∘y) = λ·D(xy), its
+    derivations are those of the product.  The solutions become sparse
+    row-major rows, scaled to integers, and are returned in canonical
+    reduced form (leading entry 1 in row-major matrix order).  For a two-dimensional algebra the single
     generator is rescaled so the nilpotent generator maps to minus itself,
     which makes the induced field on a tangent-bundle chart the Liouville
     field with flow e^t.
     """
     s = algebra.dim
     products = algebra.products
-    zero, one = Fraction(0), Fraction(1)
-    units = linalg.identity(s)
-    generators, monomials, parents, relations = monomial_walk(
-        products, units[0], ideal_generators(products)
-    )
+    candidates = ideal_generators(products)
+    denominator = 1
+    if products.numerators is not None:
+        # Walk x∘y = λ·xy instead, on the numerators, from its unit e_0/λ.
+        denominator = products.denominator
+        products = Products(products.numerators)
+        products.numerators = algebra.products.numerators
+    unit = [Fraction(1, denominator)] + [_ZERO] * (s - 1)
+    generators, monomials, parents, relations = monomial_walk(products, unit, candidates)
     n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
-    operators = [  # M_t * e_q, sparse
-        [{k: c for k, c in enumerate(mul(products, m, e, zero)) if c} for e in units]
-        for m in monomials
-    ]
+    # M_t * e_q, sparse: e_q for the unit, and g_a * (M_t' * e_q) for M_t = g_a * M_t'.
+    operators: list[list[dict]] = [[{q: 1} for q in range(s)]]
+    for a, t in parents[1:]:
+        row = products[generators[a]]
+        operators.append([{} for _ in range(s)])
+        for column, source in zip(operators[-1], operators[t]):
+            for p, c in source.items():
+                linalg.add_scaled(column, c, dict(row[p]))
     images: list[list[dict]] = [[{} for _ in range(s)]]  # D(M_u) as s linear forms
 
     def leibniz(a: int, t: int) -> list[dict]:
@@ -288,19 +305,21 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
                 linalg.add_scaled(forms[k], c, form)
         for q, column in enumerate(operators[t]):
             for k, c in column.items():
-                linalg.add_scaled(forms[k], c, {a * s + q: one})
+                linalg.add_scaled(forms[k], c, {a * s + q: 1})
         return forms
 
     for a, t in parents[1:]:
         images.append(leibniz(a, t))
     # g_a M_t = sum_u c M_u, so D(g_a M_t) must be the same combination of
-    # the images: s constraints, one per coordinate.
+    # the images: s constraints, one per coordinate, each scaled by the lcm
+    # of the c's denominators.
     constraints: dict = {}
     for a, t, expansion in relations:
-        forms = leibniz(a, t)
+        scale = math.lcm(*(c.denominator for c in expansion.values()))
+        forms = [{x: v * scale for x, v in form.items()} for form in leibniz(a, t)]
         for u, c in expansion.items():
             for form, image in zip(forms, images[u]):
-                linalg.add_scaled(form, -c, image)
+                linalg.add_scaled(form, -c.numerator * (scale // c.denominator), image)
         for form in forms:
             linalg.eliminate(constraints, form, n_unknowns)
 
@@ -312,12 +331,16 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     augmented: dict = {}
     for p in range(s):
         row = {u: m[p] for u, m in enumerate(monomials) if m[p]}
-        row[s + p] = one
+        row[s + p] = 1
         linalg.eliminate(augmented, row, s)
     inverse = [
         {q - s: c for q, c in sorted(row.items()) if q >= s}
         for _, row in sorted(linalg.back_reduce(augmented).items())
     ]
+    # M^-1 and each solution, scaled by the lcm of their denominators, are
+    # integers; the rows they give span the same space.
+    scale = math.lcm(*(c.denominator for row in inverse for c in row.values()))
+    inverse = [{q: c.numerator * (scale // c.denominator) for q, c in row.items()} for row in inverse]
     expansion: dict = {}  # unknown -> [(p, u, its coefficient in D(M_u)_p)]
     for u, image in enumerate(images):
         for p, form in enumerate(image):
@@ -325,8 +348,10 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
                 expansion.setdefault(x, []).append((p, u, c))
     rows = []
     for solution in linalg.null_vectors(linalg.back_reduce(constraints), n_unknowns):
+        scale = math.lcm(*(value.denominator for value in solution.values()))
         d_m: dict = {}
         for x, value in solution.items():
+            value = value.numerator * (scale // value.denominator)
             for p, u, c in expansion.get(x, ()):
                 d_m[p, u] = d_m.get((p, u), 0) + value * c
         row: dict = {}
@@ -349,7 +374,8 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
 
 
 def commutator_on(a_columns: list[dict], b_columns: list[dict], g: int) -> dict:
-    """(AB - BA) e_g as a sparse vector, for A and B given by sparse columns."""
+    """(AB - BA) e_g as a sparse vector, for A and B given by sparse columns
+    of Fractions, or of ints such as ``Derivation.integer_columns``."""
     out: dict = {}
     for q, c in b_columns[g].items():
         linalg.add_scaled(out, c, a_columns[q])
@@ -362,10 +388,21 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Commutator D1 D2 - D2 D1, a derivation by construction.
 
     Formed column by column on sparse columns, so the work follows the
-    non-zero entries of the two derivations."""
+    non-zero entries of the two derivations, and a column empty in both is
+    skipped.  When both derivations have ``integer_columns``, over da and
+    db, the columns are formed in ints and each non-zero entry is built
+    once, as a Fraction over da*db."""
     check_same_algebra(d1.algebra, d2.algebra, _DIFFERENT_ALGEBRAS)
-    a, b = d1.columns, d2.columns
-    return _trusted(d1.algebra, [commutator_on(a, b, q) for q in range(d1.algebra.dim)])
+    a, b, den = d1.columns, d2.columns, None
+    if d1.integer_columns is not None and d2.integer_columns is not None:
+        (a, da), (b, db) = d1.integer_columns, d2.integer_columns
+        den = da * db
+    columns: list[dict] = [{} for _ in a]
+    indices = range(len(a))
+    for q in {*itertools.compress(indices, a), *itertools.compress(indices, b)}:
+        column = commutator_on(a, b, q)
+        columns[q] = column if den is None else {p: Fraction(x, den) for p, x in column.items()}
+    return _trusted(d1.algebra, columns)
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:

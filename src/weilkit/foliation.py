@@ -19,6 +19,7 @@ tangent bundle: one generator, the Liouville field, fiber dilation e^t.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -220,30 +221,57 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
     agree on generators of m are equal, so comparing their columns at the
     ``ideal_generators`` is an exact proof.  The commutator is computed
     from the basis matrices themselves, independently of the elimination
-    that produced the constants.  Returns {"pairs": [...], "all_pass": bool}.
+    that produced the constants, and on integers where the derivations
+    have them (:func:`_bracket_law_holds`).  Returns {"pairs": [...],
+    "all_pass": bool}.
     """
     if n < 1:
         raise ValueError("need at least one manifold coordinate")
-    r = lie.rank
+    basis = lie.basis
+    generators = ideal_generators(basis[0].algebra.products) if basis else []
+    columns = [d.columns for d in basis]
+    forms = [d.integer_columns for d in basis]
     pairs = []
-    all_pass = True
-    if r:
-        generators = ideal_generators(lie.basis[0].algebra.products)
-        columns = [d.columns for d in lie.basis]
-    for i in range(r):
-        for j in range(i + 1, r):
-            coeffs = lie.brackets.get((i, j), {})
-            ok = True
-            for g in generators:
-                expected: dict = {}
-                for k, c in coeffs.items():
-                    linalg.add_scaled(expected, c, columns[k][g])
-                if commutator_on(columns[i], columns[j], g) != expected:
-                    ok = False
-                    break
-            all_pass = all_pass and ok
-            pairs.append({"i": i, "j": j, "pass": ok})
-    return {"pairs": pairs, "all_pass": all_pass}
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        coeffs = lie.brackets.get((i, j), {})
+        ok = _bracket_law_holds(columns, forms, i, j, coeffs, generators)
+        pairs.append({"i": i, "j": j, "pass": ok})
+    return {"pairs": pairs, "all_pass": all(pair["pass"] for pair in pairs)}
+
+
+def _bracket_law_holds(columns, forms, i, j, coeffs: dict, generators) -> bool:
+    """Whether D_i D_j - D_j D_i = sum_k c_k D_k on the generator columns,
+    for derivations given by their ``columns`` and ``integer_columns``
+    ``forms``.
+
+    Where D_i, D_j and every D_k of the sum have integer columns K over d,
+    and every c_k is an int or a Fraction, both sides are formed in ints:
+    with c_k / d_k = w_k / m over the lcm m of those denominators, the
+    identity reads m (K_i K_j - K_j K_i) = d_i d_j sum_k w_k K_k.
+    Otherwise both sides are formed on the Fraction columns."""
+    if all(forms[k] is not None for k in (i, j, *coeffs)) and all(
+        isinstance(c, (int, Fraction)) for c in coeffs.values()
+    ):
+        (a, da), (b, db) = forms[i], forms[j]
+        ratios = {k: Fraction(c, forms[k][1]) for k, c in coeffs.items()}
+        m = math.lcm(*(x.denominator for x in ratios.values()))
+        terms = [(x.numerator * (m // x.denominator), forms[k][0]) for k, x in ratios.items()]
+        left, right = m, da * db
+    else:
+        a, b = columns[i], columns[j]
+        terms = [(c, columns[k]) for k, c in coeffs.items()]
+        left = right = 1
+    for g in generators:
+        expected: dict = {}
+        for w, sum_columns in terms:
+            linalg.add_scaled(expected, w, sum_columns[g])
+        commutator = commutator_on(a, b, g) if a[g] or b[g] else {}
+        if left != right:
+            commutator = {p: left * x for p, x in commutator.items()}
+            expected = {p: right * y for p, y in expected.items()}
+        if commutator != expected:
+            return False
+    return True
 
 
 def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> NearPoint:

@@ -624,6 +624,20 @@ def rebased_table(table, rng: random.Random) -> list:
     ]
 
 
+def rescaled_table(algebra: WeilAlgebra) -> list:
+    """The algebra's structure constants over the basis f_0 = 1 and
+    f_j = (j+1)/(j+2) e_j, which is still normalised.  A constant c of
+    e_i e_j on e_k becomes c (i+1)(j+1)(k+2) / ((i+2)(j+2)(k+1)), as on the
+    benchmark's dense tables: small constants over many small coprime
+    factors, whose lcm is large next to the constants themselves."""
+    s = algebra.dim
+    scale = [Fraction(1)] + [Fraction(j + 1, j + 2) for j in range(1, s)]
+    return [
+        [[scale[i] * scale[j] / scale[k] * c for k, c in enumerate(entry)] for j, entry in enumerate(row)]
+        for i, row in enumerate(algebra.table)
+    ]
+
+
 def scrambled(algebra: WeilAlgebra, rng: random.Random) -> WeilAlgebra:
     """The same algebra as a structure-constants table over a random basis,
     so that normalisation has to find the unit and relabel."""

@@ -23,7 +23,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit import algebra, linalg
-from weilkit.algebra import _sparse_products, _sparse_rows, integer_form, mul
+from weilkit.algebra import _sparse_products, _sparse_rows, compact_integer_form, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from support import (
     ORACLE_CORPUS,
@@ -35,7 +35,9 @@ from support import (
     rand_nilpotent,
     raw_table_mul,
     rebased_table,
+    rescaled_table,
     rref_oracle,
+    scrambled,
     scrambled_table,
     typed,
 )
@@ -560,3 +562,62 @@ def test_verifier_multiplies_on_integers_within_the_budget(monkeypatch):
     for name, table in raw.items():
         A = from_structure_constants([f"f{i}" for i in range(len(table))], table)
         assert A == ORACLE_CORPUS[name][0](*ORACLE_CORPUS[name][1]), name
+
+
+def test_denominators_of_up_to_64_bits_are_always_admitted():
+    # Among many integers one constant over 2^63 (64 bits) is admitted,
+    # although its denominator counted once per value outgrows twice their
+    # bits; one over 2^64 (65 bits) is refused by that budget.
+    ones = [Fraction(1)] * 200
+    form = compact_integer_form([Fraction(1, 2**63)] + ones)
+    assert form == ([1] + [2**63] * 200, 2**63)
+    assert compact_integer_form([Fraction(1, 2**64)] + ones) is None
+    # Beyond 64 bits the budget still admits a denominator shared by few values.
+    assert compact_integer_form([Fraction(1, 2**64), Fraction(3, 2**64)]) == ([1, 3], 2**64)
+
+
+SMALL_CORPUS = [name for name, (build, args) in ORACLE_CORPUS.items()
+                if not name.startswith("scrambled-") and build(*args).dim <= 10]
+
+
+def assert_integer_numerators(products) -> list:
+    """``products`` carries every constant as an integer over the lcm of
+    their denominators, checked against math.lcm and against each constant
+    times that lcm; returns the constants."""
+    constants = [c for row in products for entry in row for _, c in entry]
+    assert products.numerators is not None
+    assert products.denominator == math.lcm(*(c.denominator for c in constants))
+    for row, integer_row in zip(products, products.numerators):
+        for entry, integer_entry in zip(row, integer_row):
+            assert [(k, c * products.denominator) for k, c in entry] == list(integer_entry)
+            assert all(type(n) is int for _, n in integer_entry)
+    return constants
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_normalised_scrambled_tables_have_integer_numerators(name):
+    # Every normalised table of a scrambled algebra up to s = 10 carries its
+    # constants as integers.  So does the same algebra over the rescaled
+    # basis, whose lcm the 64-bit floor admits where the budget alone would
+    # not (for every algebra here above s = 3 but R[x]/x^3 and the
+    # square-zero ones).
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    for seed in (41, 7):
+        assert_integer_numerators(scrambled(A, random.Random(seed)).products)
+    rescaled = from_structure_constants(A.labels, rescaled_table(A))
+    constants = assert_integer_numerators(rescaled.products)
+    den = rescaled.products.denominator
+    assert den.bit_length() <= 64
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in constants)
+    if A.height > 1 and A.dim > 3:
+        assert den.bit_length() * len(constants) > 2 * bits
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_coprime_tables_get_no_integer_numerators(width):
+    # Pairwise coprime 60-bit denominators: their lcm is beyond 64 bits and
+    # beyond the budget, on the raw table as on the normalised one.
+    labels, table = coprime_table(width, random.Random(width))
+    assert _sparse_products(_sparse_rows(table)).numerators is None
+    assert from_structure_constants(labels, table).products.numerators is None

@@ -797,3 +797,26 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(ast.literal_eval(result.stdout))
     assert "weilkit.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize("role", ["spec", "point"])
+def test_long_file_names_are_quoted_briefly(capsys, files, role):
+    # A file name of 5000 characters cannot be opened; the error quotes it
+    # cut short, for the spec and for the point alike.
+    name = "n" * 5000 + ".json"
+    if role == "spec":
+        argv = ["check", name]
+    else:
+        argv = ["foliation", files["x3"], "--n", "1", "--point", name]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and "'nnn" in err and "…" in err
+    assert len(err.encode()) < 300
+    assert "Traceback" not in err
+
+
+def test_short_file_names_keep_the_os_message(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["check", "missing.json"])
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'missing.json'\n"

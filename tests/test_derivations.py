@@ -30,6 +30,7 @@ from weilkit import (
     multiplicativity_residual,
     truncated_polynomial_algebra,
 )
+from weilkit import derivations
 from weilkit.derivations import _trusted
 from weilkit.jsonio import derivation_to_json, lie_constants_to_json, rational_from_json
 import weilkit.linalg as la
@@ -48,6 +49,8 @@ from support import (
     rand_fraction,
     rand_invertible,
     rand_near_point,
+    rescaled_table,
+    scrambled,
     sparse_brackets,
 )
 
@@ -642,3 +645,70 @@ def test_package_never_builds_the_dense_view(name):
     assert wire == [
         [[f"{x.numerator}/{x.denominator}" for x in row] for row in d.matrix] for d in involved
     ]
+
+
+SCRAMBLED_CORPUS = sorted(name for name in ORACLE_CORPUS if name.startswith("scrambled-"))
+
+
+def integer_commutators_only(monkeypatch):
+    """Make ``commutator_on`` refuse Fraction columns: it must be given
+    integer columns."""
+    original = derivations.commutator_on
+
+    def integer_only(a, b, g):
+        values = [x for columns in (a, b) for column in columns for x in column.values()]
+        assert all(type(x) is int for x in values), "formed a commutator on Fraction columns"
+        return original(a, b, g)
+
+    monkeypatch.setattr(derivations, "commutator_on", integer_only)
+
+
+@pytest.mark.parametrize("name", SCRAMBLED_CORPUS)
+def test_bracket_on_scrambled_tables_is_formed_on_integers(name, monkeypatch):
+    # Every basis derivation of a scrambled table has integer columns, so
+    # every commutator column is formed in ints; the brackets are still
+    # the dense commutators.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    assert all(d.integer_columns is not None for d in basis)
+    integer_commutators_only(monkeypatch)
+    for d1 in basis[:6]:
+        m1 = [list(row) for row in d1.matrix]
+        for d2 in basis:
+            m2 = [list(row) for row in d2.matrix]
+            expected = mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
+            assert_one_form(A, bracket(d1, d2), expected)
+    lie = lie_structure(basis)
+    assert lie.brackets == lie_structure_oracle(basis)
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+@pytest.mark.parametrize("name", ["truncated-2-2", "quotient-x3-y2-xy2", "truncated-1-5"])
+def test_basis_on_tables_over_a_denominator_matches_the_oracle(name, rescale, monkeypatch):
+    # A table whose constants share a denominator λ > 1 is walked on its
+    # integer numerators, with the unit e_0/λ; the canonical basis is
+    # still the one of the full Leibniz system over the Fraction table.
+    build, args = ORACLE_CORPUS[name]
+    base = build(*args)
+    if rescale:
+        A = from_structure_constants(base.labels, rescaled_table(base))
+    else:
+        A = scrambled(base, random.Random(41))
+    assert A.products.denominator > 1
+    walk = derivations.monomial_walk
+    walked = []
+
+    def integer_walk(products, unit, candidates):
+        walked.append((products, unit))
+        return walk(products, unit, candidates)
+
+    monkeypatch.setattr(derivations, "monomial_walk", integer_walk)
+    basis = derivation_basis(A)
+    ((products, unit),) = walked
+    assert all(type(c) is int for row in products for entry in row for _, c in entry)
+    assert unit == [Fraction(1, A.products.denominator)] + [0] * (A.dim - 1)
+    oracle = derivation_basis_oracle(A)
+    assert len(basis) == len(oracle) == len(derivation_basis(base))
+    for d, dense in zip(basis, oracle):
+        assert_one_form(A, d, dense)

@@ -34,8 +34,9 @@ from weilkit import (
     parse_polynomial,
     truncated_polynomial_algebra,
 )
+from weilkit import derivations, foliation
 from weilkit.algebra import AlgebraElement
-from weilkit.linalg import mat_vec
+from weilkit.linalg import mat_mul, mat_vec
 from weilkit.nearpoints import NearPoint
 from support import (
     coprime_denominators,
@@ -341,6 +342,105 @@ def test_involutivity_fails_on_a_perturbed_constant():
             report = involutivity_check(bad, 2)
             assert not report["all_pass"]
             assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [(i, j)]
+
+
+def commutator_spy(monkeypatch, module) -> list:
+    """Record, for every ``commutator_on`` call through ``module``, whether
+    it was given integer columns."""
+    calls = []
+    original = derivations.commutator_on
+
+    def spy(a, b, g):
+        values = [x for columns in (a, b) for column in columns for x in column.values()]
+        calls.append(all(type(x) is int for x in values))
+        return original(a, b, g)
+
+    monkeypatch.setattr(module, "commutator_on", spy)
+    return calls
+
+
+def dense_commutator(d1, d2):
+    m1 = [list(row) for row in d1.matrix]
+    m2 = [list(row) for row in d2.matrix]
+    return mat_sub(mat_mul(m1, m2), mat_mul(m2, m1))
+
+
+def test_bracket_without_integer_columns_keeps_the_fraction_commutator(monkeypatch):
+    # The combination over coprime denominators has no integer columns, so
+    # every bracket with it is formed on the Fraction columns; pairs of
+    # basis derivations are formed on integers.  Both equal the dense
+    # commutator.
+    from weilkit import bracket
+
+    *basis, combination = near_point_basis("coprime")
+    assert all(d.integer_columns is not None for d in basis)
+    calls = commutator_spy(monkeypatch, derivations)
+    for d in basis:
+        for d1, d2 in ((combination, d), (d, combination)):
+            calls.clear()
+            assert bracket(d1, d2).matrix == tuple(map(tuple, dense_commutator(d1, d2)))
+            assert calls and not any(calls)
+        calls.clear()
+        assert bracket(basis[0], d).matrix == tuple(map(tuple, dense_commutator(basis[0], d)))
+        assert all(calls)
+
+
+@pytest.mark.parametrize("name", ["scrambled-m3", "m4", "coprime", "coprime-mixed"])
+def test_involutivity_on_integer_columns_matches_the_dense_identity(name, monkeypatch):
+    # On every pair the check forms its commutator on integer columns, and
+    # passes exactly where D_i D_j - D_j D_i = sum_k c_k D_k holds on the
+    # dense matrices: for the true constants and for perturbed ones, which
+    # hold fractions the integer columns' denominators do not divide.  In
+    # "coprime-mixed" the combination over coprime denominators replaces
+    # the first basis derivation, so the pairs with it, and the pairs whose
+    # sum has it, are checked on Fraction columns.
+    base = name.removesuffix("-mixed")
+    A = NEAR_POINT_ALGEBRAS[base]
+    basis = derivation_basis(A)
+    if name != base:
+        *_, combination = near_point_basis(base)
+        basis = [combination, *basis[1:]]
+    mixed = any(d.integer_columns is None for d in basis)
+    lie = lie_structure(basis)
+    rng = random.Random(name)
+    brackets = {pair: dict(coeffs) for pair, coeffs in lie.brackets.items()}
+    for _ in range(4):
+        i, j = sorted(rng.sample(range(lie.rank), 2))
+        k = rng.randrange(lie.rank)
+        coeffs = brackets.setdefault((i, j), {})
+        coeffs[k] = coeffs.get(k, 0) + rand_fraction(rng) + Fraction(1, 7)
+    calls = commutator_spy(monkeypatch, foliation)
+    for structure in (lie, LieStructure(lie.basis, brackets)):
+        calls.clear()
+        report = involutivity_check(structure, 1)
+        assert any(calls) and all(calls) != mixed
+        matrices = [d.matrix for d in structure.basis]
+        for pair in report["pairs"]:
+            i, j = pair["i"], pair["j"]
+            combination = [[Fraction(0)] * A.dim for _ in range(A.dim)]
+            for k, c in structure.brackets.get((i, j), {}).items():
+                combination = [
+                    [x + c * y for x, y in zip(row, mk)] for row, mk in zip(combination, matrices[k])
+                ]
+            holds = dense_commutator(structure.basis[i], structure.basis[j]) == combination
+            assert pair["pass"] == holds
+        assert report["all_pass"] == (structure is lie)
+
+
+def test_involutivity_reads_int_and_float_constants_as_given():
+    # Constants given as ints run on the integer columns, floats on the
+    # Fraction columns; exact values pass on either, and a float that is
+    # off by its last bit fails.
+    lie = lie_structure(derivation_basis(NEAR_POINT_ALGEBRAS["m4"]))
+    assert all(c.denominator == 1 for coeffs in lie.brackets.values() for c in coeffs.values())
+    for convert in (int, float):
+        brackets = {pair: {k: convert(c) for k, c in coeffs.items()} for pair, coeffs in lie.brackets.items()}
+        assert involutivity_check(LieStructure(lie.basis, brackets), 1)["all_pass"]
+    (pair, coeffs), *_ = lie.brackets.items()
+    k, c = next(iter(coeffs.items()))
+    brackets = {**lie.brackets, pair: {**coeffs, k: math.nextafter(float(c), math.inf)}}
+    report = involutivity_check(LieStructure(lie.basis, brackets), 1)
+    assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [pair]
 
 
 def test_bracket_law_matrix_identity():

@@ -240,9 +240,10 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
     assert digest(code, captured.out, captured.err) == GOLDEN[case]
 
 
-def _scrambled_spec() -> dict:
-    """R[x,y]/m^4 (s = 10) over a random basis: a dense rational table."""
-    table = scrambled_table(truncated_polynomial_algebra(2, 3), random.Random(41))
+def _scrambled_spec(order: int = 3) -> dict:
+    """R[x,y]/m^(order+1) over a random basis, a dense rational table: s = 10
+    for the default order 3, s = 6 for order 2."""
+    table = scrambled_table(truncated_polynomial_algebra(2, order), random.Random(41))
     return {
         "type": "structure_constants",
         "labels": [f"f{i}" for i in range(len(table))],
@@ -273,3 +274,34 @@ def test_derivations_json_bytes(name, tmp_path, monkeypatch, capsys):
     assert main(["derivations", f"{name}.json", "--json"]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected
+
+
+# Dense tables: name -> (spec, manifold dimension n of the foliation case)
+DENSE = {"scrambled6": (_scrambled_spec(2), 2), "scrambled10": (_scrambled_spec(), 1)}
+
+# "<name>-<command>" -> digest of (exit code, stdout, stderr)
+DENSE_GOLDEN = {
+    "scrambled10-derivations": "18fd497315873cc3a005546498589a247e4f1f411a7af8136ccaec8ec5858423",
+    "scrambled10-foliation": "5a1b719cbc6695f9ba23b9a9cf981516e96f93914651890b6d202121c7ba523e",
+    "scrambled6-derivations": "10efc9a77e78aa8e6a41dbca846782c72ca9604d0098b395f9e4af128c6e378f",
+    "scrambled6-foliation": "44e2db6bf29e6b85be1e378cc07af9624d61fdccd8df1bfd35977d647ba73534",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_GOLDEN))
+def test_dense_table_output(case, tmp_path, monkeypatch, capsys):
+    """``derivations --json`` and ``foliation --json`` at a rational point
+    on scrambled tables, whose constants share a denominator above 1, byte
+    for byte."""
+    name, command = case.split("-")
+    spec, n = DENSE[name]
+    s = len(spec["labels"])
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "point.json").write_text(json.dumps(_rational_point(s, n)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "spec.json", "--json"]
+    if command == "foliation":
+        argv += ["--n", str(n), "--point", "point.json"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert digest(code, captured.out, captured.err) == DENSE_GOLDEN[case]
