@@ -27,6 +27,9 @@ coordinate 0.  Every product goes through one kernel, :func:`mul`, over
 the sparse structure constants that are indexed once per table, and it
 runs exact coordinates on integer numerators over one common
 denominator, and float coordinates on a float copy of the constants.
+Chains of exact products (polynomial values, the rows of :func:`powers`)
+call its integer half, :func:`_integer_product`, directly and stay on
+integers until the end.
 All scalars in this module are exact ``Fraction``s with no
 tolerances; elements may carry floats only in flow integration, which
 never feeds back into verification.
@@ -373,6 +376,7 @@ def _sparse_products(rows) -> Products:
     return products
 
 
+_ZERO = Fraction(0)
 _EXACT_TYPES = frozenset((int, Fraction))
 _NUMERIC_TYPES = frozenset((int, Fraction, float))
 
@@ -439,26 +443,110 @@ def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
     Every path gives, bit for bit and type for type, what the plain loop
     gives: out[k] = out[k] + (a*b)*c over the non-zero coordinates a of u
     and b of v, in the order i, then j, then k, from ``zero``.  Exact
-    operands in their :func:`integer_form` accumulate in ints through
-    ``products.numerators``, and each non-zero output is built once, as a
-    Fraction over the product of the three denominators.  When both
-    operands are numeric and the non-zero coordinates of one are all
-    floats, every term is a float that Fraction's mixed arithmetic forms
-    on float() of the exact values, so the loop runs on ``products.floats``
-    from float(zero).  Other operands, or a table too large for its integer
-    form or float copy, run the loop on the constants themselves.
+    operands in their :func:`integer_form` take :func:`_integer_product`,
+    and each non-zero output is built once, as a Fraction over the
+    product of the three denominators; a chain of exact products stays on
+    that integer product through :class:`_Exact` and builds its Fractions
+    once, at the end.  When both operands are numeric and the non-zero
+    coordinates of one are all floats, every term is a float that
+    Fraction's mixed arithmetic forms on float() of the exact values, so
+    the loop runs on ``products.floats`` from float(zero).  Other operands,
+    or a table too large for its integer form or float copy, run the loop
+    on the constants themselves.
     """
     exact_u = products.numerators is not None and integer_form(u)
     exact_v = exact_u and integer_form(v)
     if exact_v:
-        (u, du), (v, dv) = exact_u, exact_v
-        out = _mul_loop(products.numerators, u, v, 0)
-        den = du * dv * products.denominator
+        out, den = _integer_product(products, exact_u, exact_v)
         return [Fraction(x, den) if x else zero for x in out]
     out = _float_mul(products, u, v, zero)
     if out is not None:
         return out
     return _mul_loop(products, u, v, zero)
+
+
+def _integer_product(products: Products, u: tuple, v: tuple) -> tuple[list[int], int]:
+    """u*v for operands in their :func:`integer_form`: the numerators
+    accumulate in ints through ``products.numerators``, over the product
+    du·dv·λ of the two denominators and the table's ``denominator`` λ."""
+    (u, du), (v, dv) = u, v
+    return _mul_loop(products.numerators, u, v, 0), du * dv * products.denominator
+
+
+class _Exact:
+    """An exact element in the middle of a chain of products: integer
+    numerators over one positive denominator, on a table with
+    ``numerators``.  ``*`` with another one runs :func:`_integer_product`,
+    ``*`` with an int or a Fraction scales the numerators, and ``+`` adds
+    over the lcm of the denominators, so no Fraction is built until
+    :meth:`element`.  A product divides out the content of its result
+    on a table over a denominator λ > 1, where the denominator would
+    otherwise gain a factor λ per product, and wherever its denominator
+    takes more than 64 bits, where it would otherwise gain the operand's
+    whole denominator per product however small the value's own stays."""
+
+    __slots__ = ("products", "numerators", "denominator")
+
+    def __init__(self, products: Products, numerators: list[int], denominator: int):
+        self.products = products
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @classmethod
+    def lift(cls, products: Products, coords: Sequence) -> "_Exact | None":
+        """``coords`` on the integer chain, or None when the table has no
+        ``numerators`` or the coordinates no :func:`integer_form`."""
+        form = products.numerators is not None and integer_form(coords)
+        return cls(products, *form) if form else None
+
+    @classmethod
+    def unit(cls, products: Products) -> "_Exact":
+        """Basis element 0, the unit of a normalised table."""
+        return cls(products, [1] + [0] * (len(products) - 1), 1)
+
+    def __mul__(self, other):
+        if type(other) is _Exact:
+            out, den = _integer_product(
+                self.products,
+                (self.numerators, self.denominator),
+                (other.numerators, other.denominator),
+            )
+            if self.products.denominator != 1 or den.bit_length() > 64:
+                content = math.gcd(den, *out)
+                if content != 1:
+                    out, den = [x // content for x in out], den // content
+            return _Exact(self.products, out, den)
+        if type(other) in _EXACT_TYPES:
+            n, d = other.as_integer_ratio()
+            return _Exact(self.products, [n * x for x in self.numerators], self.denominator * d)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "_Exact") -> "_Exact":
+        da, db = self.denominator, other.denominator
+        if da == db:
+            out = [x + y for x, y in zip(self.numerators, other.numerators)]
+            return _Exact(self.products, out, da)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = [x * fa + y * fb for x, y in zip(self.numerators, other.numerators)]
+        return _Exact(self.products, out, den)
+
+    def element(self, algebra: WeilAlgebra) -> AlgebraElement:
+        """The element of ``algebra``, the table's algebra, with these
+        coordinates as Fractions."""
+        return AlgebraElement(algebra, from_integer_form((self.numerators, self.denominator)))
+
+
+def from_integer_form(form: tuple[list[int], int], sign: int = 1) -> tuple:
+    """sign * numerators / denominator: the coordinates of an
+    :func:`integer_form`, each non-zero one built once as a Fraction, and
+    Fraction(0) where the numerator is 0.  Negation is exact in Q, so the
+    sign folds into the denominator."""
+    numerators, denominator = form
+    denominator *= sign
+    return tuple(Fraction(x, denominator) if x else _ZERO for x in numerators)
 
 
 def _mul_loop(table, u: Sequence, v: Sequence, start) -> list:
@@ -937,7 +1025,16 @@ def dual_numbers(name: str = "ε") -> WeilAlgebra:
 
 
 def eval_in_algebra(p: Polynomial, args: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Image of p under the algebra homomorphism sending variable i to args[i]."""
+    """Image of p under the algebra homomorphism sending variable i to args[i].
+
+    ``Polynomial.evaluate`` forms it, with its powers cache and term loop.
+    When every argument is exact and the table has integer numerators it
+    runs on :func:`integer_value`, and each non-zero coordinate of the
+    result is built once, as a Fraction; otherwise (float or polynomial
+    coordinates, or a table without numerators) on the elements
+    themselves through :func:`mul`.  Both give the same values, every
+    exact coordinate a Fraction and Fraction(0) where no term reaches.
+    """
     if not args:
         raise ValueError("need at least one argument to determine the algebra")
     algebra = args[0].algebra
@@ -945,4 +1042,40 @@ def eval_in_algebra(p: Polynomial, args: Sequence[AlgebraElement]) -> AlgebraEle
         check_same_algebra(arg.algebra, algebra, "arguments belong to different algebras")
     if len(args) != p.nvars:
         raise ValueError(f"polynomial has {p.nvars} variables, got {len(args)} arguments")
-    return p.evaluate(args, one=algebra.unit())
+    value = integer_value(p, args)
+    if value is None:
+        return p.evaluate(args, one=algebra.unit())
+    return AlgebraElement(algebra, from_integer_form(value))
+
+
+def powers(u: AlgebraElement, n: int) -> list[AlgebraElement]:
+    """[u^0, u^1, ..., u^n], each power the previous one times u from the
+    unit, the products ``u ** e`` makes; exact coordinates run the chain on
+    :class:`_Exact` and build each power's Fractions once."""
+    x = _Exact.lift(u.algebra.products, u.coeffs)
+    if x is None:
+        row = [u.algebra.unit()]
+        for _ in range(n):
+            row.append(row[-1] * u)
+        return row
+    chain = [_Exact.unit(x.products)]
+    for _ in range(n):
+        chain.append(chain[-1] * x)
+    return [power.element(u.algebra) for power in chain]
+
+
+def integer_value(p: Polynomial, args: Sequence[AlgebraElement]) -> tuple[list[int], int] | None:
+    """p(args) as (numerators, denominator), for arguments of one algebra,
+    one per variable: ``Polynomial.evaluate`` on :class:`_Exact` elements,
+    so the whole chain of products and sums stays on integers.  None when
+    the table has no ``numerators`` or an argument no :func:`integer_form`.
+    The denominator need not be the least one."""
+    products = args[0].algebra.products
+    lifted = []
+    for arg in args:
+        x = _Exact.lift(products, arg.coeffs)
+        if x is None:
+            return None
+        lifted.append(x)
+    value = p.evaluate(lifted, one=_Exact.unit(products))
+    return value.numerators, value.denominator

@@ -53,6 +53,7 @@ from .algebra import (
     WeilAlgebra,
     check_same_algebra,
     compact_integer_form,
+    from_integer_form,
     ideal_generators,
     integer_form,
     monomial_walk,
@@ -186,7 +187,7 @@ def signed_image(d: Derivation, coords: Sequence, sign: int = 1) -> tuple:
     """
     image = integer_image(d, integer_form(coords))
     if image is not None:
-        return image_fractions(image, sign)
+        return from_integer_form(image, sign)
     columns = d.float_columns
     if columns is not None and all(type(x) is float for x in coords):
         out = [None] * len(coords)
@@ -216,15 +217,6 @@ def integer_image(d: Derivation, u: tuple[list[int], int] | None) -> tuple[list[
             for p, c in column.items():
                 out[p] += c * x
     return out, denominator * scale
-
-
-def image_fractions(image: tuple[list[int], int], sign: int = 1) -> tuple:
-    """sign * an :func:`integer_image`, each non-zero coordinate built once
-    as a Fraction.  Negation is exact in Q, so the sign folds into the
-    denominator."""
-    out, denominator = image
-    denominator *= sign
-    return tuple(Fraction(y, denominator) if y else _ZERO for y in out)
 
 
 def _trusted(algebra: WeilAlgebra, columns: list[dict]) -> Derivation:

@@ -31,8 +31,10 @@ from .algebra import (
     WeilAlgebra,
     check_same_algebra,
     dual_numbers,
+    from_integer_form,
     ideal_generators,
     integer_form,
+    integer_value,
 )
 from .derivations import (
     Derivation,
@@ -40,7 +42,6 @@ from .derivations import (
     commutator_on,
     derivation_basis,
     exp_flow,
-    image_fractions,
     integer_image,
     signed_image,
 )
@@ -98,11 +99,22 @@ def _check_point(field: InducedField, point: NearPoint) -> None:
 
 def field_apply(field: InducedField, f: Polynomial, point: NearPoint) -> AlgebraElement:
     """Action on a lifted function: -D(point(f)).  Exact for rational data,
-    and a derivation with respect to lifted multiplication."""
+    and a derivation with respect to lifted multiplication.
+
+    When the derivation has ``integer_columns`` and the point's value of f
+    has an :func:`~weilkit.algebra.integer_value`, that value goes straight
+    into :func:`~weilkit.derivations.integer_image`, so the only Fractions
+    built are those of the result; otherwise -D is applied to
+    ``point.eval(f)``.  Both give the same values and types.
+    """
     _check_point(field, point)
     if f.nvars != field.n:
         raise ValueError(f"polynomial has {f.nvars} variables, field has {field.n}")
-    return _minus_image(field.derivation, point.eval(f))
+    d = field.derivation
+    value = integer_value(f, point.components) if d.integer_columns is not None else None
+    if value is None:
+        return _minus_image(d, point.eval(f))
+    return AlgebraElement(d.algebra, from_integer_form(integer_image(d, value), -1))
 
 
 def chart_flatten(field: InducedField, point: NearPoint) -> tuple:
@@ -188,7 +200,7 @@ def distribution_at(
             _check_point(field, point)
             images = [integer_image(d, form) for form in forms]
             integer_rows.append([y for out, _ in images for y in out])
-            generators.append(tuple(x for image in images for x in image_fractions(image, -1)))
+            generators.append(tuple(x for image in images for x in from_integer_form(image, -1)))
             continue
         try:
             gen = chart_flatten(field, point)

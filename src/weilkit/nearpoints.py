@@ -34,7 +34,14 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, Frozen, WeilAlgebra, check_same_algebra, eval_in_algebra
+from .algebra import (
+    AlgebraElement,
+    Frozen,
+    WeilAlgebra,
+    check_same_algebra,
+    eval_in_algebra,
+    powers,
+)
 from .poly import Exponents, Polynomial
 
 
@@ -85,7 +92,10 @@ class NearPoint(Frozen):
         return tuple(out)
 
     def eval(self, f: Polynomial) -> AlgebraElement:
-        """Apply the point's algebra homomorphism to a polynomial function."""
+        """Apply the point's algebra homomorphism to a polynomial function,
+        through :func:`~weilkit.algebra.eval_in_algebra`: at an exact point
+        on a table with integer numerators every product and sum of the
+        evaluation runs on integers, and the Fractions are built once."""
         if f.nvars != self.n:
             raise ValueError(f"polynomial has {f.nvars} variables, point has {self.n}")
         return eval_in_algebra(f, self.components)
@@ -96,7 +106,8 @@ class NearPoint(Frozen):
         Exact up to float round-off for polynomial oracles; the sum stops at
         the algebra height because higher nilpotent powers vanish.  Each
         nilpotent part's powers up to the height are formed once, by the
-        same products ``**`` makes, and shared by every multi-index.
+        same products ``**`` makes (:func:`~weilkit.algebra.powers`), and
+        shared by every multi-index.
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")
@@ -112,20 +123,15 @@ class NearPoint(Frozen):
                     f"oracle base {oracle.base} differs from point base {base}"
                 )
         height = self.algebra.height
-        powers = []  # powers[i][e] is the e-th power of component i's nilpotent part
-        for c in self.components:
-            nilpotent = c.nilpotent_part()
-            row = [self.algebra.unit()]
-            for _ in range(height):
-                row.append(row[-1] * nilpotent)
-            powers.append(row)
+        # nilpotent[i][e] is the e-th power of component i's nilpotent part
+        nilpotent = [powers(c.nilpotent_part(), height) for c in self.components]
         total = self.algebra.zero()
         for alpha in _multi_indices(self.n, height):
             coeff = oracle.partial(alpha)
             term = self.algebra.from_scalar(coeff)
             for i, e in enumerate(alpha):
                 if e:
-                    term = term * powers[i][e]
+                    term = term * nilpotent[i][e]
             total = total + term
         return total
 

@@ -218,15 +218,15 @@ class Polynomial:
         """
         if len(args) != self.nvars:
             raise ValueError(f"expected {self.nvars} arguments, got {len(args)}")
-        powers: list[dict[int, object]] = [{} for _ in range(self.nvars)]
+        # powers[i][e - 1] is args[i]^e, each the one below times args[i],
+        # filled on demand from the largest exponent formed so far.
+        powers = [[x] for x in args]
 
         def power(i: int, e: int):
-            cache = powers[i]
-            if e in cache:
-                return cache[e]
-            value = args[i] if e == 1 else power(i, e - 1) * args[i]
-            cache[e] = value
-            return value
+            row = powers[i]
+            while len(row) < e:
+                row.append(row[-1] * args[i])
+            return row[e - 1]
 
         total = None
         for exp, coeff in self.terms():

@@ -1,7 +1,9 @@
 """The exact kernel against independent oracles on random inputs: the
 product kernel against the term-by-term loop, the integer echelon against
 dense Gauss-Jordan elimination, the Lie structure against full
-commutators, and the exact distribution rank against the oracle's pivots.
+commutators, the exact distribution rank against the oracle's pivots, and
+polynomial values and field actions at near points against term-by-term
+evaluation.
 
 Property tests with hypothesis, each with a small example count; the
 module is skipped where hypothesis is not installed, so that the rest of
@@ -20,18 +22,27 @@ import weilkit.linalg as la
 from weilkit import (
     AlgebraElement,
     NearPoint,
+    Polynomial,
     derivation_basis,
     distribution_at,
+    eval_in_algebra,
+    field_apply,
+    from_structure_constants,
+    induced_field,
     lie_structure,
     monomial_quotient_algebra,
+    parse_polynomial,
     truncated_polynomial_algebra,
 )
 from weilkit.algebra import _sparse_products, _sparse_rows, mul
 from support import (
     coprime_denominators,
+    coprime_table,
     lie_structure_oracle,
+    minus_image_oracle,
     mul_oracle,
     nullspace_oracle,
+    rescaled_table,
     rref_oracle,
     scrambled,
     scrambled_table,
@@ -216,3 +227,133 @@ def test_exact_distribution_rank_is_the_oracle_pivot_count(name, n, data):
     sample = distribution_at(A, basis, NearPoint(tuple(components)))
     assert sample.tolerance == 0.0
     assert sample.rank == len(rref_oracle([list(g) for g in sample.generators])[1])
+
+
+# ------------------------------- polynomial values at near points
+
+
+def _eval_oracle(p, args):
+    """p(args) term by term: each term's coefficient times the unit,
+    multiplied by each argument once per unit of its exponent through
+    mul_oracle, and the terms added to Fraction(0) coordinates."""
+    algebra = args[0].algebra
+    zero = Fraction(0)
+    total = [zero] * algebra.dim
+    for exp, coeff in p.terms():
+        term = [coeff] + [zero] * (algebra.dim - 1)
+        for arg, e in zip(args, exp):
+            for _ in range(e):
+                term = mul_oracle(algebra.products, term, arg.coeffs, zero)
+        total = [x + y for x, y in zip(total, term)]
+    return total
+
+
+def _eval_algebras():
+    m3 = truncated_polynomial_algebra(2, 2)
+    m4 = truncated_polynomial_algebra(2, 3)
+    algebras = {
+        "m3": m3,
+        "x3-y2-xy2": SCRAMBLE_BASES["x3-y2-xy2"],
+        "scrambled-m3": scrambled(m3, random.Random(41)),
+        "scrambled-x5": scrambled(SCRAMBLE_BASES["x5"], random.Random(3)),
+        "rescaled-m4": from_structure_constants(m4.labels, rescaled_table(m4)),
+        "coprime-2": from_structure_constants(*coprime_table(2, random.Random(2))),
+    }
+    return {name: (A, derivation_basis(A)) for name, A in algebras.items()}
+
+
+EVAL_ALGEBRAS = _eval_algebras()
+EXACT_COORDINATES = st.one_of(
+    st.fractions(-4, 4, max_denominator=9),
+    st.integers(-5, 5),
+    st.just(Fraction(0)),
+    ENTRIES["coprime"],
+)
+
+
+def test_eval_algebras_cover_every_kind_of_table():
+    denominators = {
+        name: A.products.denominator if A.products.numerators is not None else None
+        for name, (A, _) in EVAL_ALGEBRAS.items()
+    }
+    assert denominators["m3"] == denominators["x3-y2-xy2"] == 1
+    assert all(denominators[name] > 1 for name in ("scrambled-m3", "scrambled-x5", "rescaled-m4"))
+    assert denominators["coprime-2"] is None
+
+
+@st.composite
+def polynomials(draw, nvars):
+    """The zero polynomial, a constant, or a few terms of degree up to 4
+    in each variable."""
+    kind = draw(st.sampled_from(["zero", "constant", "terms"]))
+    if kind == "zero":
+        return Polynomial.zero(nvars)
+    coefficients = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    if kind == "constant":
+        return Polynomial.constant(nvars, draw(coefficients))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    return Polynomial(nvars, draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=4)))
+
+
+@st.composite
+def exact_points(draw, algebra, n):
+    """A near point with exact components: ints, Fractions (small, or over
+    60-bit coprime denominators) and zeros, or the zero-section point over
+    a base of such scalars."""
+    if draw(st.booleans()):
+        base = draw(st.lists(EXACT_COORDINATES, min_size=n, max_size=n))
+        zeros = (Fraction(0),) * (algebra.dim - 1)
+        return NearPoint(tuple(AlgebraElement(algebra, (b,) + zeros) for b in base))
+    coords = st.lists(EXACT_COORDINATES, min_size=algebra.dim, max_size=algebra.dim)
+    return NearPoint(tuple(AlgebraElement(algebra, tuple(draw(coords))) for _ in range(n)))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(st.sampled_from(sorted(EVAL_ALGEBRAS)), st.integers(1, 2), st.data())
+def test_values_at_exact_points_match_term_by_term_evaluation(name, n, data):
+    A, basis = EVAL_ALGEBRAS[name]
+    p = data.draw(polynomials(n))
+    point = data.draw(exact_points(A, n))
+    want = _eval_oracle(p, point.components)
+    assert typed(eval_in_algebra(p, point.components).coeffs) == typed(want)
+    assert typed(point.eval(p).coeffs) == typed(want)
+    d = basis[data.draw(st.integers(0, len(basis) - 1))]
+    got = field_apply(induced_field(A, d, n), p, point)
+    assert typed(got.coeffs) == typed(minus_image_oracle(d, want))
+
+
+@hypothesis.settings(max_examples=25, deadline=None, database=None)
+@hypothesis.given(st.sampled_from(sorted(EVAL_ALGEBRAS)), st.data())
+def test_values_at_mixed_points_keep_the_generic_path_bit_for_bit(name, data):
+    A, basis = EVAL_ALGEBRAS[name]
+    p = data.draw(polynomials(2))
+    exact = data.draw(exact_points(A, 1)).components[0]
+    floats = st.lists(st.floats(-2, 2), min_size=A.dim, max_size=A.dim)
+    mixed = AlgebraElement(A, tuple(data.draw(floats)))
+    args = (exact, mixed) if data.draw(st.booleans()) else (mixed, exact)
+    want = p.evaluate(args, one=A.unit())
+    assert typed(eval_in_algebra(p, args).coeffs) == typed(want.coeffs)
+    d = basis[data.draw(st.integers(0, len(basis) - 1))]
+    got = field_apply(induced_field(A, d, 2), p, NearPoint(args))
+    assert typed(got.coeffs) == typed(minus_image_oracle(d, want.coeffs))
+
+
+def test_value_at_the_coprime_point_matches_term_by_term_evaluation():
+    # The CI's point on R[x,y]/m^4 over 60-bit pairwise coprime denominators,
+    # and a polynomial of degree 8.
+    A = truncated_polynomial_algebra(2, 3)
+    basis = derivation_basis(A)
+    dens = iter(coprime_denominators(30))
+
+    def q(i):
+        return Fraction((-1) ** i * (7 * i + 3), next(dens))
+
+    base = [q(i) for i in range(3)]
+    nilparts = [[q(3 + 9 * c + j) for j in range(9)] for c in range(3)]
+    point = NearPoint(tuple(A.element([b] + row) for b, row in zip(base, nilparts)))
+    p = parse_polynomial("x^8 - 3/2*x^3*y^4*z + x^2*(y - 2*z)^5 + 7", ["x", "y", "z"])
+    want = _eval_oracle(p, point.components)
+    assert typed(point.eval(p).coeffs) == typed(want)
+    for d in basis[:4]:
+        got = field_apply(induced_field(A, d, 3), p, point)
+        assert typed(got.coeffs) == typed(minus_image_oracle(d, want))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from weilkit import (
     split_scalar_nilpotent,
     truncated_polynomial_algebra,
 )
+from weilkit.algebra import AlgebraElement, from_integer_form, integer_value, powers
 from weilkit.nearpoints import _multi_indices
 from support import ORACLE_CORPUS, eval_taylor_oracle, rand_near_point, rand_poly
 
@@ -181,6 +183,73 @@ def test_taylor_matches_per_multi_index_loop(name):
             oracle = TaylorOracle(base, partials)
             got = point.eval_taylor(oracle).coeffs
             assert repr(got) == repr(eval_taylor_oracle(point, oracle).coeffs)
+
+
+M4 = truncated_polynomial_algebra(2, 3)
+DEEP = parse_polynomial("x^5000*y", ["x", "y"])
+
+
+def binomial_power(u, e):
+    """u^e for u = c + m with m nilpotent: the sum of C(e, k) c^(e-k) m^k
+    over k up to the algebra height."""
+    c, m = split_scalar_nilpotent(u)
+    total, mk = u.algebra.zero(), u.algebra.unit()
+    for k in range(u.algebra.height + 1):
+        total = total + (math.comb(e, k) * c ** (e - k)) * mk
+        mk = mk * m
+    return total
+
+
+def test_deep_power_at_an_exact_point():
+    point = make_near_point(
+        M4,
+        [Fraction(1, 2), Fraction(-3)],
+        [M4.element([0, 1, Fraction(-2, 3)] + [Fraction(j, 5) for j in range(7)]),
+         M4.element([0, Fraction(1, 7), 2] + [0] * 7)],
+    )
+    x, y = point.components
+    value = point.eval(DEEP)
+    assert value == binomial_power(x, 5000) * y
+    assert all(type(c) is Fraction for c in value.coeffs)
+    assert x**5000 == binomial_power(x, 5000)
+
+
+def test_deep_chain_keeps_its_denominator_small():
+    # An integer base with nilpotent parts over 2^60 on a monomial table
+    # (λ = 1): the value's own denominators stay below 2^181, and the
+    # integer chain must not carry 2^60 more per product.
+    point = make_near_point(
+        M4, [3, -2], [M4.element([0] + [Fraction(j + 2, 2**60) for j in range(9)]), M4.zero()]
+    )
+    x, _ = point.components
+    numerators, denominator = integer_value(parse_polynomial("x^400", ["x", "y"]), point.components)
+    assert denominator.bit_length() <= 181
+    assert AlgebraElement(M4, from_integer_form((numerators, denominator))) == x**400
+    assert powers(x, 3)[3] == x**3
+
+
+def test_deep_power_at_a_float_point():
+    point = make_near_point(
+        M4, [1.0, 2.0], [M4.element([0.0, 0.001, -0.002] + [0.0005] * 7), M4.element([0.0] * 10)]
+    )
+    x, y = point.components
+    value = point.eval(DEEP)
+    # The powers cache and ** form the same products in the same order.
+    assert repr(value.coeffs) == repr((x**5000 * y).coeffs)
+    want = binomial_power(x, 5000) * y
+    assert all(
+        math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(value.coeffs, want.coeffs)
+    )
+
+
+def test_deep_power_through_a_taylor_oracle():
+    point = make_near_point(
+        M4, [Fraction(1), Fraction(2)], [M4.element([0] + [Fraction(1, 1000)] * 9), M4.zero()]
+    )
+    oracle = TaylorOracle.of_polynomial(DEEP, [1, 2], order=M4.height)
+    exact = point.eval(DEEP)
+    approx = point.eval_taylor(oracle)
+    assert all(math.isclose(float(a), b, rel_tol=1e-9) for a, b in zip(exact.coeffs, approx.coeffs))
 
 
 def test_eval_with_float_components():

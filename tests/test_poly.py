@@ -126,6 +126,18 @@ def test_eval_at_scalars_matches_direct_evaluation():
         assert p.evaluate([a, b]) == expected
 
 
+def test_deep_powers_evaluate_without_recursion():
+    # The powers cache fills each power from the one below, so a float
+    # value is the left-to-right product chain, bit for bit.
+    p = parse_polynomial("x^5000", ["x"])
+    assert p.evaluate([Fraction(1, 2)]) == Fraction(1, 2**5000)
+    x = 1.0001
+    chain = x
+    for _ in range(4999):
+        chain = chain * x
+    assert repr(p.evaluate([x])) == repr(chain)
+
+
 def test_parse_examples():
     p = parse_polynomial("x1^2*x2 - 3/2*x1", ["x1", "x2"])
     assert p.coefficient((2, 1)) == 1
