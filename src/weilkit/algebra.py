@@ -27,9 +27,10 @@ coordinate 0.  Every product goes through one kernel, :func:`mul`, over
 the sparse structure constants that are indexed once per table, and it
 runs exact coordinates on integer numerators over one common
 denominator, and float coordinates on a float copy of the constants.
-Chains of exact products (polynomial values, the rows of :func:`powers`)
-call its integer half, :func:`_integer_product`, directly and stay on
-integers until the end.
+An exact :class:`AlgebraElement` keeps the integer numerators of its
+products, so a chain of exact products (a power, a polynomial value)
+stays on integers and builds its Fractions once, when its coordinates
+are first read.
 All scalars in this module are exact ``Fraction``s with no
 tolerances; elements may carry floats only in flow integration, which
 never feeds back into verification.
@@ -214,7 +215,12 @@ class WeilAlgebra(Frozen):
         return AlgebraElement(self, (Fraction(0),) * self.dim)
 
     def unit(self) -> "AlgebraElement":
-        return self.basis_element(0)
+        """Basis element 0.  On a table with ``numerators`` it is the empty
+        product, kept on integers as the products of elements are (see
+        :class:`AlgebraElement`)."""
+        if self.products.numerators is None:
+            return self.basis_element(0)
+        return _kept(self, [1] + [0] * (self.dim - 1), 1)
 
     def basis_element(self, i: int) -> "AlgebraElement":
         if not 0 <= i < self.dim:
@@ -234,7 +240,7 @@ class WeilAlgebra(Frozen):
     def multiplication_matrix(self, u: "AlgebraElement") -> list[list[Fraction]]:
         """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
         check_same_algebra(u.algebra, self, "element belongs to a different algebra")
-        columns = [mul(self.products, u.coeffs, e, Fraction(0)) for e in linalg.identity(self.dim)]
+        columns = [mul(self.products, u.coeffs, e) for e in linalg.identity(self.dim)]
         return [list(row) for row in zip(*columns)]
 
 
@@ -243,43 +249,106 @@ class AlgebraElement(Frozen):
 
     Coefficients are Fractions on the exact path; flows produce float
     coefficients, and mixed arithmetic degrades to float as usual.
+
+    An element reads the :func:`integer_form` of its coordinates at most
+    once (:meth:`integer_form`).  A product of two exact elements on a
+    table with ``numerators`` is kept in that form, as integer numerators
+    over one denominator, and so are the sums, differences, negations and
+    rational multiples of a kept element; its Fraction coordinates are
+    built on the first read of ``coeffs``.  So a chain of exact products
+    runs on integers, and every read gives what Fraction arithmetic gives:
+    a Fraction for each coordinate, Fraction(0) where no term reaches.  A
+    kept product divides out the content of its numerators on a table over
+    a denominator λ > 1, where the denominator would otherwise gain a
+    factor λ per product, and wherever its denominator takes more than 64
+    bits, where it would otherwise gain the operand's whole denominator
+    per product however small the value's own stays.  Sums of elements
+    that are not kept, and every operation on float, mixed or polynomial
+    coordinates, run on the coordinates themselves.
     """
 
-    __slots__ = _fields = ("algebra", "coeffs")
+    __slots__ = ("algebra", "_coeffs", "_form")
+    _fields = ("algebra", "coeffs")
 
     algebra: WeilAlgebra
-    coeffs: tuple
 
     def __init__(self, algebra, coeffs):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_form", None)  # not read yet
 
-    def _check_same(self, other: "AlgebraElement") -> None:
-        check_same_algebra(self.algebra, other.algebra, "elements belong to different algebras")
+    @property
+    def coeffs(self) -> tuple:
+        coeffs = self._coeffs
+        if coeffs is None:  # a kept element
+            coeffs = from_integer_form(self._form)
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
+
+    def integer_form(self) -> tuple[list[int], int] | None:
+        """The coordinates as (numerators, denominator), read once: the
+        :func:`integer_form` of an element given by its coordinates, the
+        kept form of a kept one; None when the coordinates have none."""
+        form = self._form
+        if form is None:
+            form = integer_form(self._coeffs) or False
+            object.__setattr__(self, "_form", form)
+        return form or None
+
+    def _sum(self, other, sign: int):
+        """self + sign * other: kept when one of them is kept and both are
+        exact, and formed on the coordinates otherwise."""
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        algebra = self.algebra
+        if algebra is not other.algebra:
+            check_same_algebra(algebra, other.algebra, _DIFFERENT_ALGEBRAS)
+        if self._coeffs is None or other._coeffs is None:
+            a, b = self.integer_form(), other.integer_form()
+            if a and b:
+                (x, da), (y, db) = a, b
+                den = da if da == db else math.lcm(da, db)
+                fa, fb = den // da, sign * (den // db)
+                return _kept(algebra, [p * fa + q * fb for p, q in zip(x, y)], den)
+        if sign == 1:
+            return AlgebraElement(algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement(algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_same(other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_same(other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, -1)
 
     def __neg__(self):
+        if self._coeffs is None:
+            numerators, denominator = self._form
+            return _kept(self.algebra, [-x for x in numerators], denominator)
         return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        algebra = self.algebra
         if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            out = mul(self.algebra.products, self.coeffs, other.coeffs, Fraction(0))
-            return AlgebraElement(self.algebra, tuple(out))
+            if algebra is not other.algebra:
+                check_same_algebra(algebra, other.algebra, _DIFFERENT_ALGEBRAS)
+            products = algebra.products
+            if products.numerators is not None:
+                a = self.integer_form()
+                b = a and other.integer_form()
+                if b:
+                    out, den = _integer_product(products, a, b)
+                    if products.denominator != 1 or den.bit_length() > 64:
+                        content = math.gcd(den, *out)
+                        if content != 1:
+                            out, den = [x // content for x in out], den // content
+                    return _kept(algebra, out, den)
+            return AlgebraElement(algebra, tuple(_inexact_mul(products, self.coeffs, other.coeffs)))
+        if self._coeffs is None and type(other) in _EXACT_TYPES:
+            (numerators, denominator), (n, d) = self._form, other.as_integer_ratio()
+            return _kept(algebra, [n * x for x in numerators], denominator * d)
         if isinstance(other, (int, Fraction, float)):
             c = _scalar(other)
-            return AlgebraElement(self.algebra, tuple(c * a for a in self.coeffs))
+            return AlgebraElement(algebra, tuple(c * a for a in self.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -307,6 +376,24 @@ class AlgebraElement(Frozen):
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+_DIFFERENT_ALGEBRAS = "elements belong to different algebras"
+_new = object.__new__
+# The slots' own setters, which build a kept element past Frozen.__setattr__.
+_set_algebra, _set_coeffs, _set_form = (
+    AlgebraElement.__dict__[name].__set__ for name in AlgebraElement.__slots__
+)
+
+
+def _kept(algebra: WeilAlgebra, numerators: list[int], denominator: int) -> AlgebraElement:
+    """The element of ``algebra`` kept as numerators over a positive
+    denominator, its coordinates not yet built."""
+    u = _new(AlgebraElement)
+    _set_algebra(u, algebra)
+    _set_coeffs(u, None)
+    _set_form(u, (numerators, denominator))
+    return u
 
 
 def _scalar(value):
@@ -432,37 +519,27 @@ def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
     return [n * (den // d) for n, d in ratios], den
 
 
-def mul(products: Products, u: Sequence, v: Sequence, zero) -> list:
+def mul(products: Products, u: Sequence, v: Sequence) -> list:
     """Coordinates of u*v, for coordinate vectors u and v over the basis.
 
     This is the one place where the package multiplies through structure
-    constants.  ``zero`` is the additive identity of the coordinates (a
-    Fraction, or a zero Polynomial for symbolic chart coordinates) and the
-    value of every output coordinate no term reaches.
+    constants; :class:`AlgebraElement` products run its two halves.
 
     Every path gives, bit for bit and type for type, what the plain loop
     gives: out[k] = out[k] + (a*b)*c over the non-zero coordinates a of u
-    and b of v, in the order i, then j, then k, from ``zero``.  Exact
+    and b of v, in the order i, then j, then k, from Fraction(0), which is
+    also the value of every output coordinate no term reaches.  Exact
     operands in their :func:`integer_form` take :func:`_integer_product`,
     and each non-zero output is built once, as a Fraction over the
-    product of the three denominators; a chain of exact products stays on
-    that integer product through :class:`_Exact` and builds its Fractions
-    once, at the end.  When both operands are numeric and the non-zero
-    coordinates of one are all floats, every term is a float that
-    Fraction's mixed arithmetic forms on float() of the exact values, so
-    the loop runs on ``products.floats`` from float(zero).  Other operands,
-    or a table too large for its integer form or float copy, run the loop
-    on the constants themselves.
+    product of the three denominators.  Other operands take
+    :func:`_inexact_mul`.
     """
     exact_u = products.numerators is not None and integer_form(u)
     exact_v = exact_u and integer_form(v)
     if exact_v:
         out, den = _integer_product(products, exact_u, exact_v)
-        return [Fraction(x, den) if x else zero for x in out]
-    out = _float_mul(products, u, v, zero)
-    if out is not None:
-        return out
-    return _mul_loop(products, u, v, zero)
+        return [Fraction(x, den) if x else _ZERO for x in out]
+    return _inexact_mul(products, u, v)
 
 
 def _integer_product(products: Products, u: tuple, v: tuple) -> tuple[list[int], int]:
@@ -473,70 +550,15 @@ def _integer_product(products: Products, u: tuple, v: tuple) -> tuple[list[int],
     return _mul_loop(products.numerators, u, v, 0), du * dv * products.denominator
 
 
-class _Exact:
-    """An exact element in the middle of a chain of products: integer
-    numerators over one positive denominator, on a table with
-    ``numerators``.  ``*`` with another one runs :func:`_integer_product`,
-    ``*`` with an int or a Fraction scales the numerators, and ``+`` adds
-    over the lcm of the denominators, so no Fraction is built until
-    :meth:`element`.  A product divides out the content of its result
-    on a table over a denominator λ > 1, where the denominator would
-    otherwise gain a factor λ per product, and wherever its denominator
-    takes more than 64 bits, where it would otherwise gain the operand's
-    whole denominator per product however small the value's own stays."""
-
-    __slots__ = ("products", "numerators", "denominator")
-
-    def __init__(self, products: Products, numerators: list[int], denominator: int):
-        self.products = products
-        self.numerators = numerators
-        self.denominator = denominator
-
-    @classmethod
-    def lift(cls, products: Products, coords: Sequence) -> "_Exact | None":
-        """``coords`` on the integer chain, or None when the table has no
-        ``numerators`` or the coordinates no :func:`integer_form`."""
-        form = products.numerators is not None and integer_form(coords)
-        return cls(products, *form) if form else None
-
-    @classmethod
-    def unit(cls, products: Products) -> "_Exact":
-        """Basis element 0, the unit of a normalised table."""
-        return cls(products, [1] + [0] * (len(products) - 1), 1)
-
-    def __mul__(self, other):
-        if type(other) is _Exact:
-            out, den = _integer_product(
-                self.products,
-                (self.numerators, self.denominator),
-                (other.numerators, other.denominator),
-            )
-            if self.products.denominator != 1 or den.bit_length() > 64:
-                content = math.gcd(den, *out)
-                if content != 1:
-                    out, den = [x // content for x in out], den // content
-            return _Exact(self.products, out, den)
-        if type(other) in _EXACT_TYPES:
-            n, d = other.as_integer_ratio()
-            return _Exact(self.products, [n * x for x in self.numerators], self.denominator * d)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "_Exact") -> "_Exact":
-        da, db = self.denominator, other.denominator
-        if da == db:
-            out = [x + y for x, y in zip(self.numerators, other.numerators)]
-            return _Exact(self.products, out, da)
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        out = [x * fa + y * fb for x, y in zip(self.numerators, other.numerators)]
-        return _Exact(self.products, out, den)
-
-    def element(self, algebra: WeilAlgebra) -> AlgebraElement:
-        """The element of ``algebra``, the table's algebra, with these
-        coordinates as Fractions."""
-        return AlgebraElement(algebra, from_integer_form((self.numerators, self.denominator)))
+def _inexact_mul(products: Products, u: Sequence, v: Sequence) -> list:
+    """The plain loop of :func:`mul` for operands that are not both exact.
+    When both are numeric and the non-zero coordinates of one are all
+    floats, every term is a float that Fraction's mixed arithmetic forms
+    on float() of the exact values, so the loop runs on
+    ``products.floats`` from 0.0.  Other operands, or a table too large
+    for its float copy, run the loop on the constants themselves."""
+    out = _float_mul(products, u, v)
+    return _mul_loop(products, u, v, _ZERO) if out is None else out
 
 
 def from_integer_form(form: tuple[list[int], int], sign: int = 1) -> tuple:
@@ -563,9 +585,9 @@ def _mul_loop(table, u: Sequence, v: Sequence, start) -> list:
     return out
 
 
-def _float_mul(products: Products, u: Sequence, v: Sequence, zero) -> list | None:
-    """The float path of :func:`mul`, or None where it does not apply; an
-    output no term reaches is ``zero``."""
+def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
+    """The float path of :func:`_inexact_mul`, or None where it does not
+    apply; an output no term reaches is Fraction(0)."""
     table = products.floats
     if table is None or not (
         _NUMERIC_TYPES.issuperset(map(type, u)) and _NUMERIC_TYPES.issuperset(map(type, v))
@@ -578,7 +600,6 @@ def _float_mul(products: Products, u: Sequence, v: Sequence, zero) -> list | Non
         nonzero_v = [(j, float(b)) for j, b in enumerate(v) if b]
     except OverflowError:  # the loop on the constants raises it where a term needs it
         return None
-    start = float(zero)
     out = [None] * len(table)
     for i, a in nonzero_u:
         row = table[i]
@@ -586,8 +607,8 @@ def _float_mul(products: Products, u: Sequence, v: Sequence, zero) -> list | Non
             ab = a * b
             for k, c in row[j]:
                 x = out[k]
-                out[k] = (start if x is None else x) + ab * c
-    return [zero if x is None else x for x in out]
+                out[k] = (0.0 if x is None else x) + ab * c
+    return [_ZERO if x is None else x for x in out]
 
 
 def ideal_generators(products: Products) -> list[int]:
@@ -624,7 +645,7 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
     appears exactly once in ``parents`` or ``relations``.
     """
     s = len(products)
-    zero, one = Fraction(0), Fraction(1)
+    one = Fraction(1)
     units = linalg.identity(s)
     generators: list[int] = []
     monomials: list = []
@@ -660,7 +681,7 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
         t = 1
         while t < len(monomials):
             for b in range(len(generators)) if t >= before else (a,):
-                product = mul(products, units[generators[b]], monomials[t], zero)
+                product = mul(products, units[generators[b]], monomials[t])
                 expansion = visit(product, (b, t))
                 if expansion is not None:
                     relations.append((b, t, expansion))
@@ -713,27 +734,26 @@ def _check_associative(products, unit, labels) -> None:
     first failing triple.
     """
     s = len(products)
-    zero = Fraction(0)
     units = linalg.identity(s)
     generators, monomials, parents, _ = monomial_walk(products, unit, range(s))
     # columns[u][q] = M_u * e_q, the columns of L_{M_u}; L_x L_y e_q = x * (y * e_q).
-    columns = [[mul(products, m, e, zero) for e in units] for m in monomials]
+    columns = [[mul(products, m, e) for e in units] for m in monomials]
     # Monomial g * unit = g is the one a generator enters the walk with.
     entered = [columns[u] for u, parent in enumerate(parents) if parent and parent[1] == 0]
     if all(
-        mul(products, units[g], y[q], zero) == mul(products, units[h], x[q], zero)
+        mul(products, units[g], y[q]) == mul(products, units[h], x[q])
         for (g, x), (h, y) in itertools.combinations(zip(generators, entered), 2)
         for q in range(s)
     ) and all(
-        columns[u][q] == mul(products, units[generators[a]], columns[t][q], zero)
+        columns[u][q] == mul(products, units[generators[a]], columns[t][q])
         for u, (a, t) in enumerate(parents[1:], start=1)
         if t
         for q in range(s)
     ):
         return
-    pairs = [[mul(products, x, y, zero) for y in units] for x in units]
+    pairs = [[mul(products, x, y) for y in units] for x in units]
     for i, j, l in itertools.product(range(s), repeat=3):
-        if mul(products, pairs[i][j], units[l], zero) != mul(products, units[i], pairs[j][l], zero):
+        if mul(products, pairs[i][j], units[l]) != mul(products, units[i], pairs[j][l]):
             raise NotAssociativeError(
                 f"({labels[i]}*{labels[j]})*{labels[l]} != "
                 f"{labels[i]}*({labels[j]}*{labels[l]})"
@@ -790,7 +810,7 @@ def _is_nilpotent(products, vec: Sequence[Fraction]) -> bool:
     # x^s = 0: with a unit and associativity, M_x^s is multiplication by x^s.
     power = vec
     for _ in range(len(vec) - 1):
-        power = mul(products, power, vec, Fraction(0))
+        power = mul(products, power, vec)
     return not any(power)
 
 
@@ -844,11 +864,11 @@ def from_structure_constants(
     def w(x) -> Fraction:
         return sum(c * x[p] for p, c in form.items())
 
-    if any(w(mul(products, e, vec, Fraction(0))) for vec in radical for e in linalg.identity(s)):
-        raise NotLocalError("nilpotent elements do not form an ideal")
-
     # Change of basis: unit first, then the canonical radical basis, in which
     # x = c unit + sum_i (x[p_i] - c unit[p_i]) rad_i for c = w(x) / w(unit).
+    # With L_unit = I and the unit outside the radical m, A·m = m + m·m, so
+    # m is an ideal exactly when c = 0 for every product of two of its
+    # basis vectors.
     scale = w(unit)
     if not scale:
         raise NotLocalError("unit lies in the span of the nilpotent elements")
@@ -856,8 +876,10 @@ def from_structure_constants(
     rows = [[None] * s for _ in range(s)]
     for i in range(s):
         for j in range(i, s):  # the table is commutative
-            product = mul(products, columns[i], columns[j], Fraction(0))
+            product = mul(products, columns[i], columns[j])
             c = w(product) / scale
+            if c and i:
+                raise NotLocalError("nilpotent elements do not form an ideal")
             coords = (c, *(product[p] - c * unit[p] for p in pivots))
             rows[i][j] = rows[j][i] = tuple((k, x) for k, x in enumerate(coords) if x)
     new_products = _sparse_products(rows)
@@ -890,7 +912,7 @@ def _height_and_width(products: Products) -> tuple[int, int]:
             raise NotNilpotentError("maximal ideal is not nilpotent")
         spanning = [
             w for u in current for g in generators
-            if any(w := mul(products, g, u, Fraction(0)))
+            if any(w := mul(products, g, u))
         ]
         current = [
             [row.get(k, 0) for k in range(s)] for row in linalg.echelon_form(spanning).values()
@@ -1027,13 +1049,10 @@ def dual_numbers(name: str = "ε") -> WeilAlgebra:
 def eval_in_algebra(p: Polynomial, args: Sequence[AlgebraElement]) -> AlgebraElement:
     """Image of p under the algebra homomorphism sending variable i to args[i].
 
-    ``Polynomial.evaluate`` forms it, with its powers cache and term loop.
-    When every argument is exact and the table has integer numerators it
-    runs on :func:`integer_value`, and each non-zero coordinate of the
-    result is built once, as a Fraction; otherwise (float or polynomial
-    coordinates, or a table without numerators) on the elements
-    themselves through :func:`mul`.  Both give the same values, every
-    exact coordinate a Fraction and Fraction(0) where no term reaches.
+    ``Polynomial.evaluate`` forms it, with its powers cache and term loop,
+    on the elements themselves; at exact arguments on a table with integer
+    numerators every product and sum of the chain is kept on integers,
+    and the value's Fractions are built when it is read.
     """
     if not args:
         raise ValueError("need at least one argument to determine the algebra")
@@ -1042,40 +1061,13 @@ def eval_in_algebra(p: Polynomial, args: Sequence[AlgebraElement]) -> AlgebraEle
         check_same_algebra(arg.algebra, algebra, "arguments belong to different algebras")
     if len(args) != p.nvars:
         raise ValueError(f"polynomial has {p.nvars} variables, got {len(args)} arguments")
-    value = integer_value(p, args)
-    if value is None:
-        return p.evaluate(args, one=algebra.unit())
-    return AlgebraElement(algebra, from_integer_form(value))
+    return p.evaluate(args, one=algebra.unit())
 
 
 def powers(u: AlgebraElement, n: int) -> list[AlgebraElement]:
     """[u^0, u^1, ..., u^n], each power the previous one times u from the
-    unit, the products ``u ** e`` makes; exact coordinates run the chain on
-    :class:`_Exact` and build each power's Fractions once."""
-    x = _Exact.lift(u.algebra.products, u.coeffs)
-    if x is None:
-        row = [u.algebra.unit()]
-        for _ in range(n):
-            row.append(row[-1] * u)
-        return row
-    chain = [_Exact.unit(x.products)]
+    unit, the products ``u ** e`` makes."""
+    row = [u.algebra.unit()]
     for _ in range(n):
-        chain.append(chain[-1] * x)
-    return [power.element(u.algebra) for power in chain]
-
-
-def integer_value(p: Polynomial, args: Sequence[AlgebraElement]) -> tuple[list[int], int] | None:
-    """p(args) as (numerators, denominator), for arguments of one algebra,
-    one per variable: ``Polynomial.evaluate`` on :class:`_Exact` elements,
-    so the whole chain of products and sums stays on integers.  None when
-    the table has no ``numerators`` or an argument no :func:`integer_form`.
-    The denominator need not be the least one."""
-    products = args[0].algebra.products
-    lifted = []
-    for arg in args:
-        x = _Exact.lift(products, arg.coeffs)
-        if x is None:
-            return None
-        lifted.append(x)
-    value = p.evaluate(lifted, one=_Exact.unit(products))
-    return value.numerators, value.denominator
+        row.append(row[-1] * u)
+    return row

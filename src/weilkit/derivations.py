@@ -55,7 +55,6 @@ from .algebra import (
     compact_integer_form,
     from_integer_form,
     ideal_generators,
-    integer_form,
     monomial_walk,
     mul,
 )
@@ -145,7 +144,7 @@ class Derivation(Frozen):
         ``u.coeffs``, types and signed float zeros included; see :func:`signed_image`.
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
-        return AlgebraElement(self.algebra, signed_image(self, u.coeffs))
+        return AlgebraElement(self.algebra, signed_image(self, u))
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -174,20 +173,22 @@ _DIFFERENT_ALGEBRAS = "derivations belong to different algebras"
 _ZERO = Fraction(0)
 
 
-def signed_image(d: Derivation, coords: Sequence, sign: int = 1) -> tuple:
-    """sign * D(u) for u with coordinates ``coords``: bit for bit and type
-    for type, each output is the sum of its terms c * x in ascending
-    column order from Fraction(0), negated afterwards for sign -1.  Zero
-    column entries are skipped, zero coordinates are not.
+def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
+    """The coordinates of sign * D(u): bit for bit and type for type, each
+    output is the sum of its terms c * x in ascending column order from
+    Fraction(0), negated afterwards for sign -1.  Zero column entries are
+    skipped, zero coordinates are not.
 
-    Exact coordinates take :func:`integer_image`.  Coordinates that are all
-    floats scatter through ``d.float_columns`` from the 0.0 that
-    Fraction(0) + x converts to; an output no entry reaches stays
+    An exact u, read in its ``integer_form`` (kept by u), takes
+    :func:`integer_image` where D has ``integer_columns``.  Coordinates
+    that are all floats scatter through ``d.float_columns`` from the 0.0
+    that Fraction(0) + x converts to; an output no entry reaches stays
     Fraction(0).  Other coordinates run on the columns themselves.
     """
-    image = integer_image(d, integer_form(coords))
-    if image is not None:
-        return from_integer_form(image, sign)
+    form = d.integer_columns is not None and u.integer_form()
+    if form:
+        return from_integer_form(integer_image(d, form), sign)
+    coords = u.coeffs
     columns = d.float_columns
     if columns is not None and all(type(x) is float for x in coords):
         out = [None] * len(coords)
@@ -203,13 +204,10 @@ def signed_image(d: Derivation, coords: Sequence, sign: int = 1) -> tuple:
     return tuple(out) if sign == 1 else tuple(-y for y in out)
 
 
-def integer_image(d: Derivation, u: tuple[list[int], int] | None) -> tuple[list[int], int] | None:
+def integer_image(d: Derivation, u: tuple[list[int], int]) -> tuple[list[int], int]:
     """D(u) as (numerators, denominator), for u given in its
-    ``integer_form``: one integer scatter through ``d.integer_columns``.
-    None when u is None (a coordinate is not an int or a Fraction, or the
-    form was given up) or D has no ``integer_columns``."""
-    if u is None or d.integer_columns is None:
-        return None
+    ``integer_form`` and D with ``integer_columns``: one integer scatter
+    through those columns."""
     (numerators, denominator), (columns, scale) = u, d.integer_columns
     out = [0] * len(columns)
     for x, column in zip(numerators, columns):
@@ -238,8 +236,8 @@ def leibniz_residual(algebra: WeilAlgebra, matrix) -> tuple[int, int] | None:
     columns = [[matrix[k][j] for k in range(s)] for j in range(s)]
     for i, j in itertools.combinations_with_replacement(range(s), 2):
         lhs = [sum((columns[k][p] * c for k, c in products[i][j]), _ZERO) for p in range(s)]
-        rhs_a = mul(products, columns[i], units[j], _ZERO)
-        rhs_b = mul(products, columns[j], units[i], _ZERO)
+        rhs_a = mul(products, columns[i], units[j])
+        rhs_b = mul(products, columns[j], units[i])
         if any(lhs[p] != rhs_a[p] + rhs_b[p] for p in range(s)):
             return (i, j)
     return None
@@ -403,7 +401,7 @@ def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
     check_same_algebra(a.algebra, d.algebra, "element and derivation belong to different algebras")
     products, s = d.algebra.products, d.algebra.dim
     dense = ([column.get(k, _ZERO) for k in range(s)] for column in d.columns)
-    images = (mul(products, a.coeffs, v, _ZERO) for v in dense)
+    images = (mul(products, a.coeffs, v) for v in dense)
     return _trusted(d.algebra, [{p: y for p, y in enumerate(image) if y} for image in images])
 
 

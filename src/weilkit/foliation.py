@@ -33,8 +33,6 @@ from .algebra import (
     dual_numbers,
     from_integer_form,
     ideal_generators,
-    integer_form,
-    integer_value,
 )
 from .derivations import (
     Derivation,
@@ -83,7 +81,7 @@ def _minus_image(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     """-D(u), negated after the sum, which keeps the signed zeros of float
     sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
     -(Fraction(0) + c*0.0) is -0.0."""
-    return AlgebraElement(d.algebra, signed_image(d, u.coeffs, -1))
+    return AlgebraElement(d.algebra, signed_image(d, u, -1))
 
 
 def induced_field(algebra: WeilAlgebra, d: Derivation, n: int) -> InducedField:
@@ -99,22 +97,15 @@ def _check_point(field: InducedField, point: NearPoint) -> None:
 
 def field_apply(field: InducedField, f: Polynomial, point: NearPoint) -> AlgebraElement:
     """Action on a lifted function: -D(point(f)).  Exact for rational data,
-    and a derivation with respect to lifted multiplication.
-
-    When the derivation has ``integer_columns`` and the point's value of f
-    has an :func:`~weilkit.algebra.integer_value`, that value goes straight
-    into :func:`~weilkit.derivations.integer_image`, so the only Fractions
-    built are those of the result; otherwise -D is applied to
-    ``point.eval(f)``.  Both give the same values and types.
+    and a derivation with respect to lifted multiplication.  At an exact
+    point the value ``point.eval(f)`` is kept on integers and goes
+    straight into :func:`~weilkit.derivations.integer_image`, so the only
+    Fractions built are those of the result.
     """
     _check_point(field, point)
     if f.nvars != field.n:
         raise ValueError(f"polynomial has {f.nvars} variables, field has {field.n}")
-    d = field.derivation
-    value = integer_value(f, point.components) if d.integer_columns is not None else None
-    if value is None:
-        return _minus_image(d, point.eval(f))
-    return AlgebraElement(d.algebra, from_integer_form(integer_image(d, value), -1))
+    return _minus_image(field.derivation, point.eval(f))
 
 
 def chart_flatten(field: InducedField, point: NearPoint) -> tuple:
@@ -180,7 +171,7 @@ def distribution_at(
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
     At a point whose coordinates are all ints or Fractions, each component
-    is read once in its ``integer_form`` and, when every derivation has
+    is read in its cached ``integer_form`` and, when every derivation has
     its ``integer_columns``, the r generators are built from their
     :func:`~weilkit.derivations.integer_image`, so they are exact by
     construction; the exact rank is then taken on those integer rows,
@@ -190,7 +181,7 @@ def distribution_at(
     coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
     """
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
-    forms = [integer_form(c.coeffs) for c in point.components]
+    forms = [c.integer_form() for c in point.components]
     exact = None not in forms and all(d.integer_columns is not None for d in basis)
     generators = []
     integer_rows = []

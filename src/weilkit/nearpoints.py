@@ -94,8 +94,8 @@ class NearPoint(Frozen):
     def eval(self, f: Polynomial) -> AlgebraElement:
         """Apply the point's algebra homomorphism to a polynomial function,
         through :func:`~weilkit.algebra.eval_in_algebra`: at an exact point
-        on a table with integer numerators every product and sum of the
-        evaluation runs on integers, and the Fractions are built once."""
+        on a table with integer numerators the value is kept on integers,
+        and its Fractions are built when it is read."""
         if f.nvars != self.n:
             raise ValueError(f"polynomial has {f.nvars} variables, point has {self.n}")
         return eval_in_algebra(f, self.components)
@@ -106,8 +106,8 @@ class NearPoint(Frozen):
         Exact up to float round-off for polynomial oracles; the sum stops at
         the algebra height because higher nilpotent powers vanish.  Each
         nilpotent part's powers up to the height are formed once, by the
-        same products ``**`` makes (:func:`~weilkit.algebra.powers`), and
-        shared by every multi-index.
+        same products ``**`` makes (:func:`~weilkit.algebra.powers`), kept
+        on integers at an exact point, and shared by every multi-index.
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")

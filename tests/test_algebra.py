@@ -390,7 +390,7 @@ def test_mul_matches_the_fraction_loop(name):
     operands = kernel_operands(random.Random(name), len(products))
     for u, v in zip(operands, operands[1:] + operands[:1]):
         for a, b in ((u, u), (u, v), (v, u)):
-            assert typed(mul(products, a, b, Fraction(0))) == typed(
+            assert typed(mul(products, a, b)) == typed(
                 mul_oracle(products, a, b, Fraction(0))
             )
 
@@ -411,9 +411,9 @@ def test_float_copy_is_read_by_float_operands_only():
     mixed = [(rand_fraction(rng), rng.uniform(-1, 1))[q % 2] for q in range(s)]
     floats = [rng.uniform(-1, 1) for _ in range(s)]
     for u, v in [(poly, exact), (exact, poly), ([0.0] * s, poly), (exact, exact), (mixed, mixed)]:
-        assert typed(mul(products, u, v, Fraction(0))) == typed(mul_oracle(products, u, v, Fraction(0)))
+        assert typed(mul(products, u, v)) == typed(mul_oracle(products, u, v, Fraction(0)))
     for u, v in [(floats, exact), (mixed, floats)]:
-        assert mul(products, u, v, Fraction(0)) != mul_oracle(products, u, v, Fraction(0))
+        assert mul(products, u, v) != mul_oracle(products, u, v, Fraction(0))
 
 
 def test_constant_beyond_float_range_keeps_the_fraction_loop():
@@ -431,9 +431,9 @@ def test_constant_beyond_float_range_keeps_the_fraction_loop():
     with pytest.raises(OverflowError):
         mul_oracle(A.products, u, u, Fraction(0))
     with pytest.raises(OverflowError):
-        mul(A.products, u, u, Fraction(0))
+        mul(A.products, u, u)
     v = [0.5, 0.0, 0.125]
-    assert typed(mul(A.products, v, u, Fraction(0))) == typed(mul_oracle(A.products, v, u, Fraction(0)))
+    assert typed(mul(A.products, v, u)) == typed(mul_oracle(A.products, v, u, Fraction(0)))
 
 
 def test_operand_integer_form_is_bounded():
@@ -454,7 +454,7 @@ def test_operand_integer_form_is_bounded():
     coprime = [Fraction(rng.randint(1, 10**9), p ** (3840 // p.bit_length())) for p in primes]
     assert integer_form(coprime) is None
     for v in (A.unit().coeffs, small_primes):
-        assert typed(mul(A.products, coprime, v, Fraction(0))) == typed(
+        assert typed(mul(A.products, coprime, v)) == typed(
             mul_oracle(A.products, coprime, v, Fraction(0))
         )
 
@@ -477,7 +477,7 @@ def test_coprime_denominators_keep_the_fraction_loop():
     assert (A.basis_element(1) * A.basis_element(2)).coeffs == tuple(table[1][2])
     operands = kernel_operands(rng, A.dim)
     for u, v in zip(operands, operands[1:] + operands[:1]):
-        assert typed(mul(A.products, u, v, Fraction(0))) == typed(
+        assert typed(mul(A.products, u, v)) == typed(
             mul_oracle(A.products, u, v, Fraction(0))
         )
 

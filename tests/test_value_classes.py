@@ -196,3 +196,77 @@ def test_algebra_hash_does_not_read_the_products():
     assert wrapped == A and hash(wrapped) == hash(A)
     rebuilt = truncated_polynomial_algebra(2, 2)
     assert rebuilt is not A and hash(rebuilt) == hash(A)
+
+
+def _kept_makers() -> dict:
+    """Makers of kept elements, integer numerators whose Fractions are not
+    built yet: products of exact elements, and sums, differences,
+    negations and rational multiples of products."""
+    A = truncated_polynomial_algebra(2, 2)
+    x = A.element([1, Fraction(2, 3), 0, Fraction(-5, 7), 3, 0])
+    y = A.element([Fraction(1, 2), 0, 4, 0, Fraction(1, 9), 1])
+    return {
+        "product": lambda: x * y,
+        "power": lambda: x**3,
+        "sum": lambda: x * y + x,
+        "difference": lambda: x - x * y,
+        "negation": lambda: -(x * y),
+        "multiple": lambda: Fraction(3, 4) * (x * y),
+        "zero": lambda: (x * y) * 0,
+        "nilpotent": lambda: (x - A.from_scalar(1)) ** 3,
+        "unit": A.unit,
+    }
+
+
+KEPT = _kept_makers()
+
+
+def _copies(u):
+    return [copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))]
+
+
+# Each read on a kept element and on the element built from its Fractions.
+KEPT_READS = {
+    "hash": hash,
+    "repr": repr,
+    "str": str,
+    "copies": lambda u: [(type(c), repr(c), c == u, hash(c)) for c in _copies(u)],
+    "scalar_part": lambda u: (type(u.scalar_part), u.scalar_part),
+    "is_zero": lambda u: u.is_zero(),
+    "coeffs": lambda u: [(type(c), c) for c in u.coeffs],
+}
+
+
+@pytest.mark.parametrize("read", sorted(KEPT_READS))
+@pytest.mark.parametrize("kind", sorted(KEPT))
+def test_kept_elements_read_as_the_elements_of_their_fractions(kind, read):
+    make = KEPT[kind]
+    plain = AlgebraElement(make().algebra, make().coeffs)
+    kept = make()
+    assert kept._coeffs is None and plain._coeffs is not None
+    assert KEPT_READS[read](kept) == KEPT_READS[read](plain)
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT))
+def test_kept_elements_equal_the_elements_of_their_fractions(kind):
+    make = KEPT[kind]
+    plain = AlgebraElement(make().algebra, make().coeffs)
+    other = AlgebraElement(make().algebra, tuple(c + 1 for c in make().coeffs))
+    for compare in (
+        lambda kept: kept == plain,
+        lambda kept: plain == kept,
+        lambda kept: not kept != plain,
+        lambda kept: len({kept, plain}) == 1,
+        lambda kept: kept != other and not kept == other,
+    ):
+        kept = make()
+        assert kept._coeffs is None
+        assert compare(kept)
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT))
+def test_copies_of_kept_elements_are_frozen(kind):
+    for y in _copies(KEPT[kind]()):
+        assert y == KEPT[kind]()
+        with pytest.raises(AttributeError):
+            setattr(y, "coeffs", None)
