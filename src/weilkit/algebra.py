@@ -10,11 +10,10 @@ codimension one.  Only tables that come from outside are verified, by
 * associativity, checked on the operators of algebra generators along
   one monomial walk (:func:`monomial_walk`), which proves it for every
   basis triple,
-* locality: the nilpotent radical is computed as the kernel of the trace
-  form of the regular representation (valid in characteristic zero), then
-  verified constructively (each radical element is nilpotent, the radical
-  is an ideal, and its codimension is exactly one),
-* nilpotency of the ideal, which also yields the height.
+* locality: the maximal ideal is the kernel of the trace x -> Tr(L_x) of
+  the regular representation, and the algebra is local exactly when that
+  kernel is closed under products (valid in characteristic zero), which
+  is the one check made; the height is read off the ideal's powers.
 
 The monomial constructions skip it: a quotient of a polynomial ring by a
 monomial ideal that contains a pure power of every variable is a Weil
@@ -77,6 +76,10 @@ class NotLocalError(AlgebraAxiomError):
 
 
 class NotNilpotentError(AlgebraAxiomError):
+    """The maximal ideal is not nilpotent: raised only by the guard of the
+    height walk, which the locality check of :func:`from_structure_constants`
+    leaves no verified table to reach."""
+
     axiom = "NotNilpotent"
 
 
@@ -784,34 +787,17 @@ def _find_unit(products) -> list[Fraction] | None:
     return unit
 
 
-def _trace_form_kernel(products) -> list[list[Fraction]]:
-    # In characteristic zero the radical is the kernel of the trace form
-    # of the regular representation: x is nilpotent iff trace(M_{x*a}) = 0
-    # for every a.  The kernel basis is returned reduced: each vector is 1
-    # at its own leading column and 0 at the others', in increasing order.
+def _not_local(products, traces) -> NotLocalError:
+    """The NotLocalError of a table that is not local.  It names the
+    dimension of the nilpotent radical, which in characteristic zero is the
+    kernel of the trace form (x, y) -> Tr(L_{xy})."""
     s = len(products)
-    traces = [
-        sum((c for q, entry in enumerate(row) for k, c in entry if k == q), Fraction(0))
-        for row in products
-    ]
-    gram = [
-        [sum((c * traces[k] for k, c in products[i][j]), Fraction(0)) for i in range(s)]
-        for j in range(s)
-    ]
-    kernel: dict = {}
-    for vec in linalg.null_vectors(linalg.back_reduce(linalg.echelon_form(gram)), s):
-        linalg.eliminate(kernel, vec, s)
-    reduced = sorted(linalg.back_reduce(kernel).items())
-    return [[vec.get(k, Fraction(0)) for k in range(s)] for _, vec in reduced]
-
-
-def _is_nilpotent(products, vec: Sequence[Fraction]) -> bool:
-    # Multiplication by x is nilpotent on the s-dimensional algebra iff
-    # x^s = 0: with a unit and associativity, M_x^s is multiplication by x^s.
-    power = vec
-    for _ in range(len(vec) - 1):
-        power = mul(products, power, vec)
-    return not any(power)
+    gram = [[sum((c * traces[k] for k, c in entry), _ZERO) for entry in row] for row in products]
+    d = s - len(linalg.echelon_form(gram))
+    return NotLocalError(
+        f"nilpotent elements span dimension {d}, expected {s - 1}; "
+        "the algebra contains a nontrivial idempotent or semisimple part"
+    )
 
 
 def from_structure_constants(
@@ -821,15 +807,28 @@ def from_structure_constants(
 
     This is the one verifier, for tables that come from outside; the
     monomial constructions build their algebras without it.  Raises
-    NotCommutativeError, NotAssociativeError, NoUnitError, NotLocalError or
-    NotNilpotentError when the corresponding axiom fails, and
-    SizeLimitError for more than MAX_DIM labels.
+    NotCommutativeError, NotAssociativeError, NoUnitError or NotLocalError
+    when the corresponding axiom fails, and SizeLimitError for more than
+    MAX_DIM labels.
 
     Every check reads the sparse index of the raw table, with its compact
     integer form, through :func:`mul`.  Associativity is checked on the w
     algebra generators, in O(w^2 s^3 + s^4) rather than over all s^3 basis
     triples; see :func:`_check_associative` for why that is an exact proof.
     Width and height come from the generators of m in the same way.
+
+    Locality is read off the trace t(x) = Tr(L_x) alone, on the table that
+    is by then commutative, unital and associative.  t(unit) = Tr(I) = s,
+    so the kernel of t is a hyperplane m that misses the unit.  If A is
+    local, its maximal ideal is nilpotent, so t vanishes on it, and it is
+    m.  Conversely, if m is closed under products, then for x in m every
+    power x^k lies in m, so Tr(L_x^k) = Tr(L_{x^k}) = 0 for all k >= 1;
+    by Newton's identities in characteristic zero L_x is nilpotent, hence
+    so is x = L_x(unit).  Then m is a codimension-one ideal (A·m =
+    m + m·m) of nilpotent elements, so A is local with maximal ideal m.
+    So the one check that every product of two basis vectors of m has
+    t = 0 proves locality; only when it fails is the dimension of the
+    nilpotent radical computed, for the message.
     """
     check_size("algebra dimension", len(labels), MAX_DIM)
     labels = tuple(str(x) for x in labels)
@@ -846,40 +845,30 @@ def from_structure_constants(
         raise NoUnitError("no element satisfies u*a = a for every basis element a")
     _check_associative(products, unit, labels)
 
-    radical = _trace_form_kernel(products)
-    if len(radical) != s - 1:
-        raise NotLocalError(
-            f"nilpotent elements span dimension {len(radical)}, expected {s - 1}; "
-            "the algebra contains a nontrivial idempotent or semisimple part"
-        )
-    if not all(_is_nilpotent(products, vec) for vec in radical):
-        raise NotNilpotentError("candidate maximal ideal contains a non-nilpotent element")
-    # The radical basis is reduced: vector i is 1 at its pivot p_i and 0 at
-    # the other pivots, and one column f is free.  So the radical is the
-    # kernel of w(x) = x[f] - sum_i rad_i[f] x[p_i].
-    pivots = [next(p for p, x in enumerate(vec) if x) for vec in radical]
-    (free,) = set(range(s)).difference(pivots)
-    form = {free: Fraction(1), **{p: -vec[free] for p, vec in zip(pivots, radical) if vec[free]}}
+    # traces[k] = Tr(L_{e_k}).  Since t(unit) = s, some trace is non-zero;
+    # with f the last such index, rad_p = e_p - (t_p/t_f) e_f for p != f is
+    # the reduced basis of m = ker t: 1 at its own leading column p, 0 at
+    # the others', and the free column is f.
+    traces = [
+        sum((c for q, entry in enumerate(row) for k, c in entry if k == q), _ZERO)
+        for row in products
+    ]
+    free = max(k for k, t in enumerate(traces) if t)
+    pivots = [p for p in range(s) if p != free]
+    radical = [[_ZERO] * s for _ in pivots]
+    for p, vec in zip(pivots, radical):
+        vec[p], vec[free] = Fraction(1), -traces[p] / traces[free]
 
-    def w(x) -> Fraction:
-        return sum(c * x[p] for p, c in form.items())
-
-    # Change of basis: unit first, then the canonical radical basis, in which
-    # x = c unit + sum_i (x[p_i] - c unit[p_i]) rad_i for c = w(x) / w(unit).
-    # With L_unit = I and the unit outside the radical m, A·m = m + m·m, so
-    # m is an ideal exactly when c = 0 for every product of two of its
-    # basis vectors.
-    scale = w(unit)
-    if not scale:
-        raise NotLocalError("unit lies in the span of the nilpotent elements")
+    # Change of basis: unit first, then the radical basis, in which
+    # x = c unit + sum_p (x[p] - c unit[p]) rad_p for c = t(x) / s.
     columns = [unit, *radical]
     rows = [[None] * s for _ in range(s)]
     for i in range(s):
         for j in range(i, s):  # the table is commutative
             product = mul(products, columns[i], columns[j])
-            c = w(product) / scale
-            if c and i:
-                raise NotLocalError("nilpotent elements do not form an ideal")
+            c = sum((t * x for t, x in zip(traces, product) if t and x), _ZERO) / s
+            if c and i:  # m is not closed under products: A is not local
+                raise _not_local(products, traces)
             coords = (c, *(product[p] - c * unit[p] for p in pivots))
             rows[i][j] = rows[j][i] = tuple((k, x) for k, x in enumerate(coords) if x)
     new_products = _sparse_products(rows)

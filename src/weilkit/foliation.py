@@ -179,7 +179,11 @@ def distribution_at(
     scaled by a non-zero factor.  A generator that leaves the float range,
     as inf or as an exact value that the float arithmetic (a float
     coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
+    A negative or NaN ``tol`` raises ValueError; ``inf`` counts every pivot
+    as zero.
     """
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [c.integer_form() for c in point.components]
     exact = None not in forms and all(d.integer_columns is not None for d in basis)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from weilkit import (
     NotAssociativeError,
     NotCommutativeError,
     NotLocalError,
+    NotNilpotentError,
     Polynomial,
     dual_numbers,
     from_structure_constants,
@@ -25,12 +27,14 @@ from weilkit import (
 from weilkit import algebra, linalg
 from weilkit.algebra import _sparse_products, _sparse_rows, compact_integer_form, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
+from weilkit.poly import signed_sum
 from support import (
     ORACLE_CORPUS,
     associativity_oracle,
     coprime_denominators,
     coprime_table,
     mul_oracle,
+    nullspace_oracle,
     rand_fraction,
     rand_nilpotent,
     raw_table_mul,
@@ -214,6 +218,115 @@ def test_associativity_verdicts_match_the_triple_scan(name, rebased):
             bad[j][i][k] += 1
         bad = rebase(bad)
         assert _associativity_message(labels, bad) == _oracle_message(labels, bad)
+
+
+def _locality_oracle(labels, table):
+    """The locality verdict on a commutative, unital, associative raw table
+    by constructive checks: the radical is the kernel of the Gram matrix of
+    the trace form (x, y) -> Tr(L_{xy}), read by dense Gauss-Jordan
+    elimination; it must have dimension s - 1, each kernel vector x must
+    have x^s = 0, and each product of two kernel vectors must lie in the
+    kernel again.  Returns (error class, message), or the labels of the
+    reduced kernel basis and its free column."""
+    s = len(table)
+    table = [[[Fraction(c) for c in entry] for entry in row] for row in table]
+    traces = [sum(table[i][q][q] for q in range(s)) for i in range(s)]
+    gram = [[sum(c * t for c, t in zip(entry, traces)) for entry in row] for row in table]
+    kernel = nullspace_oracle(gram, s)
+    if len(kernel) != s - 1:
+        return NotLocalError, (
+            f"nilpotent elements span dimension {len(kernel)}, expected {s - 1}; "
+            "the algebra contains a nontrivial idempotent or semisimple part"
+        )
+    for x in kernel:
+        power = x
+        for _ in range(s - 1):
+            power = raw_table_mul(table, power, x)
+        if any(power):
+            return NotNilpotentError, "candidate maximal ideal contains a non-nilpotent element"
+    for x, y in itertools.combinations_with_replacement(kernel, 2):
+        z = raw_table_mul(table, x, y)
+        if any(sum(g * c for g, c in zip(row, z)) for row in gram):
+            return NotLocalError, "nilpotent elements do not form an ideal"
+    leads = {next(k for k, c in enumerate(x) if c) for x in kernel}
+    (free,) = set(range(s)) - leads
+    return tuple(signed_sum(zip(x, labels), sep="") for x in kernel), free
+
+
+def _product_table(a, b):
+    """The block-diagonal table of the product algebra A x B."""
+    sa, s = len(a), len(a) + len(b)
+    out = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
+    for offset, part in ((0, a), (sa, b)):
+        for i, j, k in itertools.product(range(len(part)), repeat=3):
+            out[offset + i][offset + j][offset + k] = Fraction(part[i][j][k])
+    return out
+
+
+def _moved_unit(table, position):
+    """The table over the basis with e_0 moved to ``position``."""
+    order = list(range(1, len(table)))
+    order.insert(position, 0)
+    return [[[table[i][j][k] for k in order] for j in order] for i in order]
+
+
+def _locality_cases():
+    """Commutative, unital, associative raw tables, local or not, by name."""
+    cases = {
+        "R x R": product_table(),
+        "C": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+        "Q(sqrt 2)": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]],
+    }
+    for name in ("R x R", "C", "Q(sqrt 2)"):
+        cases[f"{name} rebased"] = rebased_table(cases[name], random.Random(5))
+    for name in REBASED:
+        build, args = ORACLE_CORPUS[name]
+        A = build(*args)
+        s = A.dim
+        table = [[list(entry) for entry in row] for row in A.table]
+        cases[name] = table
+        cases[f"{name} scrambled"] = scrambled_table(A, random.Random(s))
+        if s > 2:
+            cases[f"{name} unit at {s // 2}"] = _moved_unit(table, s // 2)
+        # The perturbations of the associativity test that stay associative.
+        rng, basis_rng = random.Random(s), random.Random(1000 + s)
+        for q in range(3 if s > 1 else 0):
+            i, j, k = rng.randrange(1, s), rng.randrange(1, s), rng.randrange(s)
+            bad = [[list(entry) for entry in row] for row in table]
+            bad[i][j][k] += 1
+            if i != j:
+                bad[j][i][k] += 1
+            if associativity_oracle(bad) is None:
+                cases[f"{name} perturbed {q}"] = bad
+                cases[f"{name} perturbed {q} rebased"] = rebased_table(bad, basis_rng)
+    for name in ("truncated-1-1", "truncated-2-1", "quotient-x2-y3"):
+        build, args = ORACLE_CORPUS[name]
+        table = [[list(entry) for entry in row] for row in build(*args).table]
+        for k in (2, 3):
+            t = truncated_polynomial_algebra(1, k - 1).table
+            cases[f"{name} x R[t]/t^{k} scrambled"] = rebased_table(_product_table(table, t), random.Random(k))
+    return cases
+
+
+def test_locality_verdicts_match_the_constructive_checks():
+    # The verifier reads locality off the trace alone (see
+    # from_structure_constants); the oracle runs the constructive checks,
+    # and none of their other verdicts may be reached.  The cases cover
+    # both verdicts and a free column at 0, at s - 1 and inside.
+    verdicts = set()
+    for name, table in _locality_cases().items():
+        labels = [f"a{i}" for i in range(len(table))]
+        expected = _locality_oracle(labels, table)
+        try:
+            A = from_structure_constants(labels, table)
+        except NotLocalError as exc:
+            assert expected == (NotLocalError, str(exc)), name
+            verdicts.add("NotLocal")
+            continue
+        oracle_labels, free = expected
+        assert A.labels[1:] == oracle_labels, name
+        verdicts.add("free " + ("0" if free == 0 else "last" if free == A.dim - 1 else "inside"))
+    assert verdicts == {"NotLocal", "free 0", "free last", "free inside"}
 
 
 def test_unit_found_in_permuted_basis():

@@ -192,6 +192,29 @@ def test_distribution_rank_bound_and_generic_rank():
         assert distribution_at(A, basis, xi).rank == generic_rank
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("-inf"), float("nan")])
+def test_distribution_refuses_a_negative_or_nan_tolerance(tol):
+    # -1.0 divided by zero in the float elimination, and NaN read rank 0.
+    A = truncated_polynomial_algebra(2, 2)
+    point = rand_near_point(random.Random(3), A, 2)
+    with pytest.raises(ValueError, match="rank tolerance must be non-negative") as exc:
+        distribution_at(A, derivation_basis(A), point, tol=tol)
+    assert repr(tol) in str(exc.value)
+
+
+def test_distribution_tolerances_keep_their_meaning():
+    # On R[x,y]/m^3 at a generic rational point the exact rank is r = 10:
+    # None and 0 take it exactly, 1e-9 in floats, and inf counts every
+    # pivot as zero.
+    A = truncated_polynomial_algebra(2, 2)
+    basis = derivation_basis(A)
+    point = rand_near_point(random.Random(3), A, 2)
+    assert len(basis) == 10
+    for tol, rank, tolerance in ((None, 10, 0.0), (0, 10, 0), (1e-9, 10, 1e-9), (math.inf, 0, math.inf)):
+        sample = distribution_at(A, basis, point, tol=tol)
+        assert (sample.rank, sample.tolerance) == (rank, tolerance)
+
+
 def test_distribution_zero_section_rank_zero():
     for A in (D, X3, SQ):
         basis = derivation_basis(A)
