@@ -240,12 +240,6 @@ class WeilAlgebra(Frozen):
     def maximal_ideal_basis(self) -> tuple["AlgebraElement", ...]:
         return tuple(self.basis_element(i) for i in range(1, self.dim))
 
-    def multiplication_matrix(self, u: "AlgebraElement") -> list[list[Fraction]]:
-        """Matrix of v -> u*v on the basis (columns are images of basis elements)."""
-        check_same_algebra(u.algebra, self, "element belongs to a different algebra")
-        columns = [mul(self.products, u.coeffs, e) for e in linalg.identity(self.dim)]
-        return [list(row) for row in zip(*columns)]
-
 
 class AlgebraElement(Frozen):
     """Coefficient vector over an algebra's basis.
@@ -639,13 +633,16 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
     combination of the kept monomials is kept too.  The walk stops taking
     candidates once the monomials span the algebra.
 
-    Returns (generators, monomials, parents, relations).  ``monomials[0]``
-    is the unit; ``parents[u] = (a, t)`` says monomials[u] is
-    e_{generators[a]} * monomials[t] (None for the unit), so t < u and a
+    Returns (generators, monomials, parents, relations, span).
+    ``monomials[0]`` is the unit; ``parents[u] = (a, t)`` says monomials[u]
+    is e_{generators[a]} * monomials[t] (None for the unit), so t < u and a
     generator enters as (a, 0).  ``relations`` holds (a, t, expansion) for
     every other product, with e_{generators[a]} * monomials[t] =
     sum of c * monomials[u] over ``expansion`` = {u: c}.  Each pair (a, t)
-    appears exactly once in ``parents`` or ``relations``.
+    appears exactly once in ``parents`` or ``relations``.  ``span`` is the
+    walk's echelon of the rows monomial u + e_(s+u); once the monomials
+    span the algebra, row q of its :func:`~weilkit.linalg.back_reduce`
+    holds M^-1[u][q] in column s + u, for M with the monomials as columns.
     """
     s = len(products)
     one = Fraction(1)
@@ -689,7 +686,7 @@ def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iter
                 if expansion is not None:
                     relations.append((b, t, expansion))
             t += 1
-    return generators, monomials, parents, relations
+    return generators, monomials, parents, relations, span
 
 
 # ----------------------------------------------------------------- raw tables
@@ -738,7 +735,7 @@ def _check_associative(products, unit, labels) -> None:
     """
     s = len(products)
     units = linalg.identity(s)
-    generators, monomials, parents, _ = monomial_walk(products, unit, range(s))
+    generators, monomials, parents, _, _ = monomial_walk(products, unit, range(s))
     # columns[u][q] = M_u * e_q, the columns of L_{M_u}; L_x L_y e_q = x * (y * e_q).
     columns = [[mul(products, m, e) for e in units] for m in monomials]
     # Monomial g * unit = g is the one a generator enters the walk with.

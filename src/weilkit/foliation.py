@@ -168,6 +168,8 @@ def distribution_at(
 ) -> DistributionSample:
     """Evaluate all induced fields at a point and compute the span's rank.
 
+    The algebras are checked before any value: the first derivation's, the
+    point's, then the others'.  Generator k concatenates -D_k(point_i).
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
     At a point whose coordinates are all ints or Fractions, each component
@@ -176,29 +178,32 @@ def distribution_at(
     :func:`~weilkit.derivations.integer_image`, so they are exact by
     construction; the exact rank is then taken on those integer rows,
     which are the generators with each row and each component's columns
-    scaled by a non-zero factor.  A generator that leaves the float range,
-    as inf or as an exact value that the float arithmetic (a float
+    scaled by a non-zero factor.  Other generators take
+    :func:`~weilkit.derivations.signed_image`.  One that leaves the float
+    range, as inf or as an exact value that the float arithmetic (a float
     coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
     A negative or NaN ``tol`` raises ValueError; ``inf`` counts every pivot
     as zero.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
+    for k, d in enumerate(basis):
+        check_same_algebra(d.algebra, algebra, "derivation belongs to a different algebra")
+        if k == 0:
+            check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [c.integer_form() for c in point.components]
     exact = None not in forms and all(d.integer_columns is not None for d in basis)
     generators = []
     integer_rows = []
     for d, what in zip(basis, names):
-        field = induced_field(algebra, d, point.n)
         if exact:
-            _check_point(field, point)
             images = [integer_image(d, form) for form in forms]
             integer_rows.append([y for out, _ in images for y in out])
             generators.append(tuple(x for image in images for x in from_integer_form(image, -1)))
             continue
         try:
-            gen = chart_flatten(field, point)
+            gen = tuple(x for c in point.components for x in signed_image(d, c, -1))
         except OverflowError:
             raise ValueError(f"{what} overflows floating point") from None
         _check_finite(gen, what)

@@ -203,7 +203,10 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 def rank_with_tolerance(rows: list[list[float]], tol: float) -> int:
     """Rank by float Gaussian elimination with partial pivoting; pivots of
     absolute value <= tol count as zero.  With tol = 0 it is the exact rank
-    of the entries (ints, Fractions or floats, each taken exactly)."""
+    of the entries (ints, Fractions or floats, each taken exactly).  A
+    negative or NaN ``tol`` raises ValueError."""
+    if not tol >= 0:
+        raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
     if tol == 0:
         return len(echelon_form(rows))
     m = [[float(x) for x in row] for row in rows]

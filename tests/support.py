@@ -18,6 +18,7 @@ parser, which builds every intermediate result as a Polynomial.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -618,10 +619,36 @@ def rebased_table(table, rng: random.Random) -> list:
     change = rand_invertible(rng, s)
     inverse = invert_oracle(change)
     columns = [[change[p][i] for p in range(s)] for i in range(s)]
-    return [
-        [linalg.mat_vec(inverse, raw_table_mul(table, columns[i], columns[j])) for j in range(s)]
-        for i in range(s)
-    ]
+    # The product of raw_table_mul, summed over the non-zero constants only.
+    constants = [[[(k, Fraction(c)) for k, c in enumerate(entry) if c] for entry in row] for row in table]
+
+    def product(u, v):
+        out = [Fraction(0)] * s
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                if a and b:
+                    for k, c in constants[i][j]:
+                        out[k] += a * b * c
+        return out
+
+    return [[linalg.mat_vec(inverse, product(columns[i], columns[j])) for j in range(s)] for i in range(s)]
+
+
+def block_product_table(a, b):
+    """The block-diagonal table of the product algebra A x B."""
+    sa, s = len(a), len(a) + len(b)
+    out = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
+    for offset, part in ((0, a), (sa, b)):
+        for i, j, k in itertools.product(range(len(part)), repeat=3):
+            out[offset + i][offset + j][offset + k] = Fraction(part[i][j][k])
+    return out
+
+
+def moved_unit_table(table, position):
+    """The table over the basis with e_0 moved to ``position``."""
+    order = list(range(1, len(table)))
+    order.insert(position, 0)
+    return [[[table[i][j][k] for k in order] for j in order] for i in order]
 
 
 def rescaled_table(algebra: WeilAlgebra) -> list:

@@ -31,8 +31,10 @@ from weilkit.poly import signed_sum
 from support import (
     ORACLE_CORPUS,
     associativity_oracle,
+    block_product_table,
     coprime_denominators,
     coprime_table,
+    moved_unit_table,
     mul_oracle,
     nullspace_oracle,
     rand_fraction,
@@ -253,23 +255,6 @@ def _locality_oracle(labels, table):
     return tuple(signed_sum(zip(x, labels), sep="") for x in kernel), free
 
 
-def _product_table(a, b):
-    """The block-diagonal table of the product algebra A x B."""
-    sa, s = len(a), len(a) + len(b)
-    out = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
-    for offset, part in ((0, a), (sa, b)):
-        for i, j, k in itertools.product(range(len(part)), repeat=3):
-            out[offset + i][offset + j][offset + k] = Fraction(part[i][j][k])
-    return out
-
-
-def _moved_unit(table, position):
-    """The table over the basis with e_0 moved to ``position``."""
-    order = list(range(1, len(table)))
-    order.insert(position, 0)
-    return [[[table[i][j][k] for k in order] for j in order] for i in order]
-
-
 def _locality_cases():
     """Commutative, unital, associative raw tables, local or not, by name."""
     cases = {
@@ -287,7 +272,7 @@ def _locality_cases():
         cases[name] = table
         cases[f"{name} scrambled"] = scrambled_table(A, random.Random(s))
         if s > 2:
-            cases[f"{name} unit at {s // 2}"] = _moved_unit(table, s // 2)
+            cases[f"{name} unit at {s // 2}"] = moved_unit_table(table, s // 2)
         # The perturbations of the associativity test that stay associative.
         rng, basis_rng = random.Random(s), random.Random(1000 + s)
         for q in range(3 if s > 1 else 0):
@@ -304,7 +289,7 @@ def _locality_cases():
         table = [[list(entry) for entry in row] for row in build(*args).table]
         for k in (2, 3):
             t = truncated_polynomial_algebra(1, k - 1).table
-            cases[f"{name} x R[t]/t^{k} scrambled"] = rebased_table(_product_table(table, t), random.Random(k))
+            cases[f"{name} x R[t]/t^{k} scrambled"] = rebased_table(block_product_table(table, t), random.Random(k))
     return cases
 
 

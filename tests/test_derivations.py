@@ -49,6 +49,7 @@ from support import (
     rand_fraction,
     rand_invertible,
     rand_near_point,
+    raw_table_mul,
     rescaled_table,
     scrambled,
     sparse_brackets,
@@ -198,8 +199,9 @@ def test_oracle_applies_the_dual_number_rescale():
 
 def test_non_derivation_matrix_rejected():
     D = dual_numbers()
-    with pytest.raises(ValueError):
-        Derivation(D, F([[0, 1], [0, 0]]))  # does not kill the unit
+    # ε -> 1 kills the unit but leaves m: D(ε·ε) = 0 != 2ε·D(ε).
+    with pytest.raises(ValueError, match=r"basis pair \(1, 1\)"):
+        Derivation(D, F([[0, 1], [0, 0]]))
     A = truncated_polynomial_algebra(1, 2)
     with pytest.raises(ValueError):
         Derivation(A, F([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))  # Leibniz fails
@@ -207,6 +209,19 @@ def test_non_derivation_matrix_rejected():
     for rows in ([[0]], [[0, 0, 0], [0, 0, -1]], [[0, 0], [0, -1], [0, 0]]):
         with pytest.raises(ValueError, match="must be 2 x 2"):
             Derivation(D, F(rows))
+
+
+def test_float_matrix_rejected():
+    # The Leibniz scan proves D(1) = 0 and D(m) ⊆ m only for exact entries.
+    # On the dual numbers, D(1) = inf·ε and D(ε) = -ε pass it in floats:
+    # pair (0, 0) reads inf = 2·inf.  A float multiple of a basis
+    # derivation is refused too, although its values are exact.
+    D = dual_numbers()
+    A = truncated_polynomial_algebra(2, 2)
+    halved = [[0.5 * x for x in row] for row in derivation_basis(A)[3].matrix]
+    for algebra, matrix in ((D, [[0.0, 0.0], [math.inf, -1.0]]), (A, halved)):
+        with pytest.raises(ValueError, match="derivation matrix entries must be ints or Fractions"):
+            Derivation(algebra, matrix)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
@@ -303,8 +318,10 @@ def test_module_scale_examples():
     x = A.basis_element(1)
     scaled = module_scale(x, d1)
     assert scaled.matrix == d2.matrix
-    # oracle: matrix product M_x D1
-    oracle = la.mat_mul(A.multiplication_matrix(x), [list(r) for r in d1.matrix])
+    # oracle: matrix product M_x D1, with column q of M_x the product x * e_q
+    s = A.dim
+    columns = [raw_table_mul(A.table, x.coeffs, [Fraction(int(p == q)) for p in range(s)]) for q in range(s)]
+    oracle = la.mat_mul([list(row) for row in zip(*columns)], [list(r) for r in d1.matrix])
     assert scaled.matrix == tuple(tuple(row) for row in oracle)
 
 

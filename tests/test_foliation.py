@@ -215,6 +215,24 @@ def test_distribution_tolerances_keep_their_meaning():
         assert (sample.rank, sample.tolerance) == (rank, tolerance)
 
 
+def test_distribution_checks_the_algebras_in_order():
+    # The first derivation's algebra, then the point's, then the others';
+    # an empty basis checks none.
+    A, B = truncated_polynomial_algebra(2, 2), truncated_polynomial_algebra(1, 5)
+    (a0, a1), (b0, b1) = derivation_basis(A)[:2], derivation_basis(B)[:2]
+    at_a, at_b = rand_near_point(random.Random(3), A, 2), rand_near_point(random.Random(3), B, 2)
+    for basis, point, message in (
+        ([b0, a1], at_a, "derivation belongs"),
+        ([b0, a1], at_b, "derivation belongs"),
+        ([a0, b1], at_b, "point belongs"),
+        ([a0, b1], at_a, "derivation belongs"),
+        ([a0], at_b, "point belongs"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message} to a different algebra$"):
+            distribution_at(A, basis, point)
+    assert distribution_at(A, [], at_b).rank == 0
+
+
 def test_distribution_zero_section_rank_zero():
     for A in (D, X3, SQ):
         basis = derivation_basis(A)

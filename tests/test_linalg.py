@@ -27,6 +27,16 @@ def test_rank_with_tolerance_float_path():
     assert la.rank_with_tolerance([[1.0, 0.0], [0.0, 1e-6]], 1e-9) == 2
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("-inf"), float("nan")])
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [1.0, 0.0]], []])
+def test_rank_refuses_a_negative_or_nan_tolerance(rows, tol):
+    # A negative tol took a zero column as a pivot and divided by zero;
+    # NaN took no pivot and read rank 0.
+    with pytest.raises(ValueError, match="rank tolerance must be non-negative") as exc:
+        la.rank_with_tolerance(rows, tol)
+    assert repr(tol) in str(exc.value)
+
+
 def test_rank_exact_path():
     rows = F([[1, 2], [2, 4], [0, 1]])
     assert la.rank_with_tolerance(rows, 0) == 2

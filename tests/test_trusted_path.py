@@ -119,18 +119,6 @@ def test_element_products_match_reference(algebra, kind):
         assert list(product.coeffs) == raw_table_mul(table, u, v)
 
 
-@pytest.mark.parametrize("kind", ["fraction", "float"])
-def test_multiplication_matrix_matches_reference(algebra, kind):
-    rng = random.Random(13)
-    s, table = algebra.dim, algebra.table
-    for _ in range(5):
-        u = _coefficients(rng, s, kind)
-        mat = algebra.multiplication_matrix(algebra.element(u))
-        for q in range(s):
-            column = raw_table_mul(table, u, [Fraction(int(p == q)) for p in range(s)])
-            assert [mat[p][q] for p in range(s)] == column
-
-
 def _reference_eval(table, f, args):
     s = len(table)
     unit = [Fraction(int(k == 0)) for k in range(s)]
