@@ -22,10 +22,13 @@ already form a normalised basis.
 
 Either way basis element 0 is the unit and elements 1..s-1 span the
 maximal ideal; the scalar part of an element is then literally its
-coordinate 0.  Every product goes through one kernel, :func:`mul`, over
-the sparse structure constants that are indexed once per table, and it
-runs exact coordinates on integer numerators over one common
-denominator, and float coordinates on a float copy of the constants.
+coordinate 0.  The algebra stores the basis elements that generate m
+(``WeilAlgebra.generators``): the verifier finds them once, and a
+monomial algebra has its variables.  Every product goes through one
+kernel, :func:`mul`, over the sparse structure constants that are
+indexed once per table, and it runs exact coordinates on integer
+numerators over one common denominator, and float coordinates on a
+float copy of the constants.
 An exact :class:`AlgebraElement` keeps the integer numerators of its
 products, so a chain of exact products (a power, a polynomial value)
 stays on integers and builds its Fractions once, when its coordinates
@@ -165,26 +168,32 @@ class WeilAlgebra(Frozen):
     :func:`mul` reads: ``products[i][j]`` lists the pairs (k, c) with c the
     non-zero coefficient of basis element k in the product of basis
     elements i and j.  Basis element 0 is the unit; elements 1..dim-1 span
-    the maximal ideal.  ``height`` is the smallest k with m^(k+1) = 0 and
-    ``width`` is dim(m/m^2).  Algebras compare by all four fields; the hash
-    reads only the labels, height and width.
+    the maximal ideal.  ``height`` is the smallest k with m^(k+1) = 0;
+    ``generators`` are the :func:`ideal_generators`, whose classes form a
+    basis of m/m^2, and ``width`` = dim(m/m^2) is their number.  Algebras
+    compare by all four fields; the hash reads only the labels, height
+    and generators.
     """
 
-    __slots__ = _fields = ("labels", "products", "height", "width")
+    __slots__ = _fields = ("labels", "products", "height", "generators")
 
     labels: tuple[str, ...]
     products: Products
     height: int
-    width: int
+    generators: tuple[int, ...]
 
-    def __init__(self, labels, products, height, width):
+    def __init__(self, labels, products, height, generators):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "products", products)
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "generators", generators)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.height, self.width))
+        return hash((self.labels, self.height, self.generators))
+
+    @property
+    def width(self) -> int:
+        return len(self.generators)
 
     @property
     def table(self) -> Table:
@@ -478,14 +487,7 @@ def integer_form(coords: Sequence) -> tuple[list[int], int] | None:
     if not _EXACT_TYPES.issuperset(map(type, coords)):
         return None
     ratios = [x.as_integer_ratio() for x in coords]
-    cap = 64 + 2 * max((d.bit_length() for _, d in ratios), default=0)
-    den = 1
-    for _, d in ratios:
-        if den % d:
-            den = math.lcm(den, d)
-            if den.bit_length() > cap:
-                return None
-    return [n * (den // d) for n, d in ratios], den
+    return linalg.over_lcm(ratios, 64 + 2 * max((d.bit_length() for _, d in ratios), default=0))
 
 
 def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
@@ -505,15 +507,9 @@ def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
     if not _EXACT_TYPES.issuperset(map(type, values)):
         return None
     ratios = [x.as_integer_ratio() for x in values]
+    # bits * len(ratios) > budget exactly when bits > budget // len(ratios).
     budget = 2 * sum(n.bit_length() + d.bit_length() for n, d in ratios)
-    den = 1
-    for _, d in ratios:
-        if den % d:
-            den = math.lcm(den, d)
-            bits = den.bit_length()
-            if bits > 64 and bits * len(ratios) > budget:
-                return None
-    return [n * (den // d) for n, d in ratios], den
+    return linalg.over_lcm(ratios, max(64, budget // max(len(ratios), 1)))
 
 
 def mul(products: Products, u: Sequence, v: Sequence) -> list:
@@ -608,7 +604,7 @@ def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
     return [_ZERO if x is None else x for x in out]
 
 
-def ideal_generators(products: Products) -> list[int]:
+def ideal_generators(products: Products) -> tuple[int, ...]:
     """Basis elements of m whose classes form a basis of m/m^2, for a
     normalised table (m spanned by e_1..e_{s-1}).
 
@@ -620,7 +616,7 @@ def ideal_generators(products: Products) -> list[int]:
     for i in range(1, s):
         for j in range(i, s):
             linalg.eliminate(square, dict(products[i][j]), s)
-    return [g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s)]
+    return tuple(g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s))
 
 
 def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iterable[int]):
@@ -875,22 +871,21 @@ def from_structure_constants(
     else:
         new_labels = ("1",) + tuple(signed_sum(zip(vec, labels), sep="") for vec in radical)
 
-    height, width = _height_and_width(new_products)
-    return WeilAlgebra(labels=new_labels, products=new_products, height=height, width=width)
+    height, generators = _height_and_generators(new_products)
+    return WeilAlgebra(new_labels, new_products, height, generators)
 
 
-def _height_and_width(products: Products) -> tuple[int, int]:
-    """(height, width) of the normalised table of a local algebra (m spanned
-    by e_1..e_{s-1} and nilpotent).
+def _height_and_generators(products: Products) -> tuple[int, tuple[int, ...]]:
+    """(height, ``ideal_generators``) of the normalised table of a local
+    algebra (m spanned by e_1..e_{s-1} and nilpotent).
 
-    The width is the number of ``ideal_generators`` g_a.  They generate m
-    as an ideal, so m^(k+1) = m^k * m is spanned by the products g_a * u
-    over a basis u of m^k; the height is the number of steps of that walk
-    before m^(k+1) = 0.
+    The generators g_a generate m as an ideal, so m^(k+1) = m^k * m is
+    spanned by the products g_a * u over a basis u of m^k; the height is
+    the number of steps of that walk before m^(k+1) = 0.
     """
     s = len(products)
     units = linalg.identity(s)
-    generators = [units[g] for g in ideal_generators(products)]
+    generators = ideal_generators(products)
     current = units[1:]  # a basis of m^k, for k = height + 1
     height = 0
     while current:
@@ -898,13 +893,13 @@ def _height_and_width(products: Products) -> tuple[int, int]:
             raise NotNilpotentError("maximal ideal is not nilpotent")
         spanning = [
             w for u in current for g in generators
-            if any(w := mul(products, g, u))
+            if any(w := mul(products, units[g], u))
         ]
         current = [
             [row.get(k, 0) for k in range(s)] for row in linalg.echelon_form(spanning).values()
         ]
         height += 1
-    return height, len(generators)
+    return height, generators
 
 
 # ------------------------------------------------------------- constructions
@@ -1013,7 +1008,8 @@ def _monomial_basis_algebra(names, exponents) -> WeilAlgebra:
     # The standard monomials in grlex order put the unit first and span m
     # after it, so the table is already normalised.  A product is the basis
     # monomial with the summed exponent, or zero when that exponent is not
-    # standard; m^k is spanned by the standard monomials of degree >= k.
+    # standard; m^k is spanned by the standard monomials of degree >= k,
+    # so the variables' monomials are the generators of m.
     index = {e: ((i, Fraction(1)),) for i, e in enumerate(exponents)}
     rows = [
         tuple(index.get(tuple(a + b for a, b in zip(ei, ej)), ()) for ej in exponents)
@@ -1023,7 +1019,7 @@ def _monomial_basis_algebra(names, exponents) -> WeilAlgebra:
         labels=tuple(monomial_str(e, names) for e in exponents),
         products=_sparse_products(rows),
         height=max(sum(e) for e in exponents),
-        width=sum(1 for e in exponents if sum(e) == 1),
+        generators=tuple(i for i, e in enumerate(exponents) if sum(e) == 1),
     )
 
 

@@ -19,18 +19,18 @@ to the columns of the generators is injective, and a bracket of
 derivations is a derivation, so the coordinates of [D_i, D_j] in the basis
 are read from its width generator columns against one sparse echelon of
 the restricted basis, r x width*s entries, instead of all s^2 entries.
-A commutator of two derivations with ``integer_columns`` is formed in
-ints over the product of their denominators.
+A commutator is formed on the ``integer_columns`` of the derivations.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
 k to the non-zero coefficient of basis element k in D(e_q)); the
 ``integer_columns`` and the ``float_columns`` are views derived from them
 on first use, and the dense ``matrix`` is a view that only callers read.
-Verification happens once, at the trust boundary: the public
+Every entry, like every constant of a ``LieStructure``, is an int or a
+Fraction.  Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
 Results computed here (the solved basis, brackets, sums, scalar multiples
-and module multiples) are derivations by construction (Kolář, Michor and
-Slovák, ch. VIII) and are built on columns without the re-check.
+and module multiples by exact elements) are derivations by construction
+(Kolář, Michor and Slovák, ch. VIII) and are built without the re-check.
 
 Exponentials exp(tD) are computed in floating point (scaling and squaring);
 they are automorphisms of the algebra up to round-off and are only used for
@@ -54,7 +54,6 @@ from .algebra import (
     check_same_algebra,
     compact_integer_form,
     from_integer_form,
-    ideal_generators,
     monomial_walk,
     mul,
 )
@@ -111,15 +110,14 @@ class Derivation(Frozen):
         )
 
     @cached_property
-    def integer_columns(self) -> tuple[list[dict], int] | None:
-        """The columns over integers, (columns, denominator): column q maps
-        p to matrix[p][q] times ``denominator``, the entries' common
-        denominator.  None when the entries have no
-        :func:`~weilkit.algebra.compact_integer_form`; :meth:`apply` then
-        takes the Fraction scatter."""
+    def integer_columns(self) -> tuple[list[dict], int]:
+        """(columns, denominator), column q mapping p to matrix[p][q] times
+        ``denominator``: the :func:`~weilkit.algebra.compact_integer_form`
+        of the entries where it exists, else the columns themselves over 1
+        (the same dicts, which no reader mutates)."""
         form = compact_integer_form([c for column in self.columns for c in column.values()])
         if form is None:
-            return None
+            return self.columns, 1
         numerators, denominator = form
         flat = iter(numerators)
         return [{p: next(flat) for p in column} for column in self.columns], denominator
@@ -177,12 +175,12 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     skipped, zero coordinates are not.
 
     An exact u, read in its ``integer_form`` (kept by u), takes
-    :func:`integer_image` where D has ``integer_columns``.  Coordinates
-    that are all floats scatter through ``d.float_columns`` from the 0.0
-    that Fraction(0) + x converts to; an output no entry reaches stays
-    Fraction(0).  Other coordinates run on the columns themselves.
+    :func:`integer_image`.  Coordinates that are all floats scatter
+    through ``d.float_columns`` from the 0.0 that Fraction(0) + x converts
+    to; an output no entry reaches stays Fraction(0).  Other coordinates
+    run on the columns themselves.
     """
-    form = d.integer_columns is not None and u.integer_form()
+    form = u.integer_form()
     if form:
         return from_integer_form(integer_image(d, form), sign)
     coords = u.coeffs
@@ -203,8 +201,8 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
 
 def integer_image(d: Derivation, u: tuple[list[int], int]) -> tuple[list[int], int]:
     """D(u) as (numerators, denominator), for u given in its
-    ``integer_form`` and D with ``integer_columns``: one integer scatter
-    through those columns."""
+    ``integer_form``: one scatter through ``d.integer_columns``, in ints
+    where they are ints."""
     (numerators, denominator), (columns, scale) = u, d.integer_columns
     out = [0] * len(columns)
     for x, column in zip(numerators, columns):
@@ -266,7 +264,6 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     """
     s = algebra.dim
     products = algebra.products
-    candidates = ideal_generators(products)
     denominator = 1
     if products.numerators is not None:
         # Walk x∘y = λ·xy instead, on the numerators, from its unit e_0/λ.
@@ -274,7 +271,7 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
         products = Products(products.numerators)
         products.numerators = algebra.products.numerators
     unit = [Fraction(1, denominator)] + [_ZERO] * (s - 1)
-    generators, _, parents, relations, span = monomial_walk(products, unit, candidates)
+    generators, _, parents, relations, span = monomial_walk(products, unit, algebra.generators)
     n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
     # M_t * e_q, sparse: e_q for the unit, and g_a * (M_t' * e_q) for M_t = g_a * M_t'.
     operators: list[list[dict]] = [[{q: 1} for q in range(s)]]
@@ -359,7 +356,7 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
 
 def commutator_on(a_columns: list[dict], b_columns: list[dict], g: int) -> dict:
     """(AB - BA) e_g as a sparse vector, for A and B given by sparse columns
-    of Fractions, or of ints such as ``Derivation.integer_columns``."""
+    such as ``Derivation.integer_columns``."""
     out: dict = {}
     for q, c in b_columns[g].items():
         linalg.add_scaled(out, c, a_columns[q])
@@ -373,26 +370,26 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
 
     Formed column by column on sparse columns, so the work follows the
     non-zero entries of the two derivations, and a column empty in both is
-    skipped.  When both derivations have ``integer_columns``, over da and
-    db, the columns are formed in ints and each non-zero entry is built
+    skipped.  The columns are formed on the ``integer_columns`` of the
+    two derivations, over da and db, and each non-zero entry is built
     once, as a Fraction over da*db."""
     check_same_algebra(d1.algebra, d2.algebra, _DIFFERENT_ALGEBRAS)
-    a, b, den = d1.columns, d2.columns, None
-    if d1.integer_columns is not None and d2.integer_columns is not None:
-        (a, da), (b, db) = d1.integer_columns, d2.integer_columns
-        den = da * db
+    (a, da), (b, db) = d1.integer_columns, d2.integer_columns
+    den = da * db
     columns: list[dict] = [{} for _ in a]
     indices = range(len(a))
     for q in {*itertools.compress(indices, a), *itertools.compress(indices, b)}:
-        column = commutator_on(a, b, q)
-        columns[q] = column if den is None else {p: Fraction(x, den) for p, x in column.items()}
+        columns[q] = {p: Fraction(x, den) for p, x in commutator_on(a, b, q).items()}
     return _trusted(d1.algebra, columns)
 
 
 def module_scale(a: AlgebraElement, d: Derivation) -> Derivation:
     """The derivation u -> a * d(u), column by column: column q is
-    a * D(e_q), so its matrix is M_a D for the multiplication operator M_a."""
+    a * D(e_q), so its matrix is M_a D for the multiplication operator M_a.
+    ValueError unless every coordinate of ``a`` is an int or a Fraction."""
     check_same_algebra(a.algebra, d.algebra, "element and derivation belong to different algebras")
+    if not all(isinstance(x, (int, Fraction)) for x in a.coeffs):
+        raise ValueError("a module multiple needs an element with int or Fraction coordinates")
     products, s = d.algebra.products, d.algebra.dim
     dense = ([column.get(k, _ZERO) for k in range(s)] for column in d.columns)
     images = (mul(products, a.coeffs, v) for v in dense)
@@ -403,8 +400,9 @@ class LieStructure(Frozen):
     """A derivation basis together with its exact non-zero brackets: for
     i < j, [basis[i], basis[j]] = sum_k brackets[i, j][k] * basis[k].
 
-    Each entry maps k to a non-zero constant.  A pair whose bracket
-    vanishes has no entry, and [basis[j], basis[i]] is the negation of
+    Each entry maps k to a non-zero constant, an int or a Fraction; any
+    other constant raises ValueError.  A pair whose bracket vanishes has
+    no entry, and [basis[j], basis[i]] is the negation of
     [basis[i], basis[j]]."""
 
     __slots__ = _fields = ("basis", "brackets")
@@ -413,6 +411,8 @@ class LieStructure(Frozen):
     brackets: dict[tuple[int, int], dict[int, Fraction]]
 
     def __init__(self, basis, brackets):
+        if not all(isinstance(c, (int, Fraction)) for v in brackets.values() for c in v.values()):
+            raise ValueError("structure constants must be ints or Fractions")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "brackets", brackets)
 
@@ -425,14 +425,14 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     """Expand every pairwise bracket exactly in the given basis.
 
     The constants of a pair are the coordinates of ``bracket(D_i, D_j)``,
-    read on the columns of the ``ideal_generators`` g of m, width of them.
-    Two derivations that agree on generators are equal (a derivation is
-    fixed by its values on generators), so restricting derivations to those
-    columns is injective, and the coordinates come from one sparse echelon
-    of the r restricted basis derivations, r x width*s entries.  An
-    injective linear map preserves linear independence and membership in a
-    span, so the independence and closure checks on the restrictions are
-    exact.
+    read on the columns of the algebra's ``generators`` g of m, width of
+    them.  Two derivations that agree on generators are equal (a
+    derivation is fixed by its values on generators), so restricting
+    derivations to those columns is injective, and the coordinates come
+    from one sparse echelon of the r restricted basis derivations, r x
+    width*s entries.  An injective linear map preserves linear
+    independence and membership in a span, so the independence and
+    closure checks on the restrictions are exact.
 
     Raises NotClosedError when some bracket escapes the span (possible only
     if the input is not a full derivation basis) and ValueError when the
@@ -445,7 +445,7 @@ def lie_structure(basis: Sequence[Derivation]) -> LieStructure:
     for d in basis[1:]:
         check_same_algebra(basis[0].algebra, d.algebra, _DIFFERENT_ALGEBRAS)
     s = basis[0].algebra.dim
-    generators = ideal_generators(basis[0].algebra.products)
+    generators = basis[0].algebra.generators
     length = len(generators) * s  # column a*s + p is coordinate p of D(g_a)
 
     def restricted(vectors) -> dict:

@@ -32,7 +32,6 @@ from .algebra import (
     check_same_algebra,
     dual_numbers,
     from_integer_form,
-    ideal_generators,
 )
 from .derivations import (
     Derivation,
@@ -172,18 +171,17 @@ def distribution_at(
     point's, then the others'.  Generator k concatenates -D_k(point_i).
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
-    At a point whose coordinates are all ints or Fractions, each component
-    is read in its cached ``integer_form`` and, when every derivation has
-    its ``integer_columns``, the r generators are built from their
-    :func:`~weilkit.derivations.integer_image`, so they are exact by
-    construction; the exact rank is then taken on those integer rows,
-    which are the generators with each row and each component's columns
-    scaled by a non-zero factor.  Other generators take
-    :func:`~weilkit.derivations.signed_image`.  One that leaves the float
-    range, as inf or as an exact value that the float arithmetic (a float
-    coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
-    A negative or NaN ``tol`` raises ValueError; ``inf`` counts every pivot
-    as zero.
+    At a point whose components all have their cached ``integer_form``,
+    the r generators are built from their
+    :func:`~weilkit.derivations.integer_image` through each derivation's
+    ``integer_columns``, so they are exact by construction; the exact rank
+    is then taken on those image rows, which are the generators with each
+    row and each component's columns scaled by a non-zero factor.  Other
+    generators take :func:`~weilkit.derivations.signed_image`.  One that
+    leaves the float range, as inf or as an exact value that the float
+    arithmetic (a float coordinate, or ``tol`` > 0) cannot hold, raises
+    ValueError naming it.  A negative or NaN ``tol`` raises ValueError;
+    ``inf`` counts every pivot as zero.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
@@ -193,13 +191,13 @@ def distribution_at(
             check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [c.integer_form() for c in point.components]
-    exact = None not in forms and all(d.integer_columns is not None for d in basis)
+    exact = None not in forms
     generators = []
-    integer_rows = []
+    image_rows = []
     for d, what in zip(basis, names):
         if exact:
             images = [integer_image(d, form) for form in forms]
-            integer_rows.append([y for out, _ in images for y in out])
+            image_rows.append([y for out, _ in images for y in out])
             generators.append(tuple(x for image in images for x in from_integer_form(image, -1)))
             continue
         try:
@@ -214,7 +212,7 @@ def distribution_at(
     if tol:
         rows = [_floats(gen, what) for gen, what in zip(generators, names)]
     elif exact:
-        rows = integer_rows
+        rows = image_rows
     else:
         rows = [list(gen) for gen in generators]
     rank = linalg.rank_with_tolerance(rows, tol)
@@ -231,48 +229,38 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
     identity says D1 D2 - D2 D1 = sum_k c_k D_k.  It is blockwise, so it
     is independent of n.  Both sides are derivations, and derivations that
     agree on generators of m are equal, so comparing their columns at the
-    ``ideal_generators`` is an exact proof.  The commutator is computed
+    algebra's ``generators`` is an exact proof.  The commutator is computed
     from the basis matrices themselves, independently of the elimination
-    that produced the constants, and on integers where the derivations
-    have them (:func:`_bracket_law_holds`).  Returns {"pairs": [...],
-    "all_pass": bool}.
+    that produced the constants, on their ``integer_columns``
+    (:func:`_bracket_law_holds`).  Returns {"pairs": [...], "all_pass":
+    bool}.
     """
     if n < 1:
         raise ValueError("need at least one manifold coordinate")
     basis = lie.basis
-    generators = ideal_generators(basis[0].algebra.products) if basis else []
-    columns = [d.columns for d in basis]
+    generators = basis[0].algebra.generators if basis else ()
     forms = [d.integer_columns for d in basis]
     pairs = []
     for i, j in itertools.combinations(range(len(basis)), 2):
         coeffs = lie.brackets.get((i, j), {})
-        ok = _bracket_law_holds(columns, forms, i, j, coeffs, generators)
+        ok = _bracket_law_holds(forms, i, j, coeffs, generators)
         pairs.append({"i": i, "j": j, "pass": ok})
     return {"pairs": pairs, "all_pass": all(pair["pass"] for pair in pairs)}
 
 
-def _bracket_law_holds(columns, forms, i, j, coeffs: dict, generators) -> bool:
+def _bracket_law_holds(forms, i, j, coeffs: dict, generators) -> bool:
     """Whether D_i D_j - D_j D_i = sum_k c_k D_k on the generator columns,
-    for derivations given by their ``columns`` and ``integer_columns``
-    ``forms``.
+    for derivations given by their ``integer_columns`` ``forms``.
 
-    Where D_i, D_j and every D_k of the sum have integer columns K over d,
-    and every c_k is an int or a Fraction, both sides are formed in ints:
-    with c_k / d_k = w_k / m over the lcm m of those denominators, the
-    identity reads m (K_i K_j - K_j K_i) = d_i d_j sum_k w_k K_k.
-    Otherwise both sides are formed on the Fraction columns."""
-    if all(forms[k] is not None for k in (i, j, *coeffs)) and all(
-        isinstance(c, (int, Fraction)) for c in coeffs.values()
-    ):
-        (a, da), (b, db) = forms[i], forms[j]
-        ratios = {k: Fraction(c, forms[k][1]) for k, c in coeffs.items()}
-        m = math.lcm(*(x.denominator for x in ratios.values()))
-        terms = [(x.numerator * (m // x.denominator), forms[k][0]) for k, x in ratios.items()]
-        left, right = m, da * db
-    else:
-        a, b = columns[i], columns[j]
-        terms = [(c, columns[k]) for k, c in coeffs.items()]
-        left = right = 1
+    With K the columns of a form over d, and c_k / d_k = w_k / m over the
+    lcm m of those denominators, the identity reads
+    m (K_i K_j - K_j K_i) = d_i d_j sum_k w_k K_k, formed in ints where
+    the columns are ints."""
+    (a, da), (b, db) = forms[i], forms[j]
+    ratios = {k: Fraction(c, forms[k][1]) for k, c in coeffs.items()}
+    m = math.lcm(*(x.denominator for x in ratios.values()))
+    terms = [(x.numerator * (m // x.denominator), forms[k][0]) for k, x in ratios.items()]
+    left, right = m, da * db
     for g in generators:
         expected: dict = {}
         for w, sum_columns in terms:

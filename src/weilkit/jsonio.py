@@ -179,11 +179,15 @@ def near_point_from_json(algebra: WeilAlgebra, data: dict) -> NearPoint:
     nilparts = None
     if "nilparts" in data:
         rows = data["nilparts"]
-        if not isinstance(rows, list) or len(rows) != len(base):
+        if not isinstance(rows, list):
+            raise SpecFormatError("nilparts must be a list of rows")
+        if len(rows) != len(base):
             raise ValueError("nilparts must have one row per base coordinate")
         nilparts = []
         for row in rows:
-            if not isinstance(row, list) or len(row) != s - 1:
+            if not isinstance(row, list):
+                raise SpecFormatError("each nilpotent part must be a list of coefficients")
+            if len(row) != s - 1:
                 raise ValueError(
                     f"each nilpotent part needs {s - 1} coefficients over the ideal basis"
                 )

@@ -106,9 +106,21 @@ def _integer_row(row: dict) -> tuple[dict, int]:
     """(integer row, d): ``row`` times d, the lcm of its denominators."""
     if all(type(v) is int for v in row.values()):
         return dict(row), 1
-    ratios = {x: v.as_integer_ratio() for x, v in row.items()}
-    den = math.lcm(*[d for _, d in ratios.values()])
-    return {x: n * (den // d) for x, (n, d) in ratios.items()}, den
+    numerators, den = over_lcm([v.as_integer_ratio() for v in row.values()])
+    return dict(zip(row, numerators)), den
+
+
+def over_lcm(ratios: list[tuple[int, int]], cap=math.inf) -> tuple[list[int], int] | None:
+    """The values of ``ratios``, pairs (n, d) as ``as_integer_ratio`` gives
+    them, as (numerators, denominator) over the lcm of the d's.  None as
+    soon as that lcm takes more than ``cap`` bits."""
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > cap:
+                return None
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _clear(row: dict, pivot: dict, x) -> tuple[int, int]:

@@ -344,9 +344,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> None:
-        raise PolynomialParseError(message, self.peek()[2])
-
     def parse(self) -> Polynomial:
         terms = self.expr()
         kind, value, pos = self.peek()

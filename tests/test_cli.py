@@ -291,6 +291,28 @@ def test_non_finite_point_exits_2(capsys, files, tmp_path):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        ('{"base": "ab"}', 2),
+        ('{"base": [1], "nilparts": "ab"}', 2),
+        ('{"base": [1], "nilparts": ["ab"]}', 2),
+        ('{"base": [1], "nilparts": []}', 1),
+        ('{"base": [1], "nilparts": [["1/1", "0/1"]]}', 1),
+    ],
+)
+def test_point_shapes_exit_2_and_lengths_exit_1(capsys, files, tmp_path, point, expected):
+    # A base, nilparts or row that is not a list is a parse error; lists of
+    # the wrong length are an invalid point, like a wrong coordinate count.
+    path = tmp_path / "point.json"
+    path.write_text(point, encoding="utf-8")
+    code, out, err = run(capsys, ["foliation", files["dual"], "--n", "1", "--point", str(path)])
+    assert code == expected
+    assert out == ""
+    assert err.startswith("parse error:" if expected == 2 else "error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_flow_overflowing_point_exits_1(capsys, files, tmp_path, as_json):
     # e^t * 1e308 leaves the float range although t and the point are finite

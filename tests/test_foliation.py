@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from weilkit import (
+    Derivation,
     LieStructure,
     Polynomial,
     apply_chart_field,
+    bracket,
     chart_field,
     chart_flatten,
     coordinate_values,
@@ -35,6 +37,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit import derivations, foliation
+from weilkit.jsonio import derivation_to_json, rational_from_json
 from weilkit.algebra import AlgebraElement
 from weilkit.linalg import mat_mul, mat_vec
 from weilkit.nearpoints import NearPoint
@@ -252,17 +255,53 @@ NEAR_POINT_ALGEBRAS = {
 
 def near_point_basis(name):
     """The derivation basis of the algebra; on "coprime" one more
-    derivation, a combination over coprime denominators, whose columns get
-    no integer form and take the Fraction scatter."""
+    derivation, a combination over coprime denominators, whose entries get
+    no compact integer form, so its ``integer_columns`` are its Fraction
+    columns themselves over 1."""
     basis = list(derivation_basis(NEAR_POINT_ALGEBRAS[name]))
     if name == "coprime":
         dens = coprime_denominators(len(basis))
         combination = functools.reduce(
             operator.add, (Fraction(1, p) * d for p, d in zip(dens, basis))
         )
-        assert combination.integer_columns is None
+        columns, denominator = combination.integer_columns
+        assert columns is combination.columns and denominator == 1
         basis.append(combination)
     return basis
+
+
+def assert_exact_integer_columns(d):
+    """``d.integer_columns`` holds ints or Fractions over a positive int,
+    and divided out they give the columns back."""
+    columns, denominator = d.integer_columns
+    assert type(denominator) is int and denominator > 0
+    assert all(type(x) in (int, Fraction) for column in columns for x in column.values())
+    assert [{p: Fraction(x, denominator) for p, x in column.items()} for column in columns] == d.columns
+
+
+def test_every_producer_has_exact_integer_columns_on_the_coprime_table():
+    # The public constructor, the solver, brackets, sums, scalar and module
+    # multiples, and the combination over coprime denominators: each result
+    # has exact integer columns, and the JSON writer takes it.
+    A = NEAR_POINT_ALGEBRAS["coprime"]
+    *basis, combination = near_point_basis("coprime")
+    rng = random.Random(11)
+    produced = {
+        "constructor": [Derivation(A, d.matrix) for d in (basis[0], combination)],
+        "derivation_basis": basis,
+        "bracket": [bracket(d1, d2) for d1 in (basis[0], combination) for d2 in basis[:3]],
+        "+": [basis[0] + basis[1], combination + basis[2]],
+        "scalar": [Fraction(-3, 7) * basis[1], 5 * combination, -combination],
+        "module": [module_scale(rand_element(rng, A), d) for d in (basis[1], combination)],
+        "combination": [combination],
+    }
+    for name, results in produced.items():
+        for d in results:
+            assert_exact_integer_columns(d)
+            wire = derivation_to_json(d)
+            assert [[rational_from_json(x) for x in row] for row in wire] == [
+                list(row) for row in d.matrix
+            ], name
 
 
 def oracle_points(A, rng):
@@ -406,15 +445,15 @@ def dense_commutator(d1, d2):
     return mat_sub(mat_mul(m1, m2), mat_mul(m2, m1))
 
 
-def test_bracket_without_integer_columns_keeps_the_fraction_commutator(monkeypatch):
-    # The combination over coprime denominators has no integer columns, so
-    # every bracket with it is formed on the Fraction columns; pairs of
-    # basis derivations are formed on integers.  Both equal the dense
-    # commutator.
-    from weilkit import bracket
-
+def test_bracket_on_fraction_columns_over_1_matches_the_dense_commutator(monkeypatch):
+    # The integer columns of the combination over coprime denominators are
+    # its Fraction columns over 1, so every bracket with it is formed on
+    # those Fractions; pairs of basis derivations are formed on ints.  Both
+    # equal the dense commutator.
     *basis, combination = near_point_basis("coprime")
-    assert all(d.integer_columns is not None for d in basis)
+    assert all(
+        type(x) is int for d in basis for column in d.integer_columns[0] for x in column.values()
+    )
     calls = commutator_spy(monkeypatch, derivations)
     for d in basis:
         for d1, d2 in ((combination, d), (d, combination)):
@@ -433,15 +472,16 @@ def test_involutivity_on_integer_columns_matches_the_dense_identity(name, monkey
     # dense matrices: for the true constants and for perturbed ones, which
     # hold fractions the integer columns' denominators do not divide.  In
     # "coprime-mixed" the combination over coprime denominators replaces
-    # the first basis derivation, so the pairs with it, and the pairs whose
-    # sum has it, are checked on Fraction columns.
+    # the first basis derivation; its integer columns are its Fraction
+    # columns over 1, so the pairs with it, and the pairs whose sum has
+    # it, are checked on those Fractions.
     base = name.removesuffix("-mixed")
     A = NEAR_POINT_ALGEBRAS[base]
     basis = derivation_basis(A)
-    if name != base:
+    mixed = name != base
+    if mixed:
         *_, combination = near_point_basis(base)
         basis = [combination, *basis[1:]]
-    mixed = any(d.integer_columns is None for d in basis)
     lie = lie_structure(basis)
     rng = random.Random(name)
     brackets = {pair: dict(coeffs) for pair, coeffs in lie.brackets.items()}
@@ -468,20 +508,19 @@ def test_involutivity_on_integer_columns_matches_the_dense_identity(name, monkey
         assert report["all_pass"] == (structure is lie)
 
 
-def test_involutivity_reads_int_and_float_constants_as_given():
-    # Constants given as ints run on the integer columns, floats on the
-    # Fraction columns; exact values pass on either, and a float that is
-    # off by its last bit fails.
+def test_involutivity_reads_int_constants_and_float_ones_are_refused():
+    # Constants given as ints pass the check on the integer columns.  A
+    # float constant, exact or off by its last bit, is refused when the
+    # structure is built, so no check ever reads one.
     lie = lie_structure(derivation_basis(NEAR_POINT_ALGEBRAS["m4"]))
     assert all(c.denominator == 1 for coeffs in lie.brackets.values() for c in coeffs.values())
-    for convert in (int, float):
-        brackets = {pair: {k: convert(c) for k, c in coeffs.items()} for pair, coeffs in lie.brackets.items()}
-        assert involutivity_check(LieStructure(lie.basis, brackets), 1)["all_pass"]
+    brackets = {pair: {k: int(c) for k, c in coeffs.items()} for pair, coeffs in lie.brackets.items()}
+    assert involutivity_check(LieStructure(lie.basis, brackets), 1)["all_pass"]
     (pair, coeffs), *_ = lie.brackets.items()
     k, c = next(iter(coeffs.items()))
-    brackets = {**lie.brackets, pair: {**coeffs, k: math.nextafter(float(c), math.inf)}}
-    report = involutivity_check(LieStructure(lie.basis, brackets), 1)
-    assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [pair]
+    for value in (float(c), math.nextafter(float(c), math.inf)):
+        with pytest.raises(ValueError, match="^structure constants must be ints or Fractions$"):
+            LieStructure(lie.basis, {**lie.brackets, pair: {**coeffs, k: value}})
 
 
 def test_bracket_law_matrix_identity():

@@ -27,7 +27,7 @@ from weilkit import (
     monomial_quotient_algebra,
     truncated_polynomial_algebra,
 )
-from weilkit.algebra import _height_and_width
+from weilkit.algebra import _height_and_generators
 from support import rand_element, rand_fraction, rand_poly, raw_table_mul, scrambled
 
 
@@ -73,7 +73,8 @@ def test_height_and_width_over_a_scrambled_basis(num_vars, order, expected):
     A = scrambled(T, random.Random(5))
     assert A.table != T.table  # m is spanned by combinations, not by monomials
     assert (A.height, A.width) == expected
-    assert _height_and_width(A.products) == expected
+    assert _height_and_generators(A.products) == (A.height, A.generators)
+    assert len(A.generators) == A.width
 
 
 def test_scrambled_algebra_is_relabelled():

@@ -29,7 +29,7 @@ from weilkit.algebra import Products
 
 # Every attribute of each class, in constructor order.
 FIELDS = {
-    WeilAlgebra: ("labels", "products", "height", "width"),
+    WeilAlgebra: ("labels", "products", "height", "generators"),
     AlgebraElement: ("algebra", "coeffs"),
     Derivation: ("algebra", "columns"),
     LieStructure: ("basis", "brackets"),
@@ -129,14 +129,17 @@ def test_algebras_differing_in_one_constant_are_unequal():
     rows = [list(row) for row in A.products]
     rows[1][1] = ((2, Fraction(2)),)  # x * x = 2 x^2
     B = WeilAlgebra(
-        labels=A.labels, products=Products(map(tuple, rows)), height=A.height, width=A.width
+        labels=A.labels,
+        products=Products(map(tuple, rows)),
+        height=A.height,
+        generators=A.generators,
     )
     assert A != B and not A == B
     assert hash(A) == hash(B)  # the hash reads no constants
-    assert A == WeilAlgebra(A.labels, Products(A.products), A.height, A.width)
-    assert A != WeilAlgebra(A.labels, A.products, A.height, A.width + 1)
-    assert A != WeilAlgebra(A.labels, A.products, A.height + 1, A.width)
-    assert A != WeilAlgebra(("1", "y", "y^2"), A.products, A.height, A.width)
+    assert A == WeilAlgebra(A.labels, Products(A.products), A.height, A.generators)
+    assert A != WeilAlgebra(A.labels, A.products, A.height, A.generators + (2,))
+    assert A != WeilAlgebra(A.labels, A.products, A.height + 1, A.generators)
+    assert A != WeilAlgebra(("1", "y", "y^2"), A.products, A.height, A.generators)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -190,7 +193,7 @@ class _UnhashableProducts(Products):
 
 def test_algebra_hash_does_not_read_the_products():
     A = truncated_polynomial_algebra(2, 2)
-    wrapped = WeilAlgebra(A.labels, _UnhashableProducts(A.products), A.height, A.width)
+    wrapped = WeilAlgebra(A.labels, _UnhashableProducts(A.products), A.height, A.generators)
     with pytest.raises(TypeError):
         hash(wrapped.products)
     assert wrapped == A and hash(wrapped) == hash(A)
