@@ -32,9 +32,10 @@ Results computed here (the solved basis, brackets, sums, scalar multiples
 and module multiples by exact elements) are derivations by construction
 (Kolář, Michor and Slovák, ch. VIII) and are built without the re-check.
 
-Exponentials exp(tD) are computed in floating point (scaling and squaring);
-they are automorphisms of the algebra up to round-off and are only used for
-flow integration, never for anything exact.
+Exponentials exp(tD) are computed in floating point, by scaling and
+squaring on the sparse rows of tD, which hold its few non-zero entries;
+only the result is dense.  They are automorphisms of the algebra up to
+round-off and are only used for flow integration, never for anything exact.
 """
 
 from __future__ import annotations
@@ -527,18 +528,31 @@ _EXP_TERMS = 18
 def exp_flow(d: Derivation, t: float) -> Automorphism:
     """exp(tD) by scaling and squaring on a truncated exponential series,
     from ``d.float_columns``; ValueError when D has an entry beyond the
-    float range."""
+    float range, or when t or t*D is not finite.
+
+    Horner's rule and the squarings run on sparse rows built from the
+    non-zero entries of tD; only the result is dense.  The floats are bit
+    for bit those of dense products: each entry is summed from 0.0 over k
+    in ascending order, and the terms left out have a zero factor, so for
+    finite floats they are signed zeros, which leave such a sum unchanged.
+    A squaring skips zero factors outright, as a dense product does, since
+    its entries may have overflowed.
+    """
     s = d.algebra.dim
     columns = d.float_columns
     if columns is None:
         raise ValueError("a derivation entry overflows floating point")
-    t = float(t)
-    zero = 0.0 * t  # what a zero entry of D contributes, float(0) * t
-    scaled = [[zero] * s for _ in range(s)]
+    try:
+        t = float(t)
+    except OverflowError:  # an int or Fraction beyond the float range
+        t = math.inf
+    if not math.isfinite(t):
+        raise ValueError("flow time too large: t*D overflows floating point")
+    rows = [[] for _ in range(s)]  # row p of tD as (q, entry), q ascending
     for q, column in enumerate(columns):
         for p, x in column.items():
-            scaled[p][q] = x * t
-    norm = max((sum(abs(x) for x in row) for row in scaled), default=0.0)
+            rows[p].append((q, x * t))
+    norm = max(sum(abs(x) for _, x in row) for row in rows)
     if not math.isfinite(norm):
         raise ValueError("flow time too large: t*D overflows floating point")
     squarings = 0
@@ -546,21 +560,41 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
         norm /= 2.0
         squarings += 1
     factor = 0.5 ** squarings
-    scaled = [[x * factor for x in row] for row in scaled]
+    scaled = [[(q, y) for q, x in row if (y := x * factor)] for row in rows]
 
     coeffs = [1.0]
     for k in range(1, _EXP_TERMS + 1):
         coeffs.append(coeffs[-1] / k)
-    result = [[coeffs[_EXP_TERMS] if i == j else 0.0 for j in range(s)] for i in range(s)]
+    result = [{i: coeffs[_EXP_TERMS]} for i in range(s)]
     for k in range(_EXP_TERMS - 1, -1, -1):
-        result = linalg.mat_mul(scaled, result, 0.0)
-        for i in range(s):
-            result[i][i] += coeffs[k]
+        # result = scaled @ result + coeffs[k] * I, row by row
+        previous, result, c = result, [], coeffs[k]
+        for i, row in enumerate(scaled):
+            acc: dict = {}
+            for q, x in row:
+                for j, y in previous[q].items():
+                    acc[j] = acc.get(j, 0.0) + x * y
+            acc[i] = acc.get(i, 0.0) + c
+            result.append(acc)
     for _ in range(squarings):
-        result = linalg.mat_mul(result, result, 0.0)
-    if not all(math.isfinite(x) for row in result for x in row):
+        result = _square([sorted((j, x) for j, x in row.items() if x) for row in result])
+    if not all(math.isfinite(x) for row in result for x in row.values()):
         raise ValueError("flow time too large: exp(tD) overflows floating point")
-    return Automorphism(d.algebra, tuple(map(tuple, result)))
+    return Automorphism(d.algebra, tuple(tuple(row.get(j, 0.0) for j in range(s)) for row in result))
+
+
+def _square(factors: list[list]) -> list[dict]:
+    """Rows of M @ M, where row i of ``factors`` lists the (k, x) with
+    M[i][k] = x != 0 in ascending k: entry (i, j) is the sum from 0.0 of
+    M[i][k] * M[k][j] over those k."""
+    out = []
+    for row in factors:
+        acc: dict = {}
+        for k, x in row:
+            for j, y in factors[k]:
+                acc[j] = acc.get(j, 0.0) + x * y
+        out.append(acc)
+    return out
 
 
 def multiplicativity_residual(phi: Automorphism) -> float:

@@ -16,8 +16,9 @@ and the spans are the same, and ``Fraction``s are built only where a
 caller reads values: a remainder left by :func:`eliminate`, and the
 reduced row echelon form of :func:`back_reduce`.  Only
 :func:`rank_with_tolerance` has a float elimination of its own, for points
-with float coordinates, and :func:`mat_mul` and :func:`mat_vec` serve the
-float flows.
+with float coordinates; :func:`mat_vec` applies a float flow to a point
+and :func:`mat_mul` composes two (``Automorphism.compose``), while the
+flows themselves are summed on sparse rows in ``derivations.exp_flow``.
 """
 
 from __future__ import annotations

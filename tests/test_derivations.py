@@ -558,19 +558,42 @@ def test_float_products_match_dense_reference(name):
                 assert float_bits([phi.apply(v).coeffs]) == float_bits([reference])
 
 
-@pytest.mark.parametrize("name", ["truncated-2-3", "quotient-x3-y2-xy2", "scrambled-m3-41"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "truncated-2-3",
+        "truncated-2-4",
+        "truncated-3-3",
+        "quotient-x3-y2-xy2",
+        "scrambled-m3-41",
+        "scrambled-x3-y2-xy2-7",
+        "scrambled-x2-y2-z2-11",
+    ],
+)
 def test_exp_flow_reads_the_float_copy_bit_for_bit(name):
-    # The zero entries of tD are float(0) * t, signed zero or nan included;
-    # the zero derivation at an infinite time is nan throughout and is
-    # refused like any other non-finite t*D.
+    # The zero entries of tD are float(0) * t, signed zero included; the
+    # sparse rows leave them out, and the floats must still be those of
+    # the dense reference.  t = 1e3 needs many squarings; where the dense
+    # reference overflows, exp_flow refuses.  A non-finite t is refused
+    # before any product, for the zero derivation too, whose dense t*D
+    # would be nan throughout.
     build, args = ORACLE_CORPUS[name]
     A = build(*args)
     basis = derivation_basis(A)
+    compared = 0
     for d in [*basis[:3], basis[-1] + Fraction(-2, 9) * basis[0], Fraction(0) * basis[0]]:
-        for t in (0.0, -0.0, 2, Fraction(-3, 4), -1e-300, 7.5):
-            assert float_bits(exp_flow(d, t).matrix) == float_bits(exp_flow_oracle(d.matrix, t))
-    with pytest.raises(ValueError, match="t\\*D overflows"):
-        exp_flow(Fraction(0) * basis[0], math.inf)
+        for t in (0.0, -0.0, 2, Fraction(-3, 4), -1e-300, 0.37, -1.9, 7.5, 23.0, 1e3):
+            expected = exp_flow_oracle(d.matrix, t)
+            if all(math.isfinite(x) for row in expected for x in row):
+                assert float_bits(exp_flow(d, t).matrix) == float_bits(expected)
+                compared += t == 1e3
+            else:
+                with pytest.raises(ValueError, match="exp\\(tD\\) overflows"):
+                    exp_flow(d, t)
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="t\\*D overflows"):
+                exp_flow(d, t)
+    assert compared >= 2
 
 
 def test_derivation_float_copy_is_read_by_float_coordinates_only():

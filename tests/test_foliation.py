@@ -22,6 +22,7 @@ from weilkit import (
     derivation_basis,
     distribution_at,
     dual_numbers,
+    exp_flow,
     field_apply,
     field_from_values,
     flow,
@@ -36,7 +37,7 @@ from weilkit import (
     parse_polynomial,
     truncated_polynomial_algebra,
 )
-from weilkit import derivations, foliation
+from weilkit import derivations, foliation, linalg
 from weilkit.jsonio import derivation_to_json, rational_from_json
 from weilkit.algebra import AlgebraElement
 from weilkit.linalg import mat_mul, mat_vec
@@ -622,6 +623,39 @@ def test_leaf_sample_index_out_of_range():
     xi = make_near_point(D, [Fraction(1)])
     with pytest.raises(ValueError):
         leaf_sample(D, basis, xi, [(5, 1.0)])
+
+
+def test_flows_refuse_a_time_beyond_the_float_range():
+    # float(t) overflows for such an int or Fraction; it is refused like an
+    # infinite t, not left to escape as an OverflowError.
+    basis = derivation_basis(X3)
+    xi = x3_point(Fraction(1), Fraction(2))
+    for t in (10**400, -(10**400), Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="flow time too large: t\\*D overflows"):
+            exp_flow(basis[0], t)
+        with pytest.raises(ValueError, match="flow time too large: t\\*D overflows"):
+            flow(X3, basis[1], t, xi)
+        with pytest.raises(ValueError, match="flow time too large: t\\*D overflows"):
+            leaf_sample(X3, basis, xi, [(0, 0.5), (1, t)])
+
+
+def test_flows_form_no_dense_matrix_product(monkeypatch):
+    # exp(tD) is summed and squared on the sparse rows of tD; only
+    # Automorphism.compose multiplies dense matrices.
+    A = truncated_polynomial_algebra(2, 3)
+    basis = derivation_basis(A)
+    rng = random.Random(71)
+    xi = rand_near_point(rng, A, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow formed a dense matrix product")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    for d in (basis[0], basis[-1] + Fraction(1, 3) * basis[0]):
+        for t in (0.37, -1.9, 23.0):
+            exp_flow(d, t)
+            flow(A, d, t, xi)
+    assert len(leaf_sample(A, basis, xi, [(0, 0.5), (len(basis) - 1, -23.0), (3, 1.9)])) == 4
 
 
 def test_trivial_algebra_rank_zero_everywhere():
