@@ -33,17 +33,21 @@ and module multiples by exact elements) are derivations by construction
 (Kolář, Michor and Slovák, ch. VIII) and are built without the re-check.
 
 Exponentials exp(tD) are computed in floating point, by scaling and
-squaring on the sparse rows of tD, which hold its few non-zero entries;
-only the result is dense.  They are automorphisms of the algebra up to
-round-off and are only used for flow integration, never for anything exact.
+squaring on the sparse rows of tD, which hold its few non-zero entries.
+An ``Automorphism`` keeps those rows, and applies and composes on them,
+so no flow forms a dense matrix.  Every float sum adds its terms left to
+right, so the floats do not depend on how the Python version's ``sum()``
+rounds.  They are automorphisms of the algebra up to round-off and are
+only used for flow integration, never for anything exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import add, truediv
 from typing import Sequence
 
 from . import linalg
@@ -136,8 +140,10 @@ class Derivation(Frozen):
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
 
-        The result is bit for bit ``linalg.mat_vec`` of the dense matrix and
-        ``u.coeffs``, types and signed float zeros included; see :func:`signed_image`.
+        The result is bit for bit the dense product of the matrix and
+        ``u.coeffs``, summed from Fraction(0) in ascending column order
+        with the zero entries skipped, types and signed float zeros
+        included; see :func:`signed_image`.
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
         return AlgebraElement(self.algebra, signed_image(self, u))
@@ -500,29 +506,71 @@ class Automorphism(Frozen):
     """Floating-point algebra automorphism, e.g. exp(tD) for a derivation D.
 
     Multiplicative up to round-off; fixes the unit exactly (the unit row of
-    a derivation matrix is zero, so it survives scaling and squaring)."""
+    a derivation matrix is zero, so it survives scaling and squaring).
 
-    __slots__ = _fields = ("algebra", "matrix")
+    Stored once, as sparse rows: row i lists the pairs (j, x) of the
+    entries x = matrix[i][j] that its producer formed, in ascending j,
+    zeros included, so an entry no pair names is 0.0.  The public
+    ``Automorphism(algebra, matrix)`` keeps every entry of ``matrix``;
+    ``matrix`` is the dense view, built on first read.  :meth:`apply` and
+    :meth:`compose` skip the zero entries, and every float sum they form
+    adds its terms left to right from 0.0, in ascending column order.
+    """
+
+    _fields = ("algebra", "matrix")
 
     algebra: WeilAlgebra
-    matrix: tuple[tuple[float, ...], ...]
 
     def __init__(self, algebra, matrix):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_rows", [list(enumerate(row)) for row in matrix])
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        rows = (dict(row) for row in self._rows)
+        return tuple(tuple(row.get(j, 0.0) for j in range(self.algebra.dim)) for row in rows)
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
         coords = [float(c) for c in u.coeffs]
-        return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, coords, 0.0)))
+        out = []
+        for row in self._rows:
+            y = 0.0
+            for j, x in row:
+                if x:
+                    y += x * coords[j]
+            out.append(y)
+        return AlgebraElement(self.algebra, tuple(out))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         check_same_algebra(other.algebra, self.algebra, "automorphisms belong to different algebras")
-        product = linalg.mat_mul(self.matrix, other.matrix, 0.0)
-        return Automorphism(self.algebra, tuple(map(tuple, product)))
+        return _from_rows(self.algebra, _product(self._rows, other._rows))
 
 
-_EXP_TERMS = 18
+def _from_rows(algebra: WeilAlgebra, rows: list[list]) -> Automorphism:
+    """The Automorphism stored as ``rows``, without the dense matrix."""
+    phi = Automorphism(algebra, ())
+    object.__setattr__(phi, "_rows", rows)
+    return phi
+
+
+def _product(a: list[list], b: list[list]) -> list[list]:
+    """Rows of A @ B, for A and B stored as Automorphism rows: entry (i, j)
+    is the sum from 0.0 of A[i][k] * B[k][j] over the k, in ascending
+    order, where both factors are non-zero; every entry so formed is kept."""
+    factors = [[(j, y) for j, y in row if y] for row in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row:
+            if x:
+                for j, y in factors[k]:
+                    acc[j] = acc.get(j, 0.0) + x * y
+        out.append(sorted(acc.items()))
+    return out
+
+
+_EXP_COEFFS = list(itertools.accumulate(range(1, 19), truediv, initial=1.0))  # 1/k!, k <= 18
 
 
 def exp_flow(d: Derivation, t: float) -> Automorphism:
@@ -530,13 +578,15 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     from ``d.float_columns``; ValueError when D has an entry beyond the
     float range, or when t or t*D is not finite.
 
-    Horner's rule and the squarings run on sparse rows built from the
-    non-zero entries of tD; only the result is dense.  The floats are bit
-    for bit those of dense products: each entry is summed from 0.0 over k
-    in ascending order, and the terms left out have a zero factor, so for
-    finite floats they are signed zeros, which leave such a sum unchanged.
-    A squaring skips zero factors outright, as a dense product does, since
-    its entries may have overflowed.
+    Horner's rule runs on sparse rows built from the non-zero entries of
+    tD, and each squaring is the :func:`_product` that composes
+    automorphisms; its rows are the result's.  Every float sum, the row
+    norms that set the number of squarings included, adds its terms from
+    0.0 in ascending column order, so the floats are bit for bit those of
+    dense products on any Python.  The terms left out have a zero factor;
+    for finite floats they are signed zeros, which leave such a sum
+    unchanged.  A squaring skips zero factors outright, as a dense product
+    does, since its entries may have overflowed.
     """
     s = d.algebra.dim
     columns = d.float_columns
@@ -552,7 +602,8 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     for q, column in enumerate(columns):
         for p, x in column.items():
             rows[p].append((q, x * t))
-    norm = max(sum(abs(x) for _, x in row) for row in rows)
+    # Left to right: sum() compensates float sums from Python 3.12 on.
+    norm = max(reduce(add, (abs(x) for _, x in row), 0.0) for row in rows)
     if not math.isfinite(norm):
         raise ValueError("flow time too large: t*D overflows floating point")
     squarings = 0
@@ -562,13 +613,10 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     factor = 0.5 ** squarings
     scaled = [[(q, y) for q, x in row if (y := x * factor)] for row in rows]
 
-    coeffs = [1.0]
-    for k in range(1, _EXP_TERMS + 1):
-        coeffs.append(coeffs[-1] / k)
-    result = [{i: coeffs[_EXP_TERMS]} for i in range(s)]
-    for k in range(_EXP_TERMS - 1, -1, -1):
-        # result = scaled @ result + coeffs[k] * I, row by row
-        previous, result, c = result, [], coeffs[k]
+    result = [{i: _EXP_COEFFS[-1]} for i in range(s)]
+    for c in reversed(_EXP_COEFFS[:-1]):
+        # result = scaled @ result + c * I, row by row
+        previous, result = result, []
         for i, row in enumerate(scaled):
             acc: dict = {}
             for q, x in row:
@@ -576,25 +624,12 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
                     acc[j] = acc.get(j, 0.0) + x * y
             acc[i] = acc.get(i, 0.0) + c
             result.append(acc)
+    result = [sorted(row.items()) for row in result]
     for _ in range(squarings):
-        result = _square([sorted((j, x) for j, x in row.items() if x) for row in result])
-    if not all(math.isfinite(x) for row in result for x in row.values()):
+        result = _product(result, result)
+    if not all(math.isfinite(x) for row in result for _, x in row):
         raise ValueError("flow time too large: exp(tD) overflows floating point")
-    return Automorphism(d.algebra, tuple(tuple(row.get(j, 0.0) for j in range(s)) for row in result))
-
-
-def _square(factors: list[list]) -> list[dict]:
-    """Rows of M @ M, where row i of ``factors`` lists the (k, x) with
-    M[i][k] = x != 0 in ascending k: entry (i, j) is the sum from 0.0 of
-    M[i][k] * M[k][j] over those k."""
-    out = []
-    for row in factors:
-        acc: dict = {}
-        for k, x in row:
-            for j, y in factors[k]:
-                acc[j] = acc.get(j, 0.0) + x * y
-        out.append(acc)
-    return out
+    return _from_rows(d.algebra, result)
 
 
 def multiplicativity_residual(phi: Automorphism) -> float:

@@ -14,11 +14,10 @@ elimination.  A reduced row is a non-zero multiple of the row that
 elimination over ``Fraction`` with leading ones would give, so the rank
 and the spans are the same, and ``Fraction``s are built only where a
 caller reads values: a remainder left by :func:`eliminate`, and the
-reduced row echelon form of :func:`back_reduce`.  Only
-:func:`rank_with_tolerance` has a float elimination of its own, for points
-with float coordinates; :func:`mat_vec` applies a float flow to a point
-and :func:`mat_mul` composes two (``Automorphism.compose``), while the
-flows themselves are summed on sparse rows in ``derivations.exp_flow``.
+reduced row echelon form of :func:`back_reduce`.  Besides the exact
+echelon, the module holds only the float rank, :func:`rank_with_tolerance`,
+for points with float coordinates; float flows are summed, applied and
+composed on their own sparse rows in ``derivations``.
 """
 
 from __future__ import annotations
@@ -34,29 +33,6 @@ _ONE = Fraction(1)
 
 def identity(n: int) -> Matrix:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, v: list, zero=_ZERO) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if row[j]), zero) for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix, zero=_ZERO) -> Matrix:
-    """a b, accumulated over k in ascending order from ``zero``: a
-    Fraction, or 0.0 for float matrices.  Zero factors are skipped; for
-    finite floats a skipped term is a signed zero, which leaves a sum that
-    started at +0.0 unchanged, so the result is bit for bit the full sum."""
-    cols = len(b[0])
-    out = [[zero] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                if brow[j]:
-                    orow[j] += aik * brow[j]
-    return out
 
 
 def add_scaled(target: dict, c: Fraction, form: dict) -> None:

@@ -18,12 +18,17 @@ parser, which builds every intermediate result as a Polynomial.
 
 from __future__ import annotations
 
+import builtins
+import importlib
 import itertools
+import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import numpy as np
 
+import weilkit
 import weilkit.linalg as linalg
 import weilkit.poly as poly_module
 from weilkit import (
@@ -136,7 +141,7 @@ def lie_structure_oracle(basis) -> dict:
         mi = [list(row) for row in basis[i].matrix]
         for j in range(i + 1, r):
             mj = [list(row) for row in basis[j].matrix]
-            ab, ba = linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi)
+            ab, ba = mat_mul(mi, mj), mat_mul(mj, mi)
             residual = [ab[p][q] - ba[p][q] for p in range(s) for q in range(s)]
             coords = [Fraction(0)] * r
             for row, pc in zip(reduced, pivots):
@@ -285,11 +290,68 @@ def expm_series_oracle(matrix, terms: int = 60):
     return out
 
 
+def plain_sum(values, start=0):
+    """sum(values, start) added left to right, as the builtin sum() adds
+    floats before Python 3.12, which compensates it."""
+    total = start
+    for x in values:
+        total = total + x
+    return total
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum() as Python 3.12 and later compute it on floats:
+    compensated (here correctly rounded, by math.fsum) where the items are
+    floats and the start an int or a float; the builtin sum otherwise."""
+    values = list(values)
+    if values and all(type(x) is float for x in values) and type(start) in (int, float):
+        return math.fsum([start, *values])
+    return _BUILTIN_SUM(values, start)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def mat_vec(a, v: list, zero=Fraction(0)) -> list:
+    """The dense product a v, each entry summed from ``zero`` over j in
+    ascending order, skipping the zero entries of a."""
+    return [plain_sum((row[j] * v[j] for j in range(len(v)) if row[j]), zero) for row in a]
+
+
+def mat_mul(a, b, zero=Fraction(0)):
+    """The dense product a b, accumulated over k in ascending order from
+    ``zero``: a Fraction, or 0.0 for float matrices.  Zero factors are
+    skipped; for finite floats a skipped term is a signed zero, which
+    leaves a sum that started at +0.0 unchanged, so the result is bit for
+    bit the full sum."""
+    cols = len(b[0])
+    out = [[zero] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, aik in enumerate(row):
+            if aik == 0:
+                continue
+            brow = b[k]
+            orow = out[i]
+            for j in range(cols):
+                if brow[j]:
+                    orow[j] += aik * brow[j]
+    return out
+
+
+def assert_no_dense_products() -> None:
+    """No weilkit module, ``weilkit.linalg`` included, defines or imports
+    the dense products :func:`mat_vec` and :func:`mat_mul`: the package
+    multiplies on sparse rows only."""
+    for info in pkgutil.iter_modules(weilkit.__path__):
+        module = importlib.import_module(f"weilkit.{info.name}")
+        assert not {"mat_vec", "mat_mul"} & set(vars(module)), module.__name__
+
+
 def float_mat_mul_oracle(a, b):
     """Dense float matrix product: every term, summed over k in ascending
     order from the int 0."""
     n = len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(len(a))]
+    return [[plain_sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def exp_flow_oracle(matrix, t: float, terms: int = 18):
@@ -297,7 +359,7 @@ def exp_flow_oracle(matrix, t: float, terms: int = 18):
     product dense: the float reference for the sparse products."""
     s = len(matrix)
     scaled = [[float(x) * float(t) for x in row] for row in matrix]
-    norm = max((sum(abs(x) for x in row) for row in scaled), default=0.0)
+    norm = max((plain_sum(abs(x) for x in row) for row in scaled), default=0.0)
     squarings = 0
     while norm > 0.5:
         norm /= 2.0
@@ -631,7 +693,7 @@ def rebased_table(table, rng: random.Random) -> list:
                         out[k] += a * b * c
         return out
 
-    return [[linalg.mat_vec(inverse, product(columns[i], columns[j])) for j in range(s)] for i in range(s)]
+    return [[mat_vec(inverse, product(columns[i], columns[j])) for j in range(s)] for i in range(s)]
 
 
 def block_product_table(a, b):

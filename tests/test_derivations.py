@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from weilkit import (
     AlgebraElement,
+    Automorphism,
     Derivation,
     Polynomial,
     NotClosedError,
@@ -21,6 +24,7 @@ from weilkit import (
     flow,
     from_structure_constants,
     LieStructure,
+    NearPoint,
     involutivity_check,
     jacobi_residual,
     leibniz_residual,
@@ -36,6 +40,8 @@ from weilkit.jsonio import derivation_to_json, lie_constants_to_json, rational_f
 import weilkit.linalg as la
 from support import (
     ORACLE_CORPUS,
+    assert_no_dense_products,
+    compensated_sum,
     derivation_basis_oracle,
     derivation_dim_oracle,
     exp_flow_oracle,
@@ -44,7 +50,10 @@ from support import (
     invert_oracle,
     leibniz_oracle,
     lie_structure_oracle,
+    mat_mul,
     mat_sub,
+    mat_vec,
+    plain_sum,
     rand_element,
     rand_fraction,
     rand_invertible,
@@ -161,7 +170,7 @@ def test_bracket_matches_dense_commutator(name):
         m1 = [list(row) for row in d1.matrix]
         for d2 in basis:
             m2 = [list(row) for row in d2.matrix]
-            expected = mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
+            expected = mat_sub(mat_mul(m1, m2), mat_mul(m2, m1))
             assert_one_form(A, bracket(d1, d2), expected)
 
 
@@ -189,7 +198,7 @@ def test_derivation_arithmetic_matches_dense_oracle(name):
             [sum(a.coeffs[i] * table[i][q][k] for i in range(s)) for q in range(s)]
             for k in range(s)
         ]
-        assert_one_form(A, module_scale(a, d1), la.mat_mul(mult, [list(row) for row in m1]))
+        assert_one_form(A, module_scale(a, d1), mat_mul(mult, [list(row) for row in m1]))
 
 
 def test_oracle_applies_the_dual_number_rescale():
@@ -225,10 +234,10 @@ def test_float_matrix_rejected():
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
-def test_checking_constructor_names_the_dense_scans_first_failing_pair(name, monkeypatch):
+def test_checking_constructor_names_the_dense_scans_first_failing_pair(name):
     # Perturb one entry of each of a few basis matrices; the constructor
     # names the first pair the dense scan finds, from the sparse index and
-    # without a dense matrix-vector product.
+    # without a dense matrix-vector product, which the package does not have.
     build, args = ORACLE_CORPUS[name]
     A = build(*args)
     s = A.dim
@@ -240,10 +249,7 @@ def test_checking_constructor_names_the_dense_scans_first_failing_pair(name, mon
         matrix[p][q] += rand_fraction(rng) or 1
         cases.append((matrix, leibniz_oracle(A, matrix)))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Leibniz check formed a dense matrix-vector product")
-
-    monkeypatch.setattr(la, "mat_vec", refuse)
+    assert_no_dense_products()
     for matrix, pair in cases:
         if pair is None:
             assert leibniz_residual(A, matrix) is None
@@ -273,7 +279,7 @@ def test_dimension_is_basis_independent():
             for j in range(s):
                 col_j = [change[p][j] for p in range(s)]
                 product = _mul_in(A, col_i, col_j)
-                row.append(la.mat_vec(inverse, product))
+                row.append(mat_vec(inverse, product))
             table.append(row)
         B = from_structure_constants([f"b{i}" for i in range(s)], table)
         assert len(derivation_basis(B)) == r
@@ -321,7 +327,7 @@ def test_module_scale_examples():
     # oracle: matrix product M_x D1, with column q of M_x the product x * e_q
     s = A.dim
     columns = [raw_table_mul(A.table, x.coeffs, [Fraction(int(p == q)) for p in range(s)]) for q in range(s)]
-    oracle = la.mat_mul([list(row) for row in zip(*columns)], [list(r) for r in d1.matrix])
+    oracle = mat_mul([list(row) for row in zip(*columns)], [list(r) for r in d1.matrix])
     assert scaled.matrix == tuple(tuple(row) for row in oracle)
 
 
@@ -554,7 +560,7 @@ def test_float_products_match_dense_reference(name):
             u = rand_element(rng, A)
             for v in (u, A.element([float(c) / 7 for c in u.coeffs]), A.unit()):
                 coords = [float(c) for c in v.coeffs]
-                reference = [sum(row[q] * coords[q] for q in range(A.dim)) for row in phi.matrix]
+                reference = [plain_sum(row[q] * coords[q] for q in range(A.dim)) for row in phi.matrix]
                 assert float_bits([phi.apply(v).coeffs]) == float_bits([reference])
 
 
@@ -596,6 +602,143 @@ def test_exp_flow_reads_the_float_copy_bit_for_bit(name):
     assert compared >= 2
 
 
+# name -> SHA-256 of the exp(tD) records of ``_flow_records``, taken when
+# Automorphism still stored the dense matrix that dense products formed.
+FLOW_DIGESTS = {
+    "quotient-x2": "78f067bfc3733c5ab1eb854e41a1520b3b4b768b9c60f5cbc8ec571dbff58362",
+    "quotient-x2-y2-z2": "ea0cf5394bc3336dd711479b9838126f51b5452178ec5726b1af1c2df02fdcbd",
+    "quotient-x2-y3": "aee89774adedf48541f3a27c64fe2ed52fd6679c7b29995a4459e58845a7774e",
+    "quotient-x2-y3-xy": "a2ddcf4b8050869f2b64c3a06416fed353990ed0176c7d4cb01d18e565293da1",
+    "quotient-x3-y2-xy2": "d8434b4d4fc65167e24b3428143dabc28e3573eb87b58d39c8fb3828bb78e961",
+    "quotient-x3-y3-xy2": "c9ec6b77c8c46f867414c5fa29265a9ccd5ee6b242cd3ab69ecbf8c7415633ec",
+    "quotient-x4-y2": "ade59276ffc3e3eb89a03039786541f96c26cdb608bc73af723d4d622ce51618",
+    "scrambled-dual-3": "78f067bfc3733c5ab1eb854e41a1520b3b4b768b9c60f5cbc8ec571dbff58362",
+    "scrambled-m3-41": "01a1edab6a08d726750d783bb74e94850679c9e45c5f11f1b9d27e28c5e6ea6f",
+    "scrambled-x2-y2-z2-11": "6087fc2427bb13594a9836d30a846eb5c5d762682b0ca17b37c4e0cd08727ffc",
+    "scrambled-x3-y2-xy2-7": "390871e4382b84ff7de19500d1dafd593c49aca20c9f48dbff8ea10ee50029a4",
+    "scrambled-x5-5": "d6dfbafb85340095883e29ae3cd3f6bd8057c5bdb9c76ab6bb151f66784083f1",
+    "truncated-1-0": "e03966719a51b661cef17446a94ed6f3e55c0e35faa67fa47f3db85bd8e98431",
+    "truncated-1-1": "78f067bfc3733c5ab1eb854e41a1520b3b4b768b9c60f5cbc8ec571dbff58362",
+    "truncated-1-14": "85b67a13363842156a1384253118926616d03d92478e51d4b9f37a03e88e7ecf",
+    "truncated-1-2": "f3a1a9dfab6098306189ade35bce3c851db884bf47c8677a3536a701848af023",
+    "truncated-1-3": "16e3337bd79495fab9ab8fc09190f5840e54b0f4afeedb9e5f509b627a1caf6f",
+    "truncated-1-5": "c404b4e0f1a34ad555b3fc5cd15464aecc309353c8dcd54cf77036b9c4c1be24",
+    "truncated-1-9": "d77698bccfe82a9c65d2fd4566f5abd97a28200be26493dd64e7f8abdb7b5cb4",
+    "truncated-2-1": "f03863588d980f46c1e144cf8743f95022e6a7ba742ec38440fa0c6691038dba",
+    "truncated-2-2": "ac4772df07aeb7aab431ab94c9a9a229b8021cfe4d4a0a77f5734ac60281883e",
+    "truncated-2-3": "602293d720d7ac98eb3d920471c5d6b96b3cd13fe87dc8089b984a5ca4d0d385",
+    "truncated-2-4": "710b75f08ac5db018e7b3349f64e03517747c9efcd53bce7414ea107d9d88454",
+    "truncated-3-1": "304356ba888f2b7489c195f15d4205395fee2b8a5d4707cb43afae1b3730ad17",
+    "truncated-3-2": "7a001e8971b4b9bd3655bc062fcc25482d8b48db936f6a3dac4a0264cfd1ee34",
+    "truncated-3-3": "fb53b663bb38835a2fd64579de0a70e83f92b6282479b8a6cc5205de3f98744b",
+    "truncated-4-1": "411000dd591092ce7a8a7a007e377d53e77f1ff52b3f597474aee39a0c92649a",
+    "truncated-4-2": "ffd1853dd5a07232bb8db9c66f65077692d68302a2c5383a686dbeca74741e3b",
+    "truncated-5-1": "63f1e8b1810cbbe60bc62a754707652c800cafe69156e9ca44893c49b4da3468",
+    "truncated-8-1": "0e4b8a5e40fd3809d3fd2ab50a3465d2a681a1f3f83978311e34fc91d3c65316",
+}
+
+
+def _flow_records(name) -> list:
+    """float_bits of exp(tD).matrix, or the message it raises, for every
+    basis derivation of the algebra, a combination and the zero
+    derivation, at t = +-0.0, -1.9, 0.37, 23 and 1e3."""
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A) or [Derivation(A, ((Fraction(0),) * A.dim,) * A.dim)]  # s = 1
+    records = []
+    for d in [*basis, basis[-1] + Fraction(-2, 9) * basis[0], Fraction(0) * basis[0]]:
+        for t in (0.0, -0.0, -1.9, 0.37, 23.0, 1e3):
+            try:
+                records.append(float_bits(exp_flow(d, t).matrix))
+            except ValueError as exc:
+                records.append(str(exc))
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_exp_flow_matrix_is_the_dense_one(name):
+    # The dense view of the stored rows is, entry for entry, the matrix
+    # that exp_flow built densely.
+    records = _flow_records(name)
+    assert hashlib.sha256(repr(records).encode("utf-8")).hexdigest() == FLOW_DIGESTS[name]
+
+
+def test_exp_flow_norm_adds_left_to_right(monkeypatch):
+    # D(x) = x + 2^-53 (x^2 + ... + x^13) + 18 x^14 on R[x]/x^15.  Row 14
+    # of D is 18, twelve entries below half an ulp of 18, then 14: added
+    # left to right it is exactly 32, so t = 1/64 scales it to 0.5 and
+    # needs no squaring, while a compensated sum, as Python 3.12's sum(),
+    # rounds it above 32 and squares once more.  The number of squarings,
+    # and so the bits of exp(tD), must not depend on how sum() rounds.
+    A = truncated_polynomial_algebra(1, 14)
+    s = A.dim
+    image = {1: Fraction(1), 14: Fraction(18), **{a: Fraction(1, 2**53) for a in range(2, 14)}}
+    matrix = [[Fraction(0)] * s for _ in range(s)]
+    for q in range(1, s):  # D(x^q) = q x^(q-1) D(x)
+        for a, c in image.items():
+            if q - 1 + a < s:
+                matrix[q - 1 + a][q] += q * c
+    d = Derivation(A, matrix)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for t in (1.0, 1 / 64):
+        assert float_bits(exp_flow(d, t).matrix) == float_bits(exp_flow_oracle(d.matrix, t))
+
+
+def test_automorphism_keeps_every_entry_it_is_given():
+    A = truncated_polynomial_algebra(1, 2)
+    matrix = ((1.0, -0.0, 0.0), (math.inf, -0.0, Fraction(1, 3)), (0, -math.inf, 2.5))
+    phi = Automorphism(A, matrix)
+    assert float_bits(phi.matrix) == float_bits(matrix)
+    assert phi.matrix is phi.matrix
+    assert phi == Automorphism(A, [list(row) for row in matrix])
+    u = A.element([Fraction(1, 2), -0.0, 3])
+    assert float_bits([phi.apply(u).coeffs]) == float_bits([mat_vec(matrix, [0.5, -0.0, 3.0], 0.0)])
+
+
+@pytest.mark.parametrize("name", ["truncated-2-3", "truncated-3-2", "quotient-x3-y2-xy2", "scrambled-m3-41"])
+def test_apply_and_compose_match_the_dense_references(name):
+    # Both skip zero entries and add from 0.0 in ascending column order,
+    # on the rows that exp_flow stores and on rows given densely with
+    # signed zeros and infinities; neither builds the dense view.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    s = A.dim
+    rng = random.Random(29)
+    basis = derivation_basis(A)
+    flows = [exp_flow(d, t) for d in (basis[0], basis[-1] + Fraction(2, 5) * basis[1]) for t in (-1.9, 0.37, 23.0)]
+    given = []
+    for _ in range(3):
+        rows = [[rng.choice((0.0, -0.0, 0.0, rng.uniform(-2, 2))) for _ in range(s)] for _ in range(s)]
+        rows[rng.randrange(s)][rng.randrange(s)] = rng.choice((math.inf, -math.inf))
+        given.append(Automorphism(A, tuple(map(tuple, rows))))
+    points = [rand_element(rng, A), A.element([rng.uniform(-3, 3) for _ in range(s)]), A.element([-0.0] * s)]
+    fresh = exp_flow(basis[1], -1.9)
+    fresh.apply(points[1])
+    assert "matrix" not in fresh.compose(fresh).__dict__ and "matrix" not in fresh.__dict__
+    for phi in flows:
+        for psi in flows[:2] + given:
+            for a, b in ((phi, psi), (psi, phi), (psi, psi)):
+                dense_a, dense_b = [list(row) for row in a.matrix], [list(row) for row in b.matrix]
+                product = a.compose(b)
+                assert float_bits(product.matrix) == float_bits(mat_mul(dense_a, dense_b, 0.0))
+    for phi in flows + given:
+        for u in points:
+            coords = [float(c) for c in u.coeffs]
+            image = phi.apply(u)
+            assert float_bits([image.coeffs]) == float_bits([mat_vec(phi.matrix, coords, 0.0)])
+
+
+def test_flow_converts_every_coordinate_to_float():
+    # exp(tD) underflows to 0.0 in the nilpotent column, so no product reads
+    # the coordinate there, and flow still refuses it as beyond the float range.
+    A = dual_numbers()
+    d = derivation_basis(A)[0]
+    assert all(row[1] == 0.0 for row in exp_flow(d, 1000.0).matrix)
+    point = NearPoint((A.element([Fraction(1, 2), Fraction(10**400)]),))
+    with pytest.raises(ValueError, match="^component ξ1 of the point overflows floating point$"):
+        flow(A, d, -1000.0, point)
+
+
 def test_derivation_float_copy_is_read_by_float_coordinates_only():
     # With a poisoned float copy, apply reads it for coordinates that are
     # all floats, and exp_flow reads it; exact, mixed and polynomial
@@ -616,9 +759,9 @@ def test_derivation_float_copy_is_read_by_float_coordinates_only():
         [Fraction(0)] + [rng.uniform(-1, 1) for _ in range(s - 1)],
     ):
         value = d.apply(AlgebraElement(A, tuple(coords))).coeffs
-        assert float_bits([value]) == float_bits([la.mat_vec(exact, coords)])
+        assert float_bits([value]) == float_bits([mat_vec(exact, coords)])
     floats = [rng.uniform(-1, 1) for _ in range(s)]
-    assert d.apply(AlgebraElement(A, tuple(floats))).coeffs != tuple(la.mat_vec(exact, floats))
+    assert d.apply(AlgebraElement(A, tuple(floats))).coeffs != tuple(mat_vec(exact, floats))
     assert exp_flow(d, 0.5).matrix != tuple(map(tuple, exp_flow_oracle(exact, 0.5)))
 
 
@@ -632,7 +775,7 @@ def test_derivation_entry_beyond_float_range_has_no_float_copy():
     with pytest.raises(OverflowError):
         d.apply(u)
     with pytest.raises(OverflowError):
-        la.mat_vec(d.matrix, u.coeffs)
+        mat_vec(d.matrix, u.coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
@@ -664,7 +807,7 @@ def test_apply_matches_dense_product(name):
         ]
         for coeffs in points:
             got = d.apply(A.element(coeffs)).coeffs
-            assert float_bits([got]) == float_bits([la.mat_vec(d.matrix, coeffs)])
+            assert float_bits([got]) == float_bits([mat_vec(d.matrix, coeffs)])
 
 
 def test_derivation_json_wire_format():
@@ -727,7 +870,7 @@ def test_bracket_on_scrambled_tables_is_formed_on_integers(name, monkeypatch):
         m1 = [list(row) for row in d1.matrix]
         for d2 in basis:
             m2 = [list(row) for row in d2.matrix]
-            expected = mat_sub(la.mat_mul(m1, m2), la.mat_mul(m2, m1))
+            expected = mat_sub(mat_mul(m1, m2), mat_mul(m2, m1))
             assert_one_form(A, bracket(d1, d2), expected)
     lie = lie_structure(basis)
     assert lie.brackets == lie_structure_oracle(basis)

@@ -10,13 +10,14 @@ change that is meant.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import random
 
 import pytest
 
-from support import scrambled_table
+from support import compensated_sum, scrambled_table
 from weilkit import truncated_polynomial_algebra
 from weilkit.cli import main
 
@@ -305,3 +306,39 @@ def test_dense_table_output(case, tmp_path, monkeypatch, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert digest(code, captured.out, captured.err) == DENSE_GOLDEN[case]
+
+
+# The flow pins of CI: ``weil flow --n 2 --json`` with squarings, on
+# R[x,y,z]/m^4 at t = 23 from a float point, and on R[x,y]/m^5 over a
+# random basis (s = 15) at t = -1.9 from a rational point: name -> (spec,
+# point, derivation index, t, SHA-256 of stdout).
+FLOW_PINS = {
+    "m4": (
+        {"type": "truncated_polynomial", "variables": ["x", "y", "z"], "order": 3},
+        {"base": [0.5, -1.25], "nilparts": [[((5 * i + 3 * j) % 9 - 4) / 8 for j in range(19)] for i in range(2)]},
+        7,
+        "23",
+        "3b7dbff6c1e0df4b300642e3050274ed08eced387306c4e9ed4a4ca105b51d99",
+    ),
+    "scrambled15": (
+        _scrambled_spec(4),
+        {"base": ["1/2", "-3/5"], "nilparts": [[f"{(7 * i + 3 * j) % 11 - 5}/{j + 2}" for j in range(14)] for i in range(2)]},
+        3,
+        "-1.9",
+        "4ab5688ddf8913d04f09ad6dda97581bf05f0f119c959c32dda003f92ef12970",
+    ),
+}
+
+@pytest.mark.parametrize("name", sorted(FLOW_PINS))
+def test_flow_bytes_do_not_depend_on_how_sum_rounds(name, tmp_path, monkeypatch, capsys):
+    """Every float sum of a flow adds left to right, so the pinned bytes
+    hold under a compensated builtin sum(), as on Python 3.12 and later."""
+    spec, point, index, t, expected = FLOW_PINS[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "point.json").write_text(json.dumps(point), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    argv = ["flow", f"{name}.json", "--n", "2", "--point", "point.json", "--derivation", str(index)]
+    assert main(argv + [f"--t={t}", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected

@@ -39,6 +39,7 @@ from support import (
     coprime_denominators,
     coprime_table,
     lie_structure_oracle,
+    mat_vec,
     minus_image_oracle,
     mul_oracle,
     nullspace_oracle,
@@ -133,7 +134,7 @@ def test_integer_echelon_matches_gauss_jordan(rows, data):
     # inconsistent exactly when a row reduces to a non-zero remainder there,
     # and otherwise the reduced rows give the solution with free unknowns 0.
     rhs = data.draw(st.lists(ENTRIES["small-rational"], min_size=len(rows), max_size=len(rows)))
-    for b in (rhs, la.mat_vec(rows, [Fraction(j + 1, 3) for j in range(ncols)])):
+    for b in (rhs, mat_vec(rows, [Fraction(j + 1, 3) for j in range(ncols)])):
         aug_red, aug_pivots = rref_oracle([row + [y] for row, y in zip(rows, b)])
         echelon: dict = {}
         remainders = []
