@@ -87,6 +87,14 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
+def _report(args, algebra: WeilAlgebra, **fields) -> int:
+    """Emit the JSON report of a command that succeeded on ``algebra``, and
+    return its exit code 0."""
+    summary = algebra_summary(algebra)
+    _emit({"command": args.command, "input": args.spec, "algebra": summary, **fields, "status": 0})
+    return 0
+
+
 def _format_sum(pairs, names, term) -> str:
     """Render the non-zero chart polynomials of (key, polynomial) pairs as a
     sum of ``term(key, rendered)``; sums and negatives get parentheses."""
@@ -138,25 +146,22 @@ def _point_lines(point: NearPoint) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    report = {"command": "check", "input": args.spec}
     try:
         algebra = algebra_from_spec(_load_json_file(args.spec))
     except (AlgebraAxiomError, InfiniteDimensionalError) as exc:
         name = _axiom_name(exc)
-        report.update({"weil": False, "axiom": name, "reason": str(exc), "status": 1})
         if args.json:
-            _emit(report)
+            _emit({"command": "check", "input": args.spec, "weil": False, "axiom": name,
+                   "reason": str(exc), "status": 1})
         else:
             print(f"{name}: {exc}")
         return 1
-    report.update({"weil": True, "algebra": algebra_summary(algebra), "status": 0})
     if args.json:
-        _emit(report)
-    else:
-        print(_header(algebra))
-        print(f"basis: {', '.join(algebra.labels)}")
-        if algebra.dim > 1:
-            print(f"maximal ideal: span({', '.join(algebra.labels[1:])})")
+        return _report(args, algebra, weil=True)
+    print(_header(algebra))
+    print(f"basis: {', '.join(algebra.labels)}")
+    if algebra.dim > 1:
+        print(f"maximal ideal: span({', '.join(algebra.labels[1:])})")
     return 0
 
 
@@ -165,20 +170,15 @@ def _cmd_derivations(args) -> int:
     basis = derivation_basis(algebra)
     lie = lie_structure(basis)
     if args.json:
-        _emit(
-            {
-                "command": "derivations",
-                "input": args.spec,
-                "algebra": algebra_summary(algebra),
-                "r": len(basis),
-                "basis": [derivation_to_json(d) for d in basis],
-                "lie_constants": lie_constants_to_json(lie),
-                "normalization": "reduced row echelon over row-major matrix entries; "
-                "dual-number generator rescaled to ε ↦ -ε",
-                "status": 0,
-            }
+        return _report(
+            args,
+            algebra,
+            r=len(basis),
+            basis=[derivation_to_json(d) for d in basis],
+            lie_constants=lie_constants_to_json(lie),
+            normalization="reduced row echelon over row-major matrix entries; "
+            "dual-number generator rescaled to ε ↦ -ε",
         )
-        return 0
     print(_header(algebra))
     print(f"dim Der(A) = {len(basis)}")
     for idx, d in enumerate(basis):
@@ -206,25 +206,19 @@ def _cmd_field(args) -> int:
         return 1
     names = chart_variable_names(algebra, args.n)
     values = coordinate_values(induced_field(algebra, d, args.n))
-    chart = [values[i][j] for i in range(args.n) for j in range(algebra.dim)]
     if args.json:
-        _emit(
-            {
-                "command": "field",
-                "input": args.spec,
-                "algebra": algebra_summary(algebra),
-                "n": args.n,
-                "derivation": args.derivation,
-                "matrix": derivation_to_json(d),
-                "values": [
-                    [comp.to_str(names) for comp in row] for row in values
-                ],
-                "chart": [comp.to_str(names) for comp in chart],
-                "chart_variables": names,
-                "status": 0,
-            }
+        rendered = [[comp.to_str(names) for comp in row] for row in values]
+        return _report(
+            args,
+            algebra,
+            n=args.n,
+            derivation=args.derivation,
+            matrix=derivation_to_json(d),
+            values=rendered,
+            chart=[text for row in rendered for text in row],
+            chart_variables=names,
         )
-        return 0
+    chart = [comp for row in values for comp in row]
     print(_header(algebra))
     i = args.derivation
     for q in range(args.n):
@@ -245,25 +239,16 @@ def _cmd_foliation(args) -> int:
     sample = distribution_at(algebra, basis, point, tol=args.tol)
     inv = involutivity_check(lie, args.n)
     if args.json:
-        _emit(
-            {
-                "command": "foliation",
-                "input": args.spec,
-                "algebra": algebra_summary(algebra),
-                "n": args.n,
-                "r": len(basis),
-                "generators": [
-                    [scalar_to_json(x) for x in gen] for gen in sample.generators
-                ],
-                "rank_samples": [
-                    {"point": near_point_to_json(point), "rank": sample.rank}
-                ],
-                "tolerance": sample.tolerance,
-                "bracket_law": inv["pairs"],
-                "status": 0,
-            }
+        return _report(
+            args,
+            algebra,
+            n=args.n,
+            r=len(basis),
+            generators=[[scalar_to_json(x) for x in gen] for gen in sample.generators],
+            rank_samples=[{"point": near_point_to_json(point), "rank": sample.rank}],
+            tolerance=sample.tolerance,
+            bracket_law=inv["pairs"],
         )
-        return 0
     print(_header(algebra))
     print(f"dim Der(A) = r = {len(basis)}")
     print("point:")
@@ -294,21 +279,16 @@ def _cmd_flow(args) -> int:
         for a, b in zip(point.components, moved.components)
     )
     if args.json:
-        _emit(
-            {
-                "command": "flow",
-                "input": args.spec,
-                "algebra": algebra_summary(algebra),
-                "n": args.n,
-                "derivation": args.derivation,
-                "t": args.t,
-                "point": near_point_to_json(point),
-                "flowed": near_point_to_json(moved),
-                "base_drift": drift,
-                "status": 0,
-            }
+        return _report(
+            args,
+            algebra,
+            n=args.n,
+            derivation=args.derivation,
+            t=args.t,
+            point=near_point_to_json(point),
+            flowed=near_point_to_json(moved),
+            base_drift=drift,
         )
-        return 0
     print(f"flow of d{args.derivation}* for t = {args.t:.12g}")
     print("start:")
     for line in _point_lines(point):

@@ -34,11 +34,13 @@ and module multiples by exact elements) are derivations by construction
 
 Exponentials exp(tD) are computed in floating point, by scaling and
 squaring on the sparse rows of tD, which hold its few non-zero entries.
-An ``Automorphism`` keeps those rows, and applies and composes on them,
-so no flow forms a dense matrix.  Every float sum adds its terms left to
-right, so the floats do not depend on how the Python version's ``sum()``
-rounds.  They are automorphisms of the algebra up to round-off and are
-only used for flow integration, never for anything exact.
+Horner's steps, the squarings and ``Automorphism.compose`` are one sparse
+float product, ``_product``.  An ``Automorphism`` keeps the rows it
+forms, and applies and composes on them, so no flow forms a dense
+matrix.  Every float sum adds its terms left to right, so the floats do
+not depend on how the Python version's ``sum()`` rounds.  They are
+automorphisms of the algebra up to round-off and are only used for flow
+integration, never for anything exact.
 """
 
 from __future__ import annotations
@@ -509,10 +511,11 @@ class Automorphism(Frozen):
     a derivation matrix is zero, so it survives scaling and squaring).
 
     Stored once, as sparse rows: row i lists the pairs (j, x) of the
-    entries x = matrix[i][j] that its producer formed, in ascending j,
-    zeros included, so an entry no pair names is 0.0.  The public
-    ``Automorphism(algebra, matrix)`` keeps every entry of ``matrix``;
-    ``matrix`` is the dense view, built on first read.  :meth:`apply` and
+    entries x = matrix[i][j] that its producer stored, in ascending j, so
+    an entry no pair names is 0.0.  The public ``Automorphism(algebra,
+    matrix)`` keeps every entry of ``matrix``; :func:`exp_flow` and
+    :meth:`compose` keep every sum that :func:`_product` forms.  ``matrix``
+    is the dense view, built on first read.  :meth:`apply` and
     :meth:`compose` skip the zero entries, and every float sum they form
     adds its terms left to right from 0.0, in ascending column order.
     """
@@ -544,7 +547,8 @@ class Automorphism(Frozen):
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         check_same_algebra(other.algebra, self.algebra, "automorphisms belong to different algebras")
-        return _from_rows(self.algebra, _product(self._rows, other._rows))
+        product = _product(self._rows, [dict(row) for row in other._rows])
+        return _from_rows(self.algebra, [sorted(row.items()) for row in product])
 
 
 def _from_rows(algebra: WeilAlgebra, rows: list[list]) -> Automorphism:
@@ -554,19 +558,20 @@ def _from_rows(algebra: WeilAlgebra, rows: list[list]) -> Automorphism:
     return phi
 
 
-def _product(a: list[list], b: list[list]) -> list[list]:
-    """Rows of A @ B, for A and B stored as Automorphism rows: entry (i, j)
-    is the sum from 0.0 of A[i][k] * B[k][j] over the k, in ascending
-    order, where both factors are non-zero; every entry so formed is kept."""
-    factors = [[(j, y) for j, y in row if y] for row in b]
+def _product(a: list[list], b: list[dict]) -> list[dict]:
+    """Rows of A @ B, for A given by rows of (k, x) pairs in ascending k and
+    B by rows mapping j to y: entry (i, j) is the sum from 0.0 of x * y
+    over the k, in ascending order, where both factors are non-zero.  The
+    rows come back as dicts, in no particular column order."""
     out = []
     for row in a:
         acc: dict = {}
         for k, x in row:
             if x:
-                for j, y in factors[k]:
-                    acc[j] = acc.get(j, 0.0) + x * y
-        out.append(sorted(acc.items()))
+                for j, y in b[k].items():
+                    if y:
+                        acc[j] = acc.get(j, 0.0) + x * y
+        out.append(acc)
     return out
 
 
@@ -578,15 +583,16 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     from ``d.float_columns``; ValueError when D has an entry beyond the
     float range, or when t or t*D is not finite.
 
-    Horner's rule runs on sparse rows built from the non-zero entries of
-    tD, and each squaring is the :func:`_product` that composes
-    automorphisms; its rows are the result's.  Every float sum, the row
-    norms that set the number of squarings included, adds its terms from
-    0.0 in ascending column order, so the floats are bit for bit those of
-    dense products on any Python.  The terms left out have a zero factor;
-    for finite floats they are signed zeros, which leave such a sum
-    unchanged.  A squaring skips zero factors outright, as a dense product
-    does, since its entries may have overflowed.
+    Each of the 18 Horner steps, scaled @ result + c * I on the non-zero
+    entries of tD, and each squaring is the one :func:`_product` that also
+    composes automorphisms.  Every float sum, the row norms that set the
+    number of squarings included, adds its terms from 0.0 in ascending
+    column order, so the floats are bit for bit those of dense products on
+    any Python.  The terms left out have a zero factor; for finite floats
+    they are signed zeros, which leave a sum from 0.0 unchanged, as such a
+    sum is never -0.0.  An entry that no term reaches is that 0.0, and is
+    not stored.  A squaring skips zero factors outright too, since its
+    entries may have overflowed.
     """
     s = d.algebra.dim
     columns = d.float_columns
@@ -615,18 +621,12 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
 
     result = [{i: _EXP_COEFFS[-1]} for i in range(s)]
     for c in reversed(_EXP_COEFFS[:-1]):
-        # result = scaled @ result + c * I, row by row
-        previous, result = result, []
-        for i, row in enumerate(scaled):
-            acc: dict = {}
-            for q, x in row:
-                for j, y in previous[q].items():
-                    acc[j] = acc.get(j, 0.0) + x * y
-            acc[i] = acc.get(i, 0.0) + c
-            result.append(acc)
-    result = [sorted(row.items()) for row in result]
+        result = _product(scaled, result)  # scaled @ result + c * I
+        for i, row in enumerate(result):
+            row[i] = row.get(i, 0.0) + c
     for _ in range(squarings):
-        result = _product(result, result)
+        result = _product([sorted(row.items()) for row in result], result)
+    result = [sorted(row.items()) for row in result]
     if not all(math.isfinite(x) for row in result for _, x in row):
         raise ValueError("flow time too large: exp(tD) overflows floating point")
     return _from_rows(d.algebra, result)

@@ -206,9 +206,6 @@ class TaylorOracle:
         except KeyError:
             raise MissingPartialError(f"oracle lacks the partial for multi-index {alpha}") from None
 
-    def partials(self) -> dict[Exponents, float]:
-        return dict(self._partials)
-
     @classmethod
     def of_polynomial(cls, f: Polynomial, base: Sequence, order: int) -> "TaylorOracle":
         """Exact jet of a polynomial: repeated formal differentiation, then

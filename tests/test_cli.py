@@ -796,6 +796,19 @@ def test_foliation_float_point_uses_tolerance(capsys, files, tmp_path):
     assert json.loads(out)["tolerance"] == 1e-3
 
 
+def test_foliation_on_the_reals_has_rank_zero_at_a_tolerance(capsys, files, tmp_path):
+    # R has no derivations, so the rank at --tol > 0 is that of no rows.
+    spec = tmp_path / "r.json"
+    spec.write_text('{"type": "truncated_polynomial", "variables": ["x"], "order": 0}', encoding="utf-8")
+    point = tmp_path / "pt_r.json"
+    point.write_text('{"base": [0.5], "nilparts": [[]]}', encoding="utf-8")
+    argv = ["foliation", str(spec), "--n", "1", "--point", str(point), "--tol", "1e-9", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["r"], report["rank_samples"][0]["rank"], report["tolerance"]) == (0, 0, 1e-9)
+
+
 def test_liouville_json_report(capsys):
     code, out, _ = run(capsys, ["liouville", "--n", "2", "--json"])
     assert code == 0

@@ -728,6 +728,37 @@ def test_apply_and_compose_match_the_dense_references(name):
             assert float_bits([image.coeffs]) == float_bits([mat_vec(phi.matrix, coords, 0.0)])
 
 
+def test_flows_form_their_products_in_one_place(monkeypatch):
+    # Each of the 18 Horner steps, each squaring and compose are one call of
+    # the sparse product; no flow multiplies anywhere else.
+    calls = []
+    product = derivations._product
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(derivations, "_product", counted)
+    squared = 0
+    for name in ("truncated-1-1", "truncated-2-3", "scrambled-m3-41"):
+        build, args = ORACLE_CORPUS[name]
+        d = derivation_basis(build(*args))[-1]
+        for t in (0.0, 0.37, -1.9, 23.0):
+            norm = max(plain_sum(abs(float(x) * t) for x in row) for row in d.matrix)
+            squarings = 0
+            while norm > 0.5:
+                norm /= 2.0
+                squarings += 1
+            calls.clear()
+            phi = exp_flow(d, t)
+            assert len(calls) == 18 + squarings
+            squared += squarings > 0
+            calls.clear()
+            phi.compose(phi)
+            assert len(calls) == 1
+    assert squared >= 3
+
+
 def test_flow_converts_every_coordinate_to_float():
     # exp(tD) underflows to 0.0 in the nilpotent column, so no product reads
     # the coordinate there, and flow still refuses it as beyond the float range.

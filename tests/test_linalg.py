@@ -25,6 +25,7 @@ def test_rank_with_tolerance_float_path():
     rows = [[1.0, 0.0], [1e-12, 0.0]]
     assert la.rank_with_tolerance(rows, 1e-9) == 1
     assert la.rank_with_tolerance([[1.0, 0.0], [0.0, 1e-6]], 1e-9) == 2
+    assert la.rank_with_tolerance([], 1e-9) == 0  # no generators, as on R
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("-inf"), float("nan")])
