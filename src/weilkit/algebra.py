@@ -593,6 +593,14 @@ def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
         nonzero_v = [(j, float(b)) for j, b in enumerate(v) if b]
     except OverflowError:  # the loop on the constants raises it where a term needs it
         return None
+    return [_ZERO if x is None else x for x in float_product(table, nonzero_u, nonzero_v)]
+
+
+def float_product(table, nonzero_u: Sequence, nonzero_v: Sequence) -> list:
+    """The float loop of :func:`mul` on the non-zero coordinates of u and
+    v, given as pairs (index, float) in ascending index, through a
+    ``table`` such as ``products.floats``: out[k] is the sum from 0.0 of
+    a*b*c in the order i, then j, then k, and None where no term reaches."""
     out = [None] * len(table)
     for i, a in nonzero_u:
         row = table[i]
@@ -601,7 +609,7 @@ def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
             for k, c in row[j]:
                 x = out[k]
                 out[k] = (0.0 if x is None else x) + ab * c
-    return [_ZERO if x is None else x for x in out]
+    return out
 
 
 def ideal_generators(products: Products) -> tuple[int, ...]:

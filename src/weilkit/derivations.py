@@ -184,10 +184,10 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     skipped, zero coordinates are not.
 
     An exact u, read in its ``integer_form`` (kept by u), takes
-    :func:`integer_image`.  Coordinates that are all floats scatter
-    through ``d.float_columns`` from the 0.0 that Fraction(0) + x converts
-    to; an output no entry reaches stays Fraction(0).  Other coordinates
-    run on the columns themselves.
+    :func:`integer_image`.  Coordinates that are all floats take
+    :func:`float_image`, from the 0.0 that Fraction(0) + x converts to;
+    an output no entry reaches stays Fraction(0).  Other coordinates run
+    on the columns themselves.
     """
     form = u.integer_form()
     if form:
@@ -195,17 +195,29 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     coords = u.coeffs
     columns = d.float_columns
     if columns is not None and all(type(x) is float for x in coords):
-        out = [None] * len(coords)
-        for x, column in zip(coords, columns):
-            for p, c in column.items():
-                y = out[p]
-                out[p] = (0.0 if y is None else y) + c * x
-        return tuple(_ZERO if y is None else sign * y for y in out)
+        return tuple(_ZERO if y is None else sign * y for y in float_image(columns, [coords]))
     out = [_ZERO] * len(coords)
     for x, column in zip(coords, d.columns):
         for p, c in column.items():
             out[p] = out[p] + c * x
     return tuple(out) if sign == 1 else tuple(-y for y in out)
+
+
+def float_image(columns: list[dict], blocks: Sequence[Sequence[float]]) -> list:
+    """D applied to each block of float coordinates, concatenated, for D
+    given by its ``float_columns``: entry p of a block's image is the sum
+    from 0.0 of c * x over the entries c at row p of its columns, in
+    ascending column order, zero coordinates x included, and None where
+    no entry reaches."""
+    out = []
+    for coords in blocks:
+        image = [None] * len(columns)
+        for x, column in zip(coords, columns):
+            for p, c in column.items():
+                y = image[p]
+                image[p] = (0.0 if y is None else y) + c * x
+        out += image
+    return out
 
 
 def integer_image(d: Derivation, u: tuple[list[int], int]) -> tuple[list[int], int]:

@@ -39,6 +39,7 @@ from .derivations import (
     commutator_on,
     derivation_basis,
     exp_flow,
+    float_image,
     integer_image,
     signed_image,
 )
@@ -50,6 +51,8 @@ from .nearpoints import (
     make_near_point,
 )
 from .poly import Polynomial
+
+_ZERO = Fraction(0)
 
 
 class InducedField(Frozen):
@@ -143,20 +146,40 @@ def chart_field(field: InducedField) -> ChartVectorField:
 
 
 class DistributionSample(Frozen):
-    """Distribution generators and their rank at a single near point."""
+    """Distribution generators and their rank at a single near point.
 
-    __slots__ = _fields = ("point", "generators", "rank", "tolerance")
+    :func:`distribution_at` at an exact point ranks the generators on
+    their integer images and keeps those; ``generators`` is then built
+    from them, as Fractions, on first read.  A sample compares, hashes,
+    prints, copies and pickles by its four fields either way.
+    """
+
+    __slots__ = ("point", "_generators", "_images", "rank", "tolerance")
+    _fields = ("point", "generators", "rank", "tolerance")
 
     point: NearPoint
-    generators: tuple[tuple, ...]
     rank: int
     tolerance: float
 
     def __init__(self, point, generators, rank, tolerance):
         object.__setattr__(self, "point", point)
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_generators", generators)
+        object.__setattr__(self, "_images", None)  # set only by distribution_at
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tolerance", tolerance)
+
+    @property
+    def generators(self) -> tuple[tuple, ...]:
+        if self._images is not None:
+            object.__setattr__(self, "_generators", _image_generators(self._images))
+            object.__setattr__(self, "_images", None)
+        return self._generators
+
+
+def _image_generators(images) -> tuple[tuple, ...]:
+    """The generators that integer images stand for: per generator, the
+    (numerators, denominator) of each component, concatenated."""
+    return tuple(tuple(x for image in row for x in from_integer_form(image)) for row in images)
 
 
 def distribution_at(
@@ -171,17 +194,25 @@ def distribution_at(
     point's, then the others'.  Generator k concatenates -D_k(point_i).
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
+
     At a point whose components all have their cached ``integer_form``,
-    the r generators are built from their
-    :func:`~weilkit.derivations.integer_image` through each derivation's
-    ``integer_columns``, so they are exact by construction; the exact rank
-    is then taken on those image rows, which are the generators with each
-    row and each component's columns scaled by a non-zero factor.  Other
-    generators take :func:`~weilkit.derivations.signed_image`.  One that
-    leaves the float range, as inf or as an exact value that the float
-    arithmetic (a float coordinate, or ``tol`` > 0) cannot hold, raises
-    ValueError naming it.  A negative or NaN ``tol`` raises ValueError;
-    ``inf`` counts every pivot as zero.
+    each generator is formed as the :func:`~weilkit.derivations.integer_image`
+    of every component, through each derivation's ``integer_columns``,
+    with the sign folded into its denominator, so it is exact by
+    construction.  The exact rank is taken on those images, which are the
+    generators with each row and each component's columns scaled by a
+    non-zero factor, and the sample keeps them: its ``generators`` are
+    built as Fractions on first read, so a caller that reads only the rank
+    builds none.  A ``tol`` > 0 ranks their floats, formed in the call.
+    At a point whose coordinates are all floats, each generator is formed
+    in one pass over the derivation's ``float_columns`` for all components
+    (:func:`~weilkit.derivations.float_image`), and those floats are
+    ranked.  Other generators take
+    :func:`~weilkit.derivations.signed_image`.  One that leaves the float
+    range, as inf or as an exact value that the float arithmetic (a float
+    coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
+    A negative or NaN ``tol`` raises ValueError; ``inf`` counts every
+    pivot as zero.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
@@ -191,30 +222,44 @@ def distribution_at(
             check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [c.integer_form() for c in point.components]
-    exact = None not in forms
-    generators = []
-    image_rows = []
-    for d, what in zip(basis, names):
-        if exact:
-            images = [integer_image(d, form) for form in forms]
-            image_rows.append([y for out, _ in images for y in out])
-            generators.append(tuple(x for image in images for x in from_integer_form(image, -1)))
-            continue
-        try:
-            gen = tuple(x for c in point.components for x in signed_image(d, c, -1))
-        except OverflowError:
-            raise ValueError(f"{what} overflows floating point") from None
-        _check_finite(gen, what)
-        generators.append(gen)
-    if tol is None:
-        rational = exact or all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
-        tol = 0.0 if rational else 1e-9
-    if tol:
-        rows = [_floats(gen, what) for gen, what in zip(generators, names)]
-    elif exact:
-        rows = image_rows
+    if None not in forms:
+        images = [
+            [(out, -den) for out, den in (integer_image(d, form) for form in forms)] for d in basis
+        ]
+        if not tol:
+            rows = [[y for out, _ in row for y in out] for row in images]
+            rank = linalg.rank_with_tolerance(rows, 0)
+            sample = DistributionSample(point, None, rank, 0.0 if tol is None else tol)
+            object.__setattr__(sample, "_images", images)  # generators built on first read
+            return sample
+        generators, rows = _image_generators(images), [None] * len(images)
     else:
-        rows = [list(gen) for gen in generators]
+        blocks = [c.coeffs for c in point.components]
+        floating = all(type(x) is float for coords in blocks for x in coords)
+        generators, rows = [], []
+        for d, what in zip(basis, names):
+            columns = d.float_columns
+            if floating and columns is not None:
+                out = float_image(columns, blocks)
+                row = [0.0 if y is None else -y for y in out]
+                if not all(map(math.isfinite, row)):
+                    _check_finite(row, what)
+                generators.append(tuple([_ZERO if y is None else x for y, x in zip(out, row)]))
+                rows.append(row)
+                continue
+            try:
+                gen = tuple(x for c in point.components for x in signed_image(d, c, -1))
+            except OverflowError:
+                raise ValueError(f"{what} overflows floating point") from None
+            _check_finite(gen, what)
+            generators.append(gen)
+            rows.append(None)
+    if tol is None:
+        rational = all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
+        tol = 0.0 if rational else 1e-9
+    for k, (gen, what) in enumerate(zip(generators, names)):
+        if rows[k] is None:
+            rows[k] = _floats(gen, what) if tol else list(gen)
     rank = linalg.rank_with_tolerance(rows, tol)
     return DistributionSample(point=point, generators=tuple(generators), rank=rank, tolerance=tol)
 

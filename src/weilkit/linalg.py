@@ -192,13 +192,15 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 def rank_with_tolerance(rows: list[list[float]], tol: float) -> int:
     """Rank by float Gaussian elimination with partial pivoting; pivots of
     absolute value <= tol count as zero.  With tol = 0 it is the exact rank
-    of the entries (ints, Fractions or floats, each taken exactly).  A
-    negative or NaN ``tol`` raises ValueError."""
+    of the entries (ints, Fractions or floats, each taken exactly).  With
+    tol > 0 the entries are taken as their float(), on a copy, and each
+    row below a pivot becomes a - f * b on the columns from the pivot's
+    on, one slice at a time.  A negative or NaN ``tol`` raises ValueError."""
     if not tol >= 0:
         raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
     if tol == 0:
         return len(echelon_form(rows))
-    m = [[float(x) for x in row] for row in rows]
+    m = [list(map(float, row)) for row in rows]
     if not m:
         return 0
     ncols = len(m[0])
@@ -212,11 +214,11 @@ def rank_with_tolerance(rows: list[list[float]], tol: float) -> int:
             continue
         m[rk], m[best] = m[best], m[rk]
         pv = m[rk][col]
-        for i in range(rk + 1, len(m)):
-            f = m[i][col] / pv
+        pivot = m[rk][col:]
+        for row in m[rk + 1 :]:
+            f = row[col] / pv
             if f != 0.0:
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rk][j]
+                row[col:] = [a - f * b for a, b in zip(row[col:], pivot)]
         rk += 1
         if rk == len(m):
             break

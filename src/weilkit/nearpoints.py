@@ -30,6 +30,7 @@ beyond the algebra height, so the finite Taylor sum is exact at that point.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -40,9 +41,13 @@ from .algebra import (
     WeilAlgebra,
     check_same_algebra,
     eval_in_algebra,
+    float_product,
     powers,
 )
 from .poly import Exponents, Polynomial
+
+
+_ZERO = Fraction(0)
 
 
 class NonzeroScalarPartError(ValueError):
@@ -107,7 +112,16 @@ class NearPoint(Frozen):
         the algebra height because higher nilpotent powers vanish.  Each
         nilpotent part's powers up to the height are formed once, by the
         same products ``**`` makes (:func:`~weilkit.algebra.powers`), kept
-        on integers at an exact point, and shared by every multi-index.
+        on integers at an exact point, and their non-zero coordinates are
+        read as floats once (from the integer form where there is one).
+        Each term, the float partial times its powers, is formed by
+        :func:`~weilkit.algebra.float_product` on coordinate lists; the
+        terms are added left to right from 0.0, and a coordinate that no
+        term reaches stays Fraction(0).  That is, bit for bit, the sum of
+        ``from_scalar(partial) * power * ...`` over the multi-indices from
+        the zero element.  ValueError naming the component when a power
+        that a non-zero term multiplies has a coordinate beyond the float
+        range.
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")
@@ -122,18 +136,49 @@ class NearPoint(Frozen):
                 raise BasePointMismatchError(
                     f"oracle base {oracle.base} differs from point base {base}"
                 )
-        height = self.algebra.height
-        # nilpotent[i][e] is the e-th power of component i's nilpotent part
-        nilpotent = [powers(c.nilpotent_part(), height) for c in self.components]
-        total = self.algebra.zero()
+        algebra = self.algebra
+        height, products = algebra.height, algebra.products
+        # A table beyond the float range multiplies on its constants, with
+        # the same floats wherever a term does not overflow.
+        table = products if products.floats is None else products.floats
+        # nilpotent[i][e]: the non-zero coordinates of the e-th power of
+        # component i's nilpotent part, or None beyond the float range
+        nilpotent = [
+            [_nonzero_floats(u) for u in powers(c.nilpotent_part(), height)]
+            for c in self.components
+        ]
+        total = [None] * algebra.dim
         for alpha in _multi_indices(self.n, height):
-            coeff = oracle.partial(alpha)
-            term = self.algebra.from_scalar(coeff)
+            term = [(0, oracle.partial(alpha))]  # reached coordinates, ascending
             for i, e in enumerate(alpha):
                 if e:
-                    term = term * nilpotent[i][e]
-            total = total + term
-        return total
+                    nonzero = [(k, x) for k, x in term if x]
+                    power = nilpotent[i][e]
+                    if power is None and nonzero:
+                        raise ValueError(
+                            f"component ξ{i + 1} of the point overflows floating point"
+                        )
+                    out = float_product(table, nonzero, power or ())
+                    term = [(k, x) for k, x in enumerate(out) if x is not None]
+            for k, x in term:
+                y = total[k]
+                total[k] = (0.0 if y is None else y) + x
+        return AlgebraElement(algebra, tuple(_ZERO if y is None else y for y in total))
+
+
+def _nonzero_floats(u: AlgebraElement) -> list[tuple[int, float]] | None:
+    """The non-zero coordinates of ``u`` as pairs (index, float), each the
+    float() of its value, read off the integer form where ``u`` has one;
+    None when one of them is beyond the float range."""
+    form = u.integer_form()
+    try:
+        if form:
+            numerators, denominator = form
+            # int / int rounds correctly, as float(Fraction) does.
+            return [(k, x / denominator) for k, x in enumerate(numerators) if x]
+        return [(k, float(x)) for k, x in enumerate(u.coeffs) if x]
+    except OverflowError:
+        return None
 
 
 def make_near_point(
@@ -166,7 +211,10 @@ def make_near_point(
     return NearPoint(tuple(components))
 
 
-def _multi_indices(nvars: int, max_degree: int) -> list[Exponents]:
+@functools.lru_cache(maxsize=32)
+def _multi_indices(nvars: int, max_degree: int) -> tuple[Exponents, ...]:
+    """The exponent tuples of ``nvars`` variables of total degree at most
+    ``max_degree``, sorted; cached, as every Taylor value reads them."""
     out: list[Exponents] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
@@ -177,7 +225,7 @@ def _multi_indices(nvars: int, max_degree: int) -> list[Exponents]:
             rec(prefix + (e,), remaining - 1, budget - e)
 
     rec((), nvars, max_degree)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 class TaylorOracle:

@@ -8,7 +8,8 @@ commutators rather than generator columns, associativity from every basis
 triple rather than a monomial walk, matrix exponentials by direct
 series summation or by scaling and squaring on dense float products, the
 reduced row echelon form by dense Gauss-Jordan elimination rather than
-the sparse echelon, Taylor values with every nilpotent power rebuilt
+the sparse echelon, the float rank by updating one entry at a time
+rather than one row slice at a time, Taylor values with every nilpotent power rebuilt
 for each multi-index, products through the structure constants by the
 term-by-term loop on the constants rather than on integer numerators or
 float copies, the values of induced fields by a scatter from Fraction(0)
@@ -395,6 +396,36 @@ def eval_taylor_oracle(point, oracle):
                 term = term * nilpotents[i] ** e
         total = total + term
     return total
+
+
+def float_rank_oracle(rows, tol):
+    """The float rank of ``rank_with_tolerance`` for tol > 0 by its former
+    per-entry loop: Gaussian elimination with partial pivoting on a float
+    copy, pivots of absolute value <= tol counting as zero, each entry
+    below a pivot updated on its own."""
+    m = [[float(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rk = 0
+    for col in range(ncols):
+        best, best_val = None, tol
+        for i in range(rk, len(m)):
+            if abs(m[i][col]) > best_val:
+                best, best_val = i, abs(m[i][col])
+        if best is None:
+            continue
+        m[rk], m[best] = m[best], m[rk]
+        pv = m[rk][col]
+        for i in range(rk + 1, len(m)):
+            f = m[i][col] / pv
+            if f != 0.0:
+                for j in range(col, ncols):
+                    m[i][j] -= f * m[rk][j]
+        rk += 1
+        if rk == len(m):
+            break
+    return rk
 
 
 def mul_oracle(products, u, v, zero):

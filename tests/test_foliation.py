@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 
 from weilkit import (
     Derivation,
+    DistributionSample,
     LieStructure,
     Polynomial,
     apply_chart_field,
@@ -42,6 +45,7 @@ from weilkit.jsonio import derivation_to_json, rational_from_json
 from weilkit.algebra import AlgebraElement
 from weilkit.nearpoints import NearPoint
 from support import (
+    ORACLE_CORPUS,
     assert_no_dense_products,
     coprime_denominators,
     coprime_table,
@@ -372,6 +376,102 @@ def test_induced_values_match_the_two_pass_negation(name):
         if exact:
             assert rational
             assert sample.rank == len(rref_oracle(old)[1])
+
+
+def corpus_points(A, n, rng):
+    """A rational, a float, a mixed and a zero-section point on R^n, with
+    signed zeros among the float coordinates."""
+    s = A.dim
+    floats = [
+        A.element([0.0] + [(rng.uniform(-2, 2), 0.0, -0.0)[rng.randrange(3)] for _ in range(s - 1)])
+        for _ in range(n)
+    ]
+    mixed = [
+        A.element([(rand_fraction(rng), rng.uniform(-2, 2), -0.0)[q % 3] for q in range(s)])
+        for _ in range(n)
+    ]
+    return [
+        rand_near_point(rng, A, n),
+        make_near_point(A, [rng.uniform(-3, 3) for _ in range(n)], floats),
+        NearPoint(tuple(mixed)),
+        make_near_point(A, [rand_fraction(rng) for _ in range(n)]),
+    ]
+
+
+def eager_generators(basis, point):
+    """The distribution generators by the two-pass negation of each
+    component's image."""
+    return tuple(
+        tuple(x for c in point.components for x in minus_image_oracle(d, c.coeffs)) for d in basis
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_generators_read_as_the_eager_build(name):
+    # Exact points keep their integer images and build the generators on
+    # first read; float points form them in one pass.  Either way they
+    # print as scattering from Fraction(0) and negating afterwards.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    rng = random.Random(name)
+    for n in (1, 2, 3):
+        for point in corpus_points(A, n, rng):
+            sample = distribution_at(A, basis, point)
+            assert repr(sample.generators) == repr(eager_generators(basis, point))
+
+
+def test_rank_at_an_exact_point_builds_no_fraction():
+    # The rank runs on the integer images; only reading the generators
+    # builds their Fractions.
+    A = truncated_polynomial_algebra(2, 3)
+    basis = derivation_basis(A)
+    point = rand_near_point(random.Random(5), A, 3)
+    distribution_at(A, basis, point)  # the cached integer forms
+    calls: list = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting
+    try:
+        sample = distribution_at(A, basis, point)
+        assert (calls, sample.rank) == ([], 18)
+        generators = sample.generators
+        assert calls
+    finally:
+        Fraction.__new__ = new
+    assert generators == eager_generators(basis, point)
+
+
+LAZY_READS = {
+    "eq": lambda x, eager: (x == eager, eager == x, x != eager, len({x, eager})),
+    "hash": lambda x, eager: hash(x) == hash(eager),
+    "repr": lambda x, eager: repr(x) == repr(eager),
+    "copies": lambda x, eager: [
+        (repr(y), y == eager, hash(y) == hash(eager), y.generators == eager.generators)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+    ],
+    "generators": lambda x, eager: x.generators == eager.generators,
+}
+
+
+@pytest.mark.parametrize("read", sorted(LAZY_READS))
+def test_lazy_sample_reads_as_an_eager_one_before_and_after_the_first_read(read):
+    A = truncated_polynomial_algebra(2, 2)
+    basis = derivation_basis(A)
+    point = rand_near_point(random.Random(8), A, 2)
+    lazy = distribution_at(A, basis, point)
+    eager = DistributionSample(point, lazy.generators, lazy.rank, lazy.tolerance)
+    want = LAZY_READS[read](eager, eager)
+    lazy = distribution_at(A, basis, point)
+    assert lazy._images is not None
+    assert LAZY_READS[read](lazy, eager) == want
+    lazy.generators  # the first read, where the read above made none
+    assert lazy._images is None
+    assert LAZY_READS[read](lazy, eager) == want
 
 
 def test_injectivity_of_induced_fields():

@@ -38,6 +38,7 @@ from weilkit.algebra import _sparse_products, _sparse_rows, mul
 from support import (
     coprime_denominators,
     coprime_table,
+    float_rank_oracle,
     lie_structure_oracle,
     mat_vec,
     minus_image_oracle,
@@ -183,6 +184,39 @@ def test_eliminate_leaves_the_exact_combination(rows):
         assert lead == min(row) and row[lead] > 0
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1
+
+
+
+@st.composite
+def float_matrices(draw):
+    """(rows, tol): float rows with signed zeros, entries at exactly +-tol
+    and twice it, and rows that are combinations of earlier ones; tol
+    ranges from the least subnormal to inf."""
+    tol = draw(st.sampled_from([5e-324, 1e-9, 0.25, 1.0, math.inf]))
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, tol, -tol, 2 * tol, -2 * tol]),
+        st.floats(-4, 4),
+        st.integers(-3, 3).map(float),
+    )
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.sampled_from([1.0, -1.0, 0.5, tol]))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    return rows, tol
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(float_matrices())
+def test_float_rank_matches_the_per_entry_loop(case):
+    # The row update as one slice comprehension is the arithmetic of the
+    # per-entry loop, so the ranks agree, and the caller's rows stay as
+    # they were.
+    rows, tol = case
+    before = repr(rows)
+    assert la.rank_with_tolerance(rows, tol) == float_rank_oracle(rows, tol)
+    assert repr(rows) == before
 
 
 # ------------------------------------------- Lie structure and exact rank

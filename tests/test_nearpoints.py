@@ -277,6 +277,31 @@ def test_taylor_base_beyond_float_range_is_a_mismatch():
         xi.eval_taylor(oracle)
 
 
+@pytest.mark.parametrize(
+    "nilparts, component",
+    [
+        ([(0, 10**400, 0)], 1),
+        ([(0, 1, 2), (0, 0, -(10**400))], 2),
+        ([(0, Fraction(10**200, 3), 0)], 1),  # only its square is beyond the float range
+    ],
+)
+def test_taylor_names_a_component_beyond_the_float_range(nilparts, component):
+    # The float product of a term with such a power raised a bare
+    # OverflowError ("integer division result too large for a float").
+    n = len(nilparts)
+    xi = make_near_point(X3, [1] * n, [X3.element(nil) for nil in nilparts])
+    ones = TaylorOracle([1.0] * n, {alpha: 1.0 for alpha in _multi_indices(n, 2)})
+    with pytest.raises(ValueError, match=f"^component ξ{component} of the point overflows floating point$"):
+        xi.eval_taylor(ones)
+
+
+def test_taylor_reads_a_power_only_where_a_non_zero_term_multiplies_it():
+    xi = make_near_point(X3, [1], [X3.element([0, 10**400, 0])])
+    oracle = TaylorOracle([1.0], {(0,): 2.5, (1,): 0.0, (2,): -0.0})
+    assert repr(xi.eval_taylor(oracle).coeffs) == repr((2.5, Fraction(0), Fraction(0)))
+    assert _multi_indices(1, 2) is _multi_indices(1, 2)
+
+
 def test_taylor_missing_partial():
     oracle = TaylorOracle([0.0], {(0,): 1.0})  # no first-order data
     xi = tangent_point(0, 1)
