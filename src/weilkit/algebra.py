@@ -169,10 +169,11 @@ class WeilAlgebra(Frozen):
     non-zero coefficient of basis element k in the product of basis
     elements i and j.  Basis element 0 is the unit; elements 1..dim-1 span
     the maximal ideal.  ``height`` is the smallest k with m^(k+1) = 0;
-    ``generators`` are the :func:`ideal_generators`, whose classes form a
-    basis of m/m^2, and ``width`` = dim(m/m^2) is their number.  Algebras
-    compare by all four fields; the hash reads only the labels, height
-    and generators.
+    ``generators`` are basis elements of m whose classes form a basis of
+    m/m^2, found with the height (:func:`_height_and_generators`) or read
+    off the degree-1 monomials, and ``width`` = dim(m/m^2) is their
+    number.  Algebras compare by all four fields; the hash reads only the
+    labels, height and generators.
     """
 
     __slots__ = _fields = ("labels", "products", "height", "generators")
@@ -270,7 +271,9 @@ class AlgebraElement(Frozen):
     bits, where it would otherwise gain the operand's whole denominator
     per product however small the value's own stays.  Sums of elements
     that are not kept, and every operation on float, mixed or polynomial
-    coordinates, run on the coordinates themselves.
+    coordinates, run on the coordinates themselves.  A product in which a
+    float meets an exact coordinate or structure constant beyond the float
+    range raises ValueError.
     """
 
     __slots__ = ("algebra", "_coeffs", "_form")
@@ -348,7 +351,11 @@ class AlgebraElement(Frozen):
                         if content != 1:
                             out, den = [x // content for x in out], den // content
                     return _kept(algebra, out, den)
-            return AlgebraElement(algebra, tuple(_inexact_mul(products, self.coeffs, other.coeffs)))
+            try:
+                out = _inexact_mul(products, self.coeffs, other.coeffs)
+            except OverflowError:  # a float times an exact value beyond the float range
+                raise ValueError("a product of algebra elements overflows floating point") from None
+            return AlgebraElement(algebra, tuple(out))
         if self._coeffs is None and type(other) in _EXACT_TYPES:
             (numerators, denominator), (n, d) = self._form, other.as_integer_ratio()
             return _kept(algebra, [n * x for x in numerators], denominator * d)
@@ -612,21 +619,6 @@ def float_product(table, nonzero_u: Sequence, nonzero_v: Sequence) -> list:
     return out
 
 
-def ideal_generators(products: Products) -> tuple[int, ...]:
-    """Basis elements of m whose classes form a basis of m/m^2, for a
-    normalised table (m spanned by e_1..e_{s-1}).
-
-    They generate m, hence the algebra, and a derivation is fixed by its
-    values on them; there are ``width`` of them.
-    """
-    s = len(products)
-    square: dict = {}
-    for i in range(1, s):
-        for j in range(i, s):
-            linalg.eliminate(square, dict(products[i][j]), s)
-    return tuple(g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s))
-
-
 def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iterable[int]):
     """Walk the monomials in generators drawn greedily from ``candidates``.
 
@@ -884,18 +876,28 @@ def from_structure_constants(
 
 
 def _height_and_generators(products: Products) -> tuple[int, tuple[int, ...]]:
-    """(height, ``ideal_generators``) of the normalised table of a local
-    algebra (m spanned by e_1..e_{s-1} and nilpotent).
+    """(height, generators) of the normalised table of a local algebra (m
+    spanned by e_1..e_{s-1} and nilpotent).
 
-    The generators g_a generate m as an ideal, so m^(k+1) = m^k * m is
-    spanned by the products g_a * u over a basis u of m^k; the height is
-    the number of steps of that walk before m^(k+1) = 0.
+    The products e_i * e_j of basis elements of m are eliminated into an
+    echelon of m^2; the generators are the basis elements of m that are
+    not combinations of it and of the generators before them, so their
+    classes form a basis of m/m^2.  They generate m, hence the algebra, a
+    derivation is fixed by its values on them, and there are ``width`` of
+    them.  They also generate m as an ideal, so m^(k+1) = m^k * m is
+    spanned by the products g * u over a basis u of m^k; the walk starts
+    from the echelon of m^2, and the height is the number of steps before
+    m^(k+1) = 0.
     """
     s = len(products)
+    square: dict = {}
+    for i in range(1, s):
+        for j in range(i, s):
+            linalg.eliminate(square, dict(products[i][j]), s)
+    current = [[row.get(k, 0) for k in range(s)] for row in square.values()]  # m^2
+    generators = tuple(g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s))
     units = linalg.identity(s)
-    generators = ideal_generators(products)
-    current = units[1:]  # a basis of m^k, for k = height + 1
-    height = 0
+    height = min(s - 1, 1)  # m^2 is reached in one step from m, unless m = 0
     while current:
         if height >= s:
             raise NotNilpotentError("maximal ideal is not nilpotent")

@@ -237,7 +237,7 @@ def _cmd_foliation(args) -> int:
     basis = derivation_basis(algebra)
     lie = lie_structure(basis)
     sample = distribution_at(algebra, basis, point, tol=args.tol)
-    inv = involutivity_check(lie, args.n)
+    inv = involutivity_check(lie)
     if args.json:
         return _report(
             args,

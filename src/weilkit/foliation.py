@@ -148,10 +148,11 @@ def chart_field(field: InducedField) -> ChartVectorField:
 class DistributionSample(Frozen):
     """Distribution generators and their rank at a single near point.
 
-    :func:`distribution_at` at an exact point ranks the generators on
-    their integer images and keeps those; ``generators`` is then built
-    from them, as Fractions, on first read.  A sample compares, hashes,
-    prints, copies and pickles by its four fields either way.
+    The exact rank of :func:`distribution_at` ranks the generators on
+    their integer images and keeps those, per generator the (numerators,
+    denominator) of each component; ``generators`` is then built from
+    them, as Fractions, on first read.  A sample compares, hashes, prints,
+    copies and pickles by its four fields either way.
     """
 
     __slots__ = ("point", "_generators", "_images", "rank", "tolerance")
@@ -170,16 +171,14 @@ class DistributionSample(Frozen):
 
     @property
     def generators(self) -> tuple[tuple, ...]:
-        if self._images is not None:
-            object.__setattr__(self, "_generators", _image_generators(self._images))
+        images = self._images
+        if images is not None:
+            generators = tuple(
+                tuple(x for image in row for x in from_integer_form(image)) for row in images
+            )
+            object.__setattr__(self, "_generators", generators)
             object.__setattr__(self, "_images", None)
         return self._generators
-
-
-def _image_generators(images) -> tuple[tuple, ...]:
-    """The generators that integer images stand for: per generator, the
-    (numerators, denominator) of each component, concatenated."""
-    return tuple(tuple(x for image in row for x in from_integer_form(image)) for row in images)
 
 
 def distribution_at(
@@ -195,24 +194,27 @@ def distribution_at(
     ``tol`` defaults to 0 (exact) when every generator entry is rational
     and to 1e-9 otherwise; pivots at or below the tolerance count as zero.
 
-    At a point whose components all have their cached ``integer_form``,
-    each generator is formed as the :func:`~weilkit.derivations.integer_image`
+    The exact rank has its own branch.  At a point whose components all
+    have their cached ``integer_form``, with ``tol`` None or 0, each
+    generator is formed as the :func:`~weilkit.derivations.integer_image`
     of every component, through each derivation's ``integer_columns``,
     with the sign folded into its denominator, so it is exact by
-    construction.  The exact rank is taken on those images, which are the
+    construction.  The rank is taken on those images, which are the
     generators with each row and each component's columns scaled by a
     non-zero factor, and the sample keeps them: its ``generators`` are
     built as Fractions on first read, so a caller that reads only the rank
-    builds none.  A ``tol`` > 0 ranks their floats, formed in the call.
-    At a point whose coordinates are all floats, each generator is formed
-    in one pass over the derivation's ``float_columns`` for all components
+    builds none.
+
+    Every other point and tolerance takes the other branch.  At a point
+    whose coordinates are all floats, each generator is formed in one pass
+    over the derivation's ``float_columns`` for all components
     (:func:`~weilkit.derivations.float_image`), and those floats are
-    ranked.  Other generators take
-    :func:`~weilkit.derivations.signed_image`.  One that leaves the float
-    range, as inf or as an exact value that the float arithmetic (a float
-    coordinate, or ``tol`` > 0) cannot hold, raises ValueError naming it.
-    A negative or NaN ``tol`` raises ValueError; ``inf`` counts every
-    pivot as zero.
+    ranked.  Other generators, the exact ones at ``tol`` > 0 among them,
+    take :func:`~weilkit.derivations.signed_image`, and a ``tol`` > 0
+    ranks their floats.  A generator that leaves the float range, as inf
+    or as an exact value that the float arithmetic (a float coordinate, or
+    ``tol`` > 0) cannot hold, raises ValueError naming it.  A negative or
+    NaN ``tol`` raises ValueError; ``inf`` counts every pivot as zero.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"rank tolerance must be non-negative, got {tol!r}")
@@ -220,40 +222,37 @@ def distribution_at(
         check_same_algebra(d.algebra, algebra, "derivation belongs to a different algebra")
         if k == 0:
             check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
-    names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
     forms = [c.integer_form() for c in point.components]
-    if None not in forms:
+    if None not in forms and not tol:
         images = [
             [(out, -den) for out, den in (integer_image(d, form) for form in forms)] for d in basis
         ]
-        if not tol:
-            rows = [[y for out, _ in row for y in out] for row in images]
-            rank = linalg.rank_with_tolerance(rows, 0)
-            sample = DistributionSample(point, None, rank, 0.0 if tol is None else tol)
-            object.__setattr__(sample, "_images", images)  # generators built on first read
-            return sample
-        generators, rows = _image_generators(images), [None] * len(images)
-    else:
-        blocks = [c.coeffs for c in point.components]
-        floating = all(type(x) is float for coords in blocks for x in coords)
-        generators, rows = [], []
-        for d, what in zip(basis, names):
-            columns = d.float_columns
-            if floating and columns is not None:
-                out = float_image(columns, blocks)
-                row = [0.0 if y is None else -y for y in out]
-                if not all(map(math.isfinite, row)):
-                    _check_finite(row, what)
-                generators.append(tuple([_ZERO if y is None else x for y, x in zip(out, row)]))
-                rows.append(row)
-                continue
-            try:
-                gen = tuple(x for c in point.components for x in signed_image(d, c, -1))
-            except OverflowError:
-                raise ValueError(f"{what} overflows floating point") from None
-            _check_finite(gen, what)
-            generators.append(gen)
-            rows.append(None)
+        rows = [[y for out, _ in row for y in out] for row in images]
+        rank = linalg.rank_with_tolerance(rows, 0)
+        sample = DistributionSample(point, None, rank, 0.0 if tol is None else tol)
+        object.__setattr__(sample, "_images", images)  # generators built on first read
+        return sample
+    names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
+    blocks = [c.coeffs for c in point.components]
+    floating = all(type(x) is float for coords in blocks for x in coords)
+    generators, rows = [], []
+    for d, what in zip(basis, names):
+        columns = d.float_columns
+        if floating and columns is not None:
+            out = float_image(columns, blocks)
+            row = [0.0 if y is None else -y for y in out]
+            if not all(map(math.isfinite, row)):
+                _check_finite(row, what)
+            generators.append(tuple([_ZERO if y is None else x for y, x in zip(out, row)]))
+            rows.append(row)
+            continue
+        try:
+            gen = tuple(x for c in point.components for x in signed_image(d, c, -1))
+        except OverflowError:
+            raise ValueError(f"{what} overflows floating point") from None
+        _check_finite(gen, what)
+        generators.append(gen)
+        rows.append(None)
     if tol is None:
         rational = all(isinstance(x, (int, Fraction)) for gen in generators for x in gen)
         tol = 0.0 if rational else 1e-9
@@ -264,7 +263,7 @@ def distribution_at(
     return DistributionSample(point=point, generators=tuple(generators), rank=rank, tolerance=tol)
 
 
-def involutivity_check(lie: LieStructure, n: int) -> dict:
+def involutivity_check(lie: LieStructure) -> dict:
     """Verify, exactly, that chart brackets of the induced fields agree with
     the induced field of the algebra bracket expanded in the basis.
 
@@ -272,16 +271,15 @@ def involutivity_check(lie: LieStructure, n: int) -> dict:
     M2 M1 - M1 M2; with M = -D per block this must equal sum_k c_k M_k for
     the structure constants c of the pair.  The two signs cancel: the
     identity says D1 D2 - D2 D1 = sum_k c_k D_k.  It is blockwise, so it
-    is independent of n.  Both sides are derivations, and derivations that
-    agree on generators of m are equal, so comparing their columns at the
-    algebra's ``generators`` is an exact proof.  The commutator is computed
+    holds on the chart of every R^n or of none, and the check takes no n.
+    Both sides are derivations, and derivations that agree on generators
+    of m are equal, so comparing their columns at the algebra's
+    ``generators`` is an exact proof.  The commutator is computed
     from the basis matrices themselves, independently of the elimination
     that produced the constants, on their ``integer_columns``
     (:func:`_bracket_law_holds`).  Returns {"pairs": [...], "all_pass":
     bool}.
     """
-    if n < 1:
-        raise ValueError("need at least one manifold coordinate")
     basis = lie.basis
     generators = basis[0].algebra.generators if basis else ()
     forms = [d.integer_columns for d in basis]
@@ -395,20 +393,20 @@ def liouville_demo(n: int) -> dict:
     basis = derivation_basis(algebra)
     assertions = []
 
-    generator_ok = (
-        len(basis) == 1
-        and basis[0].columns == [{}, {1: Fraction(-1)}]
-    )
-    assertions.append(
-        {
-            "name": "derivation algebra",
-            "pass": generator_ok,
-            "detail": "dim Der = 1 with generator ε ↦ -ε"
-            if generator_ok
-            else f"unexpected basis of size {len(basis)}",
-        }
-    )
-    if not generator_ok:
+    def claim(name: str, ok: bool, detail: str, failure=None) -> bool:
+        # Record one assertion; ``failure``, when given, builds the detail
+        # of a failed one, so a passing claim formats nothing more.
+        if not ok and failure is not None:
+            detail = failure()
+        assertions.append({"name": name, "pass": ok, "detail": detail})
+        return ok
+
+    if not claim(
+        "derivation algebra",
+        len(basis) == 1 and basis[0].columns == [{}, {1: Fraction(-1)}],
+        "dim Der = 1 with generator ε ↦ -ε",
+        lambda: f"unexpected basis of size {len(basis)}",
+    ):
         return {"n": n, "r": len(basis), "assertions": assertions, "pass": False}
 
     d0 = basis[0]
@@ -416,37 +414,28 @@ def liouville_demo(n: int) -> dict:
     names = chart_variable_names(algebra, n)
 
     values = coordinate_values(fld)
-    value_ok = all(
-        values[i][0].is_zero() and values[i][1] == Polynomial.variable(2 * n, 2 * i + 1)
-        for i in range(n)
-    )
-    assertions.append(
-        {
-            "name": "derivation form",
-            "pass": value_ok,
-            "detail": "value on coordinate i is ε·y_i"
-            if value_ok
-            else "; ".join(
-                f"x{i + 1}: " + " , ".join(v.to_str(names) for v in values[i])
-                for i in range(n)
-            ),
-        }
+    claim(
+        "derivation form",
+        all(
+            values[i][0].is_zero() and values[i][1] == Polynomial.variable(2 * n, 2 * i + 1)
+            for i in range(n)
+        ),
+        "value on coordinate i is ε·y_i",
+        lambda: "; ".join(
+            f"x{i + 1}: " + " , ".join(v.to_str(names) for v in values[i]) for i in range(n)
+        ),
     )
 
     chart = chart_field(fld)
-    chart_ok = all(
-        chart.component(i, 0).is_zero()
-        and chart.component(i, 1) == Polynomial.variable(2 * n, 2 * i + 1)
-        for i in range(n)
-    )
-    assertions.append(
-        {
-            "name": "chart field",
-            "pass": chart_ok,
-            "detail": "Liouville field: sum of y_i d/dy_i"
-            if chart_ok
-            else "chart components differ from the Liouville field",
-        }
+    claim(
+        "chart field",
+        all(
+            chart.component(i, 0).is_zero()
+            and chart.component(i, 1) == Polynomial.variable(2 * n, 2 * i + 1)
+            for i in range(n)
+        ),
+        "Liouville field: sum of y_i d/dy_i",
+        lambda: "chart components differ from the Liouville field",
     )
 
     base = [Fraction(i + 1) for i in range(n)]
@@ -467,25 +456,15 @@ def liouville_demo(n: int) -> dict:
             )
         flow_checks.append({"t": t, "max_residual": residual})
         worst = max(worst, residual)
-    flow_ok = worst <= 1e-9
-    assertions.append(
-        {
-            "name": "flow",
-            "pass": flow_ok,
-            "detail": f"fiber scaling by e^t, max residual {worst:.3e}",
-        }
-    )
+    claim("flow", worst <= 1e-9, f"fiber scaling by e^t, max residual {worst:.3e}")
 
     off_section = distribution_at(algebra, basis, point)
     zero_section = distribution_at(algebra, basis, make_near_point(algebra, base))
-    rank_ok = off_section.rank == 1 and zero_section.rank == 0
-    assertions.append(
-        {
-            "name": "rank stratification",
-            "pass": rank_ok,
-            "detail": f"rank {off_section.rank} off the zero section, "
-            f"{zero_section.rank} on it (expected 1 and 0)",
-        }
+    claim(
+        "rank stratification",
+        off_section.rank == 1 and zero_section.rank == 0,
+        f"rank {off_section.rank} off the zero section, "
+        f"{zero_section.rank} on it (expected 1 and 0)",
     )
 
     return {

@@ -121,7 +121,8 @@ class NearPoint(Frozen):
         ``from_scalar(partial) * power * ...`` over the multi-indices from
         the zero element.  ValueError naming the component when a power
         that a non-zero term multiplies has a coordinate beyond the float
-        range.
+        range, and ValueError when a term meets a structure constant
+        beyond it.
         """
         if len(oracle.base) != self.n:
             raise ValueError("oracle arity does not match the point")
@@ -158,7 +159,10 @@ class NearPoint(Frozen):
                         raise ValueError(
                             f"component ξ{i + 1} of the point overflows floating point"
                         )
-                    out = float_product(table, nonzero, power or ())
+                    try:
+                        out = float_product(table, nonzero, power or ())
+                    except OverflowError:  # a structure constant beyond the float range
+                        raise ValueError("a Taylor term overflows floating point") from None
                     term = [(k, x) for k, x in enumerate(out) if x is not None]
             for k, x in term:
                 y = total[k]

@@ -504,7 +504,7 @@ def test_injectivity_of_induced_fields():
 def test_involutivity_exact():
     for A in (D, X3, SQ):
         lie = lie_structure(derivation_basis(A))
-        report = involutivity_check(lie, 1)
+        report = involutivity_check(lie)
         assert report["all_pass"]
         expected_pairs = lie.rank * (lie.rank - 1) // 2
         assert len(report["pairs"]) == expected_pairs
@@ -522,7 +522,7 @@ def test_involutivity_fails_on_a_perturbed_constant():
             coeffs = brackets.setdefault((i, j), {})
             coeffs[k] = coeffs.get(k, 0) + Fraction(1, 3)
             bad = LieStructure(lie.basis, brackets)
-            report = involutivity_check(bad, 2)
+            report = involutivity_check(bad)
             assert not report["all_pass"]
             assert [(p["i"], p["j"]) for p in report["pairs"] if not p["pass"]] == [(i, j)]
 
@@ -596,7 +596,7 @@ def test_involutivity_on_integer_columns_matches_the_dense_identity(name, monkey
     calls = commutator_spy(monkeypatch, foliation)
     for structure in (lie, LieStructure(lie.basis, brackets)):
         calls.clear()
-        report = involutivity_check(structure, 1)
+        report = involutivity_check(structure)
         assert any(calls) and all(calls) != mixed
         matrices = [d.matrix for d in structure.basis]
         for pair in report["pairs"]:
@@ -618,7 +618,7 @@ def test_involutivity_reads_int_constants_and_float_ones_are_refused():
     lie = lie_structure(derivation_basis(NEAR_POINT_ALGEBRAS["m4"]))
     assert all(c.denominator == 1 for coeffs in lie.brackets.values() for c in coeffs.values())
     brackets = {pair: {k: int(c) for k, c in coeffs.items()} for pair, coeffs in lie.brackets.items()}
-    assert involutivity_check(LieStructure(lie.basis, brackets), 1)["all_pass"]
+    assert involutivity_check(LieStructure(lie.basis, brackets))["all_pass"]
     (pair, coeffs), *_ = lie.brackets.items()
     k, c = next(iter(coeffs.items()))
     for value in (float(c), math.nextafter(float(c), math.inf)):
@@ -764,7 +764,7 @@ def test_trivial_algebra_rank_zero_everywhere():
     sample = distribution_at(R, basis, xi)
     assert sample.rank == 0 and sample.generators == ()
     assert leaf_sample(R, basis, xi, []) == [xi]
-    report = involutivity_check(lie_structure(basis), 1)
+    report = involutivity_check(lie_structure(basis))
     assert report["all_pass"] and report["pairs"] == []
 
 

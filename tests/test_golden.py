@@ -342,3 +342,67 @@ def test_flow_bytes_do_not_depend_on_how_sum_rounds(name, tmp_path, monkeypatch,
     assert main(argv + [f"--t={t}", "--json"]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected
+
+
+# ``foliation --n 2 --tol 1e-9 --json`` at a rational point, where the
+# exact generators are ranked as floats: name -> digest of (exit code,
+# stdout, stderr).  Both algebras have s = 6.
+TOLERANCE_GOLDEN = {
+    "m3": "1e09899e4bd3c4ff4eb556e574b69ebbabed0063ff886115b4c31adb187dd39d",
+    "scrambled6": "1b86f34a78f993f2538bcf667a4c5c9463f613d38c9611ca0b9de7e26da08609",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_GOLDEN))
+def test_rational_point_at_a_tolerance(name, tmp_path, monkeypatch, capsys):
+    spec = VALID["m3"][0] if name == "m3" else DENSE["scrambled6"][0]
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "point.json").write_text(json.dumps(_rational_point(6, 2)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(["foliation", "spec.json", "--n", "2", "--point", "point.json", "--tol", "1e-9", "--json"])
+    captured = capsys.readouterr()
+    assert digest(code, captured.out, captured.err) == TOLERANCE_GOLDEN[name]
+
+
+# The CI pins of ``derivations --json`` and ``foliation --json`` that run
+# in about a second, on the same inputs and file names as the CI steps:
+# name -> (input files, argv, SHA-256 of stdout).  The s = 20 derivations
+# pin (about 12 s) is checked in CI only.
+CI_PINS = {
+    "m2x16-derivations": (
+        {"m2x16.json": {"type": "truncated_polynomial", "variables": [f"x{i}" for i in range(1, 17)], "order": 1}},
+        ["derivations", "m2x16.json", "--json"],
+        "3964e689a323774f6b8300d75895da1ee1c04873c5411645f53cd9163278d5e1",
+    ),
+    "m4x5-derivations": (
+        {"m4x5.json": {"type": "truncated_polynomial", "variables": [f"x{i}" for i in range(1, 6)], "order": 3}},
+        ["derivations", "m4x5.json", "--json"],
+        "d8be61cf585d2c91262e89bce87bd1267b1b9f21d59bc9bec537a9f16e839639",
+    ),
+    "scrambled15-derivations": (
+        {"scrambled15.json": FLOW_PINS["scrambled15"][0]},
+        ["derivations", "scrambled15.json", "--json"],
+        "9a082a361e040f3f5d68901a8a662b0dc03aad1c4a2fb108eed46c8f8a9035ad",
+    ),
+    "scrambled15-foliation": (
+        {"scrambled15.json": FLOW_PINS["scrambled15"][0], "pt15.json": FLOW_PINS["scrambled15"][1]},
+        ["foliation", "scrambled15.json", "--n", "2", "--point", "pt15.json", "--json"],
+        "b6ab6bb587140b885d501ae332ee2cee0439b7b59463797161682936ac344562",
+    ),
+    "m4-foliation-float": (
+        {"m4.json": FLOW_PINS["m4"][0], "flow_pt20.json": FLOW_PINS["m4"][1]},
+        ["foliation", "m4.json", "--n", "2", "--point", "flow_pt20.json", "--json"],
+        "4a340ea308fb6260b06a0fc2d1bd8d32a282a79f80a663c33dc9947f4c74ce05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_PINS))
+def test_ci_pins_offline(name, tmp_path, monkeypatch, capsys):
+    files, argv, expected = CI_PINS[name]
+    for filename, content in files.items():
+        (tmp_path / filename).write_text(json.dumps(content), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected

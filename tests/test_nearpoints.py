@@ -19,6 +19,7 @@ from weilkit import (
     chart_components,
     dual_numbers,
     field_from_values,
+    from_structure_constants,
     make_near_point,
     parse_polynomial,
     split_scalar_nilpotent,
@@ -293,6 +294,47 @@ def test_taylor_names_a_component_beyond_the_float_range(nilparts, component):
     ones = TaylorOracle([1.0] * n, {alpha: 1.0 for alpha in _multi_indices(n, 2)})
     with pytest.raises(ValueError, match=f"^component ξ{component} of the point overflows floating point$"):
         xi.eval_taylor(ones)
+
+
+def beyond_float_range_constant(labels, products):
+    """A structure_constants table on ``labels`` with the unit first and the
+    constant 10^400 at each (i, j, k) of ``products``, and its mirror (j, i, k)."""
+    s = len(labels)
+    table = [[[Fraction(0)] * s for _ in range(s)] for _ in range(s)]
+    for i in range(s):
+        table[0][i][i] = table[i][0][i] = Fraction(1)
+    for i, j, k in products:
+        table[i][j][k] = table[j][i][k] = Fraction(10**400)
+    algebra = from_structure_constants(labels, table)
+    assert algebra.products.floats is None
+    return algebra
+
+
+def test_eval_through_a_constant_beyond_the_float_range_raises_value_error():
+    # R[x]/x^3 with x*x = 10^400 e2: the float product of x^2 raised a bare
+    # OverflowError ("integer division result too large for a float").
+    A = beyond_float_range_constant(["1", "x", "X"], [(1, 1, 2)])
+    xi = make_near_point(A, [0.5], [0.25 * A.basis_element(1)])
+    with pytest.raises(ValueError, match="overflows floating point"):
+        xi.eval(parse_polynomial("x^2", ["x"]))
+
+
+@pytest.mark.parametrize(
+    "labels, products, nilpotent",
+    [
+        (["1", "x", "X"], [(1, 1, 2)], (1, 1)),  # a power meets the constant
+        (["1", "x", "y", "z"], [(1, 2, 3)], (1, 2)),  # only the term x*y meets it
+    ],
+)
+def test_taylor_through_a_constant_beyond_the_float_range_raises_value_error(
+    labels, products, nilpotent
+):
+    A = beyond_float_range_constant(labels, products)
+    nilparts = [0.25 * A.basis_element(nilpotent[0]), 0.5 * A.basis_element(nilpotent[1])]
+    xi = make_near_point(A, [0.5, 0.25], nilparts)
+    oracle = TaylorOracle([0.5, 0.25], {alpha: 1.0 for alpha in _multi_indices(2, 2)})
+    with pytest.raises(ValueError, match="overflows floating point"):
+        xi.eval_taylor(oracle)
 
 
 def test_taylor_reads_a_power_only_where_a_non_zero_term_multiplies_it():
