@@ -434,21 +434,22 @@ class Products(tuple):
     lists the pairs (k, c), in ascending k, with c the non-zero coefficient
     of basis element k in the product of basis elements i and j.
 
-    ``numerators`` is the same index over integers, each constant times
-    ``denominator``, their common denominator (1 for a monomial table);
-    :func:`mul` reads it for exact coordinates, on a raw table under
-    verification as on a verified one, and ``derivation_basis`` solves on
-    it as the table of x∘y = denominator·xy.  A denominator of up to 64
-    bits is always admitted; it is None on a table whose larger common
-    denominator would outgrow the table (:func:`compact_integer_form`),
-    and :func:`mul` then takes the Fraction loop.
+    ``numerators`` is the table's :func:`integer_form`: the index of
+    x∘y = λ·xy, a ``Products`` of its own whose constants are the integers
+    c·λ, for λ = ``denominator`` the common denominator of the constants
+    (1 for a monomial table).  It is its own ``numerators``, over
+    denominator 1.  :func:`mul` reads it for exact coordinates, on a raw
+    table under verification as on a verified one, and
+    ``derivation_basis`` solves on it, since x∘y has the derivations of
+    xy.  It is None on a table without an integer form, and :func:`mul`
+    then takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
     use, for float coordinates; None when a constant is beyond the float
     range.  All are plain attributes, so an index compares and hashes by
     its entries alone.
     """
 
-    numerators: tuple | None = None
+    numerators: "Products | None" = None
     denominator: int = 1
 
     @cached_property
@@ -463,16 +464,17 @@ class Products(tuple):
 
 def _sparse_products(rows) -> Products:
     """The :class:`Products` index of ``rows`` of sparse entries, tuples of
-    pairs (k, c) with non-zero Fractions c in ascending k, with the compact
+    pairs (k, c) with non-zero Fractions c in ascending k, with the
     integer form of the constants attached if it exists."""
     products = Products(tuple(row) for row in rows)
-    form = compact_integer_form([c for row in products for entry in row for _, c in entry])
+    form = integer_form([c for row in products for entry in row for _, c in entry])
     if form:
         numerators, products.denominator = form
         flat = iter(numerators)
-        products.numerators = tuple(
+        integers = Products(
             tuple(tuple((k, next(flat)) for k, _ in entry) for entry in row) for row in products
         )
+        products.numerators = integers.numerators = integers
     return products
 
 
@@ -481,35 +483,22 @@ _EXACT_TYPES = frozenset((int, Fraction))
 _NUMERIC_TYPES = frozenset((int, Fraction, float))
 
 
-def integer_form(coords: Sequence) -> tuple[list[int], int] | None:
-    """Exact coordinates as (numerators, denominator): integer numerators
-    over the lcm of the coordinates' denominators.
+def integer_form(values: Sequence) -> tuple[list[int], int] | None:
+    """Exact values as (numerators, denominator): integer numerators over
+    the lcm of the values' denominators, only where that stays about as
+    small as the values are.  The one rule for operands, tables and
+    derivation columns.
 
-    None when some coordinate is not an int or a Fraction (a float or a
-    polynomial), and when the lcm would take more than 64 bits plus twice
-    the bits of the largest denominator: the lcm of coprime denominators
-    grows like their product, and integers that large cost more than the
-    Fraction arithmetic they replace.
-    """
-    if not _EXACT_TYPES.issuperset(map(type, coords)):
-        return None
-    ratios = [x.as_integer_ratio() for x in coords]
-    return linalg.over_lcm(ratios, 64 + 2 * max((d.bit_length() for _, d in ratios), default=0))
-
-
-def compact_integer_form(values: Sequence) -> tuple[list[int], int] | None:
-    """The :func:`integer_form` of many constants, only where it stays
-    about as small as they are.
-
-    The lcm of coprime denominators grows like their product, so over a
-    whole table it could outgrow the table by any factor.  A common
-    denominator of up to 64 bits is always admitted, as :func:`integer_form`
-    admits one for operands; each numerator then takes at most its value's
-    bits plus 64.  Beyond 64 bits the lcm is given up, and None returned, as
-    soon as it would take more than twice the bits of all the values once
-    for every value; the numerators then take at most three times the bits
-    of the values.  Integer values and values over one shared denominator
-    always qualify.  None also when a value is not an int or a Fraction.
+    The lcm of coprime denominators grows like their product, so over many
+    values it could outgrow them by any factor, and integers that large
+    cost more than the Fraction arithmetic they replace.  A common
+    denominator of up to 64 bits is always admitted; each numerator then
+    takes at most its value's bits plus 64.  Beyond 64 bits the lcm is
+    given up, and None returned, as soon as it would take more than twice
+    the bits of all the values once for every value; the numerators then
+    take at most three times the bits of the values.  Integer values and
+    values over one shared denominator always qualify.  None also when a
+    value is not an int or a Fraction (a float or a polynomial).
     """
     if not _EXACT_TYPES.issuperset(map(type, values)):
         return None
@@ -804,8 +793,8 @@ def from_structure_constants(
     when the corresponding axiom fails, and SizeLimitError for more than
     MAX_DIM labels.
 
-    Every check reads the sparse index of the raw table, with its compact
-    integer form, through :func:`mul`.  Associativity is checked on the w
+    Every check reads the sparse index of the raw table, with its integer
+    form, through :func:`mul`.  Associativity is checked on the w
     algebra generators, in O(w^2 s^3 + s^4) rather than over all s^3 basis
     triples; see :func:`_check_associative` for why that is an exact proof.
     Width and height come from the generators of m in the same way.

@@ -56,11 +56,10 @@ from . import linalg
 from .algebra import (
     AlgebraElement,
     Frozen,
-    Products,
     WeilAlgebra,
     check_same_algebra,
-    compact_integer_form,
     from_integer_form,
+    integer_form,
     monomial_walk,
     mul,
 )
@@ -119,10 +118,10 @@ class Derivation(Frozen):
     @cached_property
     def integer_columns(self) -> tuple[list[dict], int]:
         """(columns, denominator), column q mapping p to matrix[p][q] times
-        ``denominator``: the :func:`~weilkit.algebra.compact_integer_form`
-        of the entries where it exists, else the columns themselves over 1
-        (the same dicts, which no reader mutates)."""
-        form = compact_integer_form([c for column in self.columns for c in column.values()])
+        ``denominator``: the :func:`~weilkit.algebra.integer_form` of the
+        entries where it exists, else the columns themselves over 1 (the
+        same dicts, which no reader mutates)."""
+        form = integer_form([c for column in self.columns for c in column.values()])
         if form is None:
             return self.columns, 1
         numerators, denominator = form
@@ -145,10 +144,14 @@ class Derivation(Frozen):
         The result is bit for bit the dense product of the matrix and
         ``u.coeffs``, summed from Fraction(0) in ascending column order
         with the zero entries skipped, types and signed float zeros
-        included; see :func:`signed_image`.
+        included; see :func:`signed_image`.  A float coordinate that meets
+        an exact value beyond the float range raises ValueError.
         """
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
-        return AlgebraElement(self.algebra, signed_image(self, u))
+        try:
+            return AlgebraElement(self.algebra, signed_image(self, u))
+        except OverflowError:  # a float times an exact value beyond the float range
+            raise ValueError("the derivation's image overflows floating point") from None
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -272,26 +275,24 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     x D(g) for every generator g and every x, which is the Leibniz rule by
     induction over monomials.  Where the table has integer numerators over
     a denominator λ (1 on a monomial table), the walk and the Leibniz
-    forms run on the product x∘y = λ·xy, whose constants are those
-    numerators and whose unit is e_0/λ; since D(x∘y) = λ·D(xy), its
-    derivations are those of the product.  A solution fixes D on the
-    monomials, so D = D_M M^-1 for the matrix M whose columns are the
-    monomials; the walk's own echelon gives M^-1.  The solutions become
-    sparse row-major rows, scaled to integers, and are returned in
-    canonical reduced form (leading entry 1 in row-major matrix order).
+    forms run on the table ``products.numerators`` of x∘y = λ·xy, whose
+    constants are those numerators and whose unit is e_0/λ; since
+    D(x∘y) = λ·D(xy), its derivations are those of the product.  A
+    solution fixes D on the monomials, so D = D_M M^-1 for the matrix M
+    whose columns are the monomials; the walk's own echelon gives M^-1.
+    The relations, M^-1 and the solutions are scaled to integers by
+    :func:`~weilkit.linalg.integer_row`; the solutions become sparse
+    row-major rows, and are returned in canonical reduced form (leading
+    entry 1 in row-major matrix order).
     For a two-dimensional algebra the single generator is rescaled so the
     nilpotent generator maps to minus itself, which makes the induced field
     on a tangent-bundle chart the Liouville field with flow e^t.
     """
     s = algebra.dim
     products = algebra.products
-    denominator = 1
-    if products.numerators is not None:
-        # Walk x∘y = λ·xy instead, on the numerators, from its unit e_0/λ.
-        denominator = products.denominator
-        products = Products(products.numerators)
-        products.numerators = algebra.products.numerators
-    unit = [Fraction(1, denominator)] + [_ZERO] * (s - 1)
+    unit = [Fraction(1, products.denominator)] + [_ZERO] * (s - 1)
+    if products.numerators is not None:  # walk x∘y = λ·xy, from its unit e_0/λ
+        products = products.numerators
     generators, _, parents, relations, span = monomial_walk(products, unit, algebra.generators)
     n_unknowns = len(generators) * s  # unknown a*s + q is coordinate q of D(g_a)
     # M_t * e_q, sparse: e_q for the unit, and g_a * (M_t' * e_q) for M_t = g_a * M_t'.
@@ -318,15 +319,15 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     for a, t in parents[1:]:
         images.append(leibniz(a, t))
     # g_a M_t = sum_u c M_u, so D(g_a M_t) must be the same combination of
-    # the images: s constraints, one per coordinate, each scaled by the lcm
-    # of the c's denominators.
+    # the images: s constraints, one per coordinate, each scaled to integer
+    # weights w = c * scale.
     constraints: dict = {}
     for a, t, expansion in relations:
-        scale = math.lcm(*(c.denominator for c in expansion.values()))
+        weights, scale = linalg.integer_row(expansion)
         forms = [{x: v * scale for x, v in form.items()} for form in leibniz(a, t)]
-        for u, c in expansion.items():
+        for u, w in weights.items():
             for form, image in zip(forms, images[u]):
-                linalg.add_scaled(form, -c.numerator * (scale // c.denominator), image)
+                linalg.add_scaled(form, -w, image)
         for form in forms:
             linalg.eliminate(constraints, form, n_unknowns)
 
@@ -334,15 +335,13 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
     # columns are the monomials: entry (p, u) of D_M adds its multiple of
     # row u of M^-1 to row p of D, which is entry p*s + q of a row-major row.
     # The walk's reduced echelon holds M^-1[u][q] in column s + u of row q.
+    # M^-1 and each solution are scaled to integers (linalg.integer_row);
+    # the rows they give span the same space.
+    reduced = sorted(linalg.back_reduce(span).items())
+    entries = {(x - s, q): c for q, row in reduced for x, c in row.items() if x >= s}
     inverse: list[dict] = [{} for _ in range(s)]
-    for q, row in sorted(linalg.back_reduce(span).items()):
-        for x, c in row.items():
-            if x >= s:
-                inverse[x - s][q] = c
-    # M^-1 and each solution, scaled by the lcm of their denominators, are
-    # integers; the rows they give span the same space.
-    scale = math.lcm(*(c.denominator for row in inverse for c in row.values()))
-    inverse = [{q: c.numerator * (scale // c.denominator) for q, c in row.items()} for row in inverse]
+    for (u, q), c in linalg.integer_row(entries)[0].items():
+        inverse[u][q] = c
     expansion: dict = {}  # unknown -> [(p, u, its coefficient in D(M_u)_p)]
     for u, image in enumerate(images):
         for p, form in enumerate(image):
@@ -350,10 +349,8 @@ def derivation_basis(algebra: WeilAlgebra) -> list[Derivation]:
                 expansion.setdefault(x, []).append((p, u, c))
     rows = []
     for solution in linalg.null_vectors(linalg.back_reduce(constraints), n_unknowns):
-        scale = math.lcm(*(value.denominator for value in solution.values()))
         d_m: dict = {}
-        for x, value in solution.items():
-            value = value.numerator * (scale // value.denominator)
+        for x, value in linalg.integer_row(solution)[0].items():
             for p, u, c in expansion.get(x, ()):
                 d_m[p, u] = d_m.get((p, u), 0) + value * c
         row: dict = {}
@@ -546,8 +543,13 @@ class Automorphism(Frozen):
         return tuple(tuple(row.get(j, 0.0) for j in range(self.algebra.dim)) for row in rows)
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
+        """phi(u), in floats; ValueError when an exact coordinate of ``u``
+        is beyond the float range."""
         check_same_algebra(u.algebra, self.algebra, "element belongs to a different algebra")
-        coords = [float(c) for c in u.coeffs]
+        try:
+            coords = [float(c) for c in u.coeffs]
+        except OverflowError:
+            raise ValueError("a coordinate of the element overflows floating point") from None
         out = []
         for row in self._rows:
             y = 0.0

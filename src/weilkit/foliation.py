@@ -82,8 +82,12 @@ class InducedField(Frozen):
 def _minus_image(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     """-D(u), negated after the sum, which keeps the signed zeros of float
     sums: for c > 0, Fraction(0) + (-c)*0.0 is 0.0, but
-    -(Fraction(0) + c*0.0) is -0.0."""
-    return AlgebraElement(d.algebra, signed_image(d, u, -1))
+    -(Fraction(0) + c*0.0) is -0.0.  ValueError where a float meets an
+    exact value beyond the float range."""
+    try:
+        return AlgebraElement(d.algebra, signed_image(d, u, -1))
+    except OverflowError:
+        raise ValueError("the induced field's value overflows floating point") from None
 
 
 def induced_field(algebra: WeilAlgebra, d: Derivation, n: int) -> InducedField:
@@ -295,14 +299,13 @@ def _bracket_law_holds(forms, i, j, coeffs: dict, generators) -> bool:
     """Whether D_i D_j - D_j D_i = sum_k c_k D_k on the generator columns,
     for derivations given by their ``integer_columns`` ``forms``.
 
-    With K the columns of a form over d, and c_k / d_k = w_k / m over the
-    lcm m of those denominators, the identity reads
-    m (K_i K_j - K_j K_i) = d_i d_j sum_k w_k K_k, formed in ints where
-    the columns are ints."""
+    With K the columns of a form over d, and c_k / d_k = w_k / m for the
+    integer weights w_k over m of :func:`~weilkit.linalg.integer_row`,
+    the identity reads m (K_i K_j - K_j K_i) = d_i d_j sum_k w_k K_k,
+    formed in ints where the columns are ints."""
     (a, da), (b, db) = forms[i], forms[j]
-    ratios = {k: Fraction(c, forms[k][1]) for k, c in coeffs.items()}
-    m = math.lcm(*(x.denominator for x in ratios.values()))
-    terms = [(x.numerator * (m // x.denominator), forms[k][0]) for k, x in ratios.items()]
+    weights, m = linalg.integer_row({k: Fraction(c, forms[k][1]) for k, c in coeffs.items()})
+    terms = [(w, forms[k][0]) for k, w in weights.items()]
     left, right = m, da * db
     for g in generators:
         expected: dict = {}
@@ -326,11 +329,14 @@ def flow(algebra: WeilAlgebra, d: Derivation, t: float, point: NearPoint) -> Nea
     """
     check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     phi = exp_flow(d, -t)
+    # Checked once, as phi.apply would check each component, so that the
+    # only ValueError left to phi.apply is a coordinate beyond the float range.
+    check_same_algebra(point.algebra, phi.algebra, "element belongs to a different algebra")
     moved = []
     for i, c in enumerate(point.components):
         try:
             image = phi.apply(c)
-        except OverflowError:
+        except ValueError:
             raise ValueError(f"component ξ{i + 1} of the point overflows floating point") from None
         _check_finite(image.coeffs, f"flowed component ξ{i + 1}")
         moved.append(image)

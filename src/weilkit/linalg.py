@@ -7,8 +7,9 @@ with a right-hand side or tracking columns at and beyond a column
 ``limit`` where they need one, and read the results off the rows of
 :func:`back_reduce` and :func:`null_vectors`.  It is fraction-free in the
 manner of Bareiss (Math. Comp. 22, 1968): a row enters as integers over
-one common denominator, each reduction cross-multiplies by the two leading
-entries and divides out the row's content, and the echelon holds
+one common denominator (:func:`integer_row`, which also scales the
+solvers' other exact rows), each reduction cross-multiplies by the two
+leading entries and divides out the row's content, and the echelon holds
 primitive integer rows, so no ``Fraction`` is formed inside the
 elimination.  A reduced row is a non-zero multiple of the row that
 elimination over ``Fraction`` with leading ones would give, so the rank
@@ -57,7 +58,7 @@ def eliminate(echelon: dict, row: dict, limit: int) -> bool:
     that reduction against pivot rows with leading ones leaves there, and
     the result is False.
     """
-    work, scale = _integer_row(row)
+    work, scale = integer_row(row)
     num, den = scale, 1  # work = num/den * row, reduced
     while work:
         lead = min(work)
@@ -79,8 +80,10 @@ def eliminate(echelon: dict, row: dict, limit: int) -> bool:
     return False
 
 
-def _integer_row(row: dict) -> tuple[dict, int]:
-    """(integer row, d): ``row`` times d, the lcm of its denominators."""
+def integer_row(row: dict) -> tuple[dict, int]:
+    """(integer row, d): the sparse ``row`` of ints, Fractions or floats
+    times d, the lcm of its denominators, with no cap on d: the one
+    scaling to integers of the exact solvers, which must take every row."""
     if all(type(v) is int for v in row.values()):
         return dict(row), 1
     numerators, den = over_lcm([v.as_integer_ratio() for v in row.values()])

@@ -381,23 +381,24 @@ class _Parser:
             if kind != "int":
                 raise PolynomialParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            return _power(base, int(value), self.nvars)
+            return _power(base, _integer(value, pos), self.nvars)
         return base
 
     def atom(self) -> dict:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            numerator = int(value)
+            numerator = _integer(value, pos)
             if self.peek()[0] == "/":
                 self.advance()
                 dkind, dvalue, dpos = self.peek()
                 if dkind != "int":
                     raise PolynomialParseError("expected integer denominator", dpos)
                 self.advance()
-                if int(dvalue) == 0:
+                denominator = _integer(dvalue, dpos)
+                if denominator == 0:
                     raise PolynomialParseError("zero denominator", dpos)
-                numerator = Fraction(numerator, int(dvalue))
+                numerator = Fraction(numerator, denominator)
             return {(0,) * self.nvars: numerator} if numerator else {}
         if kind == "name":
             self.advance()

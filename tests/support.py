@@ -545,23 +545,23 @@ class _OldPolynomialParser:
             if kind != "int":
                 raise PolynomialParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            return base ** int(value)
+            return base ** _literal(value, pos)
         return base
 
     def atom(self):
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            numerator = int(value)
+            numerator = _literal(value, pos)
             if self.peek()[0] == "/":
                 self.advance()
                 dkind, dvalue, dpos = self.peek()
                 if dkind != "int":
                     raise PolynomialParseError("expected integer denominator", dpos)
                 self.advance()
-                if int(dvalue) == 0:
+                if _literal(dvalue, dpos) == 0:
                     raise PolynomialParseError("zero denominator", dpos)
-                return Polynomial.constant(self.nvars, Fraction(numerator, int(dvalue)))
+                return Polynomial.constant(self.nvars, Fraction(numerator, _literal(dvalue, dpos)))
             return Polynomial.constant(self.nvars, numerator)
         if kind == "name":
             self.advance()
@@ -580,6 +580,15 @@ class _OldPolynomialParser:
             "expected a number, variable or '('" if kind != "end" else "unexpected end of input",
             pos,
         )
+
+
+def _literal(digits, position):
+    """int(digits); a literal beyond int()'s digit limit is a parse error
+    that names its length, at its position."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolynomialParseError(f"integer of {len(digits)} digits is too long", position) from None
 
 
 def parse_polynomial_oracle(text, variables):

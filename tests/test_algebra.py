@@ -25,7 +25,7 @@ from weilkit import (
     truncated_polynomial_algebra,
 )
 from weilkit import algebra
-from weilkit.algebra import _sparse_products, _sparse_rows, compact_integer_form, integer_form, mul
+from weilkit.algebra import _sparse_products, _sparse_rows, integer_form, mul
 from weilkit.jsonio import algebra_from_spec, algebra_to_spec
 from weilkit.poly import signed_sum
 from support import (
@@ -640,13 +640,14 @@ def test_verifier_forms_no_dense_matrix_products():
 
 
 def test_verifier_multiplies_on_integers_within_the_budget(monkeypatch):
-    # A raw table within the compact budget is verified on its integer
+    # A raw table within the integer-form budget is verified on its integer
     # form from the start: the kernel never enters its Fraction loop.
     raw = _corpus_raw_tables()
     fraction_loop = algebra._mul_loop
 
     def integer_loop_only(table, u, v, start):
-        assert not isinstance(table, algebra.Products), "mul entered the Fraction loop"
+        # The integer table is a Products too, its own ``numerators``.
+        assert table.numerators is table, "mul entered the Fraction loop"
         return fraction_loop(table, u, v, start)
 
     indexed = [_sparse_products(_sparse_rows(table)) for table in raw.values()]
@@ -663,11 +664,11 @@ def test_denominators_of_up_to_64_bits_are_always_admitted():
     # although its denominator counted once per value outgrows twice their
     # bits; one over 2^64 (65 bits) is refused by that budget.
     ones = [Fraction(1)] * 200
-    form = compact_integer_form([Fraction(1, 2**63)] + ones)
+    form = integer_form([Fraction(1, 2**63)] + ones)
     assert form == ([1] + [2**63] * 200, 2**63)
-    assert compact_integer_form([Fraction(1, 2**64)] + ones) is None
+    assert integer_form([Fraction(1, 2**64)] + ones) is None
     # Beyond 64 bits the budget still admits a denominator shared by few values.
-    assert compact_integer_form([Fraction(1, 2**64), Fraction(3, 2**64)]) == ([1, 3], 2**64)
+    assert integer_form([Fraction(1, 2**64), Fraction(3, 2**64)]) == ([1, 3], 2**64)
 
 
 SMALL_CORPUS = [name for name, (build, args) in ORACLE_CORPUS.items()

@@ -17,12 +17,15 @@ from weilkit import (
     Polynomial,
     NotClosedError,
     bracket,
+    chart_flatten,
     derivation_basis,
     distribution_at,
     dual_numbers,
     exp_flow,
+    field_apply,
     flow,
     from_structure_constants,
+    induced_field,
     LieStructure,
     NearPoint,
     involutivity_check,
@@ -837,10 +840,41 @@ def test_derivation_entry_beyond_float_range_has_no_float_copy():
     with pytest.raises(ValueError, match="a derivation entry overflows floating point"):
         exp_flow(d, 0.0)
     u = AlgebraElement(A, (0.5, 0.25, -0.0))
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="^the derivation's image overflows floating point$"):
         d.apply(u)
     with pytest.raises(OverflowError):
         mat_vec(d.matrix, u.coeffs)
+    # The induced field reaches the same image at a float point, through
+    # its value, its chart coordinates and its action on a lifted function.
+    field = induced_field(A, d, 1)
+    point = NearPoint((AlgebraElement(A, (0.5, 0.25, 0.0)),))
+    for value in (
+        lambda: field.value_at(point),
+        lambda: chart_flatten(field, point),
+        lambda: field_apply(field, Polynomial.variable(1, 0), point),
+    ):
+        with pytest.raises(ValueError, match="^the induced field's value overflows floating point$"):
+            value()
+
+
+def test_automorphism_refuses_a_coordinate_beyond_the_float_range():
+    # apply converts every coordinate to float: an exact one beyond the
+    # float range is a ValueError, and flow names the component; an element
+    # of another algebra is refused first, by apply as by flow.
+    A = truncated_polynomial_algebra(1, 2)
+    d = derivation_basis(A)[0]
+    with pytest.raises(ValueError, match="^a coordinate of the element overflows floating point$"):
+        exp_flow(d, 0.1).apply(A.element([10**400, 0, 0]))
+    point = NearPoint((A.element([Fraction(1, 2), Fraction(1, 4), 0]), A.element([10**400, 0, 0])))
+    with pytest.raises(ValueError, match="^component ξ2 of the point overflows floating point$"):
+        flow(A, d, 0.1, point)
+    other = derivation_basis(truncated_polynomial_algebra(1, 3))[0]
+    for apply in (
+        lambda: exp_flow(other, 0.1).apply(point.components[1]),
+        lambda: flow(A, other, 0.1, point),
+    ):
+        with pytest.raises(ValueError, match="^element belongs to a different algebra$"):
+            apply()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))

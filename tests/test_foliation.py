@@ -263,7 +263,7 @@ NEAR_POINT_ALGEBRAS = {
 def near_point_basis(name):
     """The derivation basis of the algebra; on "coprime" one more
     derivation, a combination over coprime denominators, whose entries get
-    no compact integer form, so its ``integer_columns`` are its Fraction
+    no integer form, so its ``integer_columns`` are its Fraction
     columns themselves over 1."""
     basis = list(derivation_basis(NEAR_POINT_ALGEBRAS[name]))
     if name == "coprime":
@@ -724,6 +724,38 @@ def test_leaf_sample_index_out_of_range():
     xi = make_near_point(D, [Fraction(1)])
     with pytest.raises(ValueError):
         leaf_sample(D, basis, xi, [(5, 1.0)])
+
+
+ORBIT_CORPUS = [name for name, (build, args) in ORACLE_CORPUS.items() if 1 < build(*args).dim <= 15]
+
+
+@pytest.mark.parametrize("name", ORBIT_CORPUS)
+def test_distribution_rank_is_constant_along_leaves(name):
+    # The leaves are orbits of the flows, so the rank of the distribution
+    # is the same at every point of a leaf (the orbit theorem).  Float
+    # points of three kinds start a 3-step leaf: generic, a nilpotent part
+    # along one basis direction, and one deep in m (in m^2, a lower stratum).
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    rng = random.Random(A.dim)
+    s = A.dim
+
+    def nilpotent():
+        return A.element([0.0] + [rng.uniform(-1, 1) for _ in range(s - 1)])
+
+    def along_one_direction():
+        k = rng.randrange(1, s)
+        return A.element([rng.uniform(0.5, 1) if q == k else 0.0 for q in range(s)])
+
+    for n in (1, 2):
+        for nilpart in (nilpotent, along_one_direction, lambda: nilpotent() * nilpotent()):
+            base = [rng.uniform(-1, 1) for _ in range(n)]
+            point = make_near_point(A, base, [nilpart() for _ in range(n)])
+            schedule = [(rng.randrange(len(basis)), rng.uniform(-0.5, 0.5)) for _ in range(3)]
+            leaf = leaf_sample(A, basis, point, schedule)
+            ranks = [distribution_at(A, basis, p, tol=1e-7).rank for p in leaf]
+            assert len(set(ranks)) == 1, (n, nilpart, ranks)
 
 
 def test_flows_refuse_a_time_beyond_the_float_range():

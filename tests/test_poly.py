@@ -294,6 +294,23 @@ def test_parse_monomial_rejects_overlong_integers():
             parse_monomial(text, ["x", "y"])
 
 
+def test_parse_polynomial_rejects_overlong_integers():
+    # An integer literal beyond int()'s digit limit, as an exponent, a
+    # numerator or a denominator, is a parse error at its position, the
+    # error parse_monomial reports, not the bare ValueError of int().
+    digits = "9" * 5000
+    for text in ("x^" + digits, digits + "*x", "1/" + digits, "x + " + digits + "/7"):
+        with pytest.raises(PolynomialParseError, match="integer of 5000 digits is too long") as error:
+            parse_polynomial(text, ["x", "y"])
+        assert error.value.position == text.index(digits)
+    for text in ("x^" + digits, digits + "*x"):
+        with pytest.raises(PolynomialParseError) as general:
+            parse_polynomial(text, ["x", "y"])
+        with pytest.raises(PolynomialParseError) as monomial:
+            parse_monomial(text, ["x", "y"])
+        assert str(monomial.value) == str(general.value)
+
+
 def test_grlex_term_order():
     p = P("y^2 + x + x^2*y + 1")
     exponents = [e for e, _ in p.terms()]
