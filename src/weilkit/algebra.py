@@ -28,7 +28,9 @@ monomial algebra has its variables.  Every product goes through one
 kernel, :func:`mul`, over the sparse structure constants that are
 indexed once per table, and it runs exact coordinates on integer
 numerators over one common denominator, and float coordinates on a
-float copy of the constants.
+float copy of the constants.  Since m is nilpotent most products of
+basis elements are zero, and the kernel walks each row's non-zero
+products where they are fewer than an operand's non-zero coordinates.
 An exact :class:`AlgebraElement` keeps the integer numerators of its
 products, so a chain of exact products (a power, a polynomial value)
 stays on integers and builds its Fractions once, when its coordinates
@@ -445,8 +447,14 @@ class Products(tuple):
     then takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
     use, for float coordinates; None when a constant is beyond the float
-    range.  All are plain attributes, so an index compares and hashes by
-    its entries alone.
+    range.  ``nonempty[i]`` lists, in ascending j, the j whose product
+    e_i·e_j is not zero, built on first use too; it is the same for the
+    table, its ``numerators`` and its ``floats``, and the product kernel
+    walks it where it is shorter than an operand's non-zero coordinates.
+    In a Weil algebra most products of basis elements of m are zero, so on
+    a monomial table row i lists only the e_j of degree at most the height
+    less the degree of e_i.  All are plain attributes, so an index
+    compares and hashes by its entries alone.
     """
 
     numerators: "Products | None" = None
@@ -460,6 +468,10 @@ class Products(tuple):
             )
         except OverflowError:
             return None
+
+    @cached_property
+    def nonempty(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(j for j, entry in enumerate(row) if entry) for row in self)
 
 
 def _sparse_products(rows) -> Products:
@@ -560,17 +572,26 @@ def from_integer_form(form: tuple[list[int], int], sign: int = 1) -> tuple:
     return tuple(Fraction(x, denominator) if x else _ZERO for x in numerators)
 
 
-def _mul_loop(table, u: Sequence, v: Sequence, start) -> list:
+def _mul_loop(table: Products, u: Sequence, v: Sequence, start) -> list:
+    """The plain loop of :func:`mul` on the constants of ``table``: out[k]
+    is out[k] + a*b*c from ``start``, over the non-zero u_i, then v_j,
+    then the pairs (k, c) of e_i·e_j.  For each u_i it walks the shorter
+    of the row's ``nonempty`` products and the non-zero v_j, in ascending
+    j either way; a pair left out has e_i·e_j = 0 or v_j = 0, so it adds
+    no term, and every sum is the one the full loop forms."""
     out = [start] * len(table)
-    nonzero_v = [(j, b) for j, b in enumerate(v) if b]
+    nonzero_v = [j for j, b in enumerate(v) if b]
+    count, nonempty = len(nonzero_v), table.nonempty
     for i, a in enumerate(u):
         if not a:
             continue
-        row = table[i]
-        for j, b in nonzero_v:
-            ab = a * b
-            for k, c in row[j]:
-                out[k] = out[k] + ab * c
+        row, columns = table[i], nonempty[i]
+        for j in columns if len(columns) < count else nonzero_v:
+            b = v[j]
+            if b:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] = out[k] + ab * c
     return out
 
 
@@ -589,22 +610,40 @@ def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
         nonzero_v = [(j, float(b)) for j, b in enumerate(v) if b]
     except OverflowError:  # the loop on the constants raises it where a term needs it
         return None
-    return [_ZERO if x is None else x for x in float_product(table, nonzero_u, nonzero_v)]
+    out = float_product(table, products.nonempty, nonzero_u, nonzero_v)
+    return [_ZERO if x is None else x for x in out]
 
 
-def float_product(table, nonzero_u: Sequence, nonzero_v: Sequence) -> list:
+def float_product(table, nonempty, nonzero_u: Sequence, nonzero_v: Sequence) -> list:
     """The float loop of :func:`mul` on the non-zero coordinates of u and
     v, given as pairs (index, float) in ascending index, through a
-    ``table`` such as ``products.floats``: out[k] is the sum from 0.0 of
-    a*b*c in the order i, then j, then k, and None where no term reaches."""
+    ``table`` such as ``products.floats`` whose ``nonempty`` index is
+    ``nonempty``: out[k] is the sum from 0.0 of a*b*c in the order i, then
+    j, then k, and None where no term reaches.  Like :func:`_mul_loop`,
+    it walks for each u_i the shorter of the row's non-empty products and
+    the non-zero v_j, in ascending j either way."""
     out = [None] * len(table)
+    count, v = len(nonzero_v), None
     for i, a in nonzero_u:
-        row = table[i]
-        for j, b in nonzero_v:
-            ab = a * b
-            for k, c in row[j]:
-                x = out[k]
-                out[k] = (0.0 if x is None else x) + ab * c
+        row, columns = table[i], nonempty[i]
+        if len(columns) < count:
+            if v is None:  # the coordinates of v, None where they are 0
+                v = [None] * len(table)
+                for j, b in nonzero_v:
+                    v[j] = b
+            for j in columns:
+                b = v[j]
+                if b is not None:
+                    ab = a * b
+                    for k, c in row[j]:
+                        x = out[k]
+                        out[k] = (0.0 if x is None else x) + ab * c
+        else:
+            for j, b in nonzero_v:
+                ab = a * b
+                for k, c in row[j]:
+                    x = out[k]
+                    out[k] = (0.0 if x is None else x) + ab * c
     return out
 
 

@@ -24,7 +24,10 @@ A commutator is formed on the ``integer_columns`` of the derivations.
 A derivation is stored once, as its sparse matrix columns (column q maps
 k to the non-zero coefficient of basis element k in D(e_q)); the
 ``integer_columns`` and the ``float_columns`` are views derived from them
-on first use, and the dense ``matrix`` is a view that only callers read.
+on first use, and so are their non-empty columns as pairs, the lists the
+near-point images walk (D(1) = 0, and a derivation of a monomial algebra
+moves few basis elements).  The dense ``matrix`` is a view that only
+callers read.
 Every entry, like every constant of a ``LieStructure``, is an int or a
 Fraction.  Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
@@ -33,7 +36,9 @@ and module multiples by exact elements) are derivations by construction
 (Kolář, Michor and Slovák, ch. VIII) and are built without the re-check.
 
 Exponentials exp(tD) are computed in floating point, by scaling and
-squaring on the sparse rows of tD, which hold its few non-zero entries.
+squaring on the sparse rows of tD, which hold its few non-zero entries;
+the series runs only to the longest chain of those entries, which is
+short for a nilpotent D.
 Horner's steps, the squarings and ``Automorphism.compose`` are one sparse
 float product, ``_product``.  An ``Automorphism`` keeps the rows it
 forms, and applies and composes on them, so no flow forms a dense
@@ -138,6 +143,24 @@ class Derivation(Frozen):
         except OverflowError:
             return None
 
+    @cached_property
+    def integer_nonempty(self) -> tuple[list[tuple[int, tuple]], int]:
+        """The non-empty columns of ``integer_columns`` as pairs
+        (q, ((p, c), ...)) in ascending q, over the same denominator: the
+        list :func:`integer_image` walks.  D(1) = 0, and on a monomial
+        algebra a basis derivation moves few basis elements, so most
+        columns are empty."""
+        columns, denominator = self.integer_columns
+        return _nonempty(columns), denominator
+
+    @cached_property
+    def float_nonempty(self) -> list[tuple[int, tuple]] | None:
+        """The non-empty columns of ``float_columns`` as pairs
+        (q, ((p, c), ...)) in ascending q, the list :func:`float_image`
+        walks; None when ``float_columns`` is."""
+        columns = self.float_columns
+        return None if columns is None else _nonempty(columns)
+
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
 
@@ -180,6 +203,10 @@ _DIFFERENT_ALGEBRAS = "derivations belong to different algebras"
 _ZERO = Fraction(0)
 
 
+def _nonempty(columns: list[dict]) -> list[tuple[int, tuple]]:
+    return [(q, tuple(column.items())) for q, column in enumerate(columns) if column]
+
+
 def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     """The coordinates of sign * D(u): bit for bit and type for type, each
     output is the sum of its terms c * x in ascending column order from
@@ -189,14 +216,15 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     An exact u, read in its ``integer_form`` (kept by u), takes
     :func:`integer_image`.  Coordinates that are all floats take
     :func:`float_image`, from the 0.0 that Fraction(0) + x converts to;
-    an output no entry reaches stays Fraction(0).  Other coordinates run
-    on the columns themselves.
+    an output no entry reaches stays Fraction(0).  Both walk only the
+    derivation's non-empty columns.  Other coordinates run on the columns
+    themselves.
     """
     form = u.integer_form()
     if form:
         return from_integer_form(integer_image(d, form), sign)
     coords = u.coeffs
-    columns = d.float_columns
+    columns = d.float_nonempty
     if columns is not None and all(type(x) is float for x in coords):
         return tuple(_ZERO if y is None else sign * y for y in float_image(columns, [coords]))
     out = [_ZERO] * len(coords)
@@ -206,17 +234,19 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     return tuple(out) if sign == 1 else tuple(-y for y in out)
 
 
-def float_image(columns: list[dict], blocks: Sequence[Sequence[float]]) -> list:
+def float_image(columns: list[tuple[int, tuple]], blocks: Sequence[Sequence[float]]) -> list:
     """D applied to each block of float coordinates, concatenated, for D
-    given by its ``float_columns``: entry p of a block's image is the sum
-    from 0.0 of c * x over the entries c at row p of its columns, in
-    ascending column order, zero coordinates x included, and None where
-    no entry reaches."""
+    given by its ``float_nonempty`` columns: entry p of a block's image is
+    the sum from 0.0 of c * x over the entries c at row p of its columns,
+    in ascending column order, zero coordinates x included, and None
+    where no entry reaches.  An empty column adds no term, so only the
+    non-empty ones are walked."""
     out = []
     for coords in blocks:
-        image = [None] * len(columns)
-        for x, column in zip(coords, columns):
-            for p, c in column.items():
+        image = [None] * len(coords)
+        for q, column in columns:
+            x = coords[q]
+            for p, c in column:
                 y = image[p]
                 image[p] = (0.0 if y is None else y) + c * x
         out += image
@@ -225,13 +255,15 @@ def float_image(columns: list[dict], blocks: Sequence[Sequence[float]]) -> list:
 
 def integer_image(d: Derivation, u: tuple[list[int], int]) -> tuple[list[int], int]:
     """D(u) as (numerators, denominator), for u given in its
-    ``integer_form``: one scatter through ``d.integer_columns``, in ints
-    where they are ints."""
-    (numerators, denominator), (columns, scale) = u, d.integer_columns
-    out = [0] * len(columns)
-    for x, column in zip(numerators, columns):
+    ``integer_form``: one scatter of the non-zero numerators through the
+    non-empty columns of ``d.integer_nonempty``, in ints where they are
+    ints."""
+    (numerators, denominator), (columns, scale) = u, d.integer_nonempty
+    out = [0] * len(numerators)
+    for q, column in columns:
+        x = numerators[q]
         if x:
-            for p, c in column.items():
+            for p, c in column:
                 out[p] += c * x
     return out, denominator * scale
 
@@ -592,19 +624,41 @@ def _product(a: list[list], b: list[dict]) -> list[dict]:
 _EXP_COEFFS = list(itertools.accumulate(range(1, 19), truediv, initial=1.0))  # 1/k!, k <= 18
 
 
+def _chain_length(rows: list[list], cap: int) -> int:
+    """The most entries in a chain (p0, p1), (p1, p2), ... of the entries
+    of ``rows`` (row p lists pairs (q, x)), or ``cap`` if that is smaller,
+    as it is wherever the entries form a cycle.  Entry (p, q) of a
+    product of k such matrices is a sum over the chains of k entries from
+    p to q, so every power beyond that length has no entry at all."""
+    length, live = 0, [p for p, row in enumerate(rows) if row]  # p starting a chain of 1
+    while live and length < cap:
+        length += 1
+        ends = set(live)  # p starting a chain of ``length``
+        live = [p for p, row in enumerate(rows) if any(q in ends for q, _ in row)]
+    return length
+
+
 def exp_flow(d: Derivation, t: float) -> Automorphism:
     """exp(tD) by scaling and squaring on a truncated exponential series,
     from ``d.float_columns``; ValueError when D has an entry beyond the
     float range, or when t or t*D is not finite.
 
-    Each of the 18 Horner steps, scaled @ result + c * I on the non-zero
-    entries of tD, and each squaring is the one :func:`_product` that also
-    composes automorphisms.  Every float sum, the row norms that set the
-    number of squarings included, adds its terms from 0.0 in ascending
-    column order, so the floats are bit for bit those of dense products on
-    any Python.  The terms left out have a zero factor; for finite floats
-    they are signed zeros, which leave a sum from 0.0 unchanged, as such a
-    sum is never -0.0.  An entry that no term reaches is that 0.0, and is
+    Horner's rule starts at degree L, the most entries in a chain of
+    non-zero entries of the scaled tD (:func:`_chain_length`), and at the
+    series' 18 where they form a cycle, as for every D that is not
+    nilpotent.  That gives the floats and the stored entries of the
+    18-term series: the inner sum at degree m of the full series differs
+    only in rows q that start a chain of more than L - m entries, and the
+    next step reads row q only through an entry (p, q), so p starts a
+    chain of more than L - m + 1; at degree 0 there is none.
+    Each Horner step, scaled @ result + c * I on the non-zero entries of
+    tD, and each squaring is the one :func:`_product` that also composes
+    automorphisms.  Every float sum, the row norms that set the number of
+    squarings included, adds its terms from 0.0 in ascending column
+    order, so the floats are bit for bit those of dense products on any
+    Python.  The products a sum leaves out have a zero factor; for finite
+    floats they are signed zeros, which leave a sum from 0.0 unchanged, as
+    such a sum is never -0.0.  An entry that no term reaches is that 0.0, and is
     not stored.  A squaring skips zero factors outright too, since its
     entries may have overflowed.
     """
@@ -633,8 +687,9 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     factor = 0.5 ** squarings
     scaled = [[(q, y) for q, x in row if (y := x * factor)] for row in rows]
 
-    result = [{i: _EXP_COEFFS[-1]} for i in range(s)]
-    for c in reversed(_EXP_COEFFS[:-1]):
+    degree = _chain_length(scaled, len(_EXP_COEFFS) - 1)
+    result = [{i: _EXP_COEFFS[degree]} for i in range(s)]
+    for c in reversed(_EXP_COEFFS[:degree]):
         result = _product(scaled, result)  # scaled @ result + c * I
         for i, row in enumerate(result):
             row[i] = row.get(i, 0.0) + c

@@ -201,17 +201,19 @@ def distribution_at(
     The exact rank has its own branch.  At a point whose components all
     have their cached ``integer_form``, with ``tol`` None or 0, each
     generator is formed as the :func:`~weilkit.derivations.integer_image`
-    of every component, through each derivation's ``integer_columns``,
-    with the sign folded into its denominator, so it is exact by
+    of every component, through each derivation's non-empty integer
+    columns, with the sign folded into its denominator, so it is exact by
     construction.  The rank is taken on those images, which are the
     generators with each row and each component's columns scaled by a
     non-zero factor, and the sample keeps them: its ``generators`` are
     built as Fractions on first read, so a caller that reads only the rank
-    builds none.
+    builds none.  A point there with no nilpotent part has the rank 0 and
+    zero generators without an elimination: each component is b·1, and
+    D(b·1) = b·D(1) = 0.
 
     Every other point and tolerance takes the other branch.  At a point
     whose coordinates are all floats, each generator is formed in one pass
-    over the derivation's ``float_columns`` for all components
+    over the derivation's non-empty ``float_columns`` for all components
     (:func:`~weilkit.derivations.float_image`), and those floats are
     ranked.  Other generators, the exact ones at ``tol`` > 0 among them,
     take :func:`~weilkit.derivations.signed_image`, and a ``tol`` > 0
@@ -228,12 +230,17 @@ def distribution_at(
             check_same_algebra(point.algebra, algebra, "point belongs to a different algebra")
     forms = [c.integer_form() for c in point.components]
     if None not in forms and not tol:
+        tolerance = 0.0 if tol is None else tol
+        if not any(any(numerators[1:]) for numerators, _ in forms):
+            # Every component is b·1, and D(b·1) = b·D(1) = 0.
+            zero = (_ZERO,) * (len(forms) * algebra.dim)
+            return DistributionSample(point, (zero,) * len(basis), 0, tolerance)
         images = [
             [(out, -den) for out, den in (integer_image(d, form) for form in forms)] for d in basis
         ]
         rows = [[y for out, _ in row for y in out] for row in images]
         rank = linalg.rank_with_tolerance(rows, 0)
-        sample = DistributionSample(point, None, rank, 0.0 if tol is None else tol)
+        sample = DistributionSample(point, None, rank, tolerance)
         object.__setattr__(sample, "_images", images)  # generators built on first read
         return sample
     names = [f"generator d{idx}* at this point" for idx in range(len(basis))]
@@ -241,7 +248,7 @@ def distribution_at(
     floating = all(type(x) is float for coords in blocks for x in coords)
     generators, rows = [], []
     for d, what in zip(basis, names):
-        columns = d.float_columns
+        columns = d.float_nonempty
         if floating and columns is not None:
             out = float_image(columns, blocks)
             row = [0.0 if y is None else -y for y in out]

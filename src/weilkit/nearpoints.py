@@ -160,7 +160,7 @@ class NearPoint(Frozen):
                             f"component ξ{i + 1} of the point overflows floating point"
                         )
                     try:
-                        out = float_product(table, nonzero, power or ())
+                        out = float_product(table, products.nonempty, nonzero, power or ())
                     except OverflowError:  # a structure constant beyond the float range
                         raise ValueError("a Taylor term overflows floating point") from None
                     term = [(k, x) for k, x in enumerate(out) if x is not None]

@@ -317,8 +317,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         start = i
-        if ch.isdigit():
-            while i < len(text) and text[i].isdigit():
+        if ch.isdecimal():  # the digits int() reads, unlike isdigit()'s superscripts
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(("int", text[start:i], start))
             continue
@@ -367,58 +367,81 @@ class _Parser:
         return total
 
     def term(self) -> dict:
-        total = self.factor()
-        while self.peek()[0] == "*":
+        """A product of factors.  The numbers, variable powers and
+        parenthesised single terms among them multiply into one
+        coefficient and one exponent vector; only the parenthesised sums
+        are multiplied as terms, by :func:`_product`.  The factors are read
+        in order, so every error is the one a factor-by-factor product
+        meets first."""
+        coefficient, exponents, groups = 1, [0] * self.nvars, []
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "name":
+                self.advance()
+                if value not in self.index:
+                    raise PolynomialParseError(f"unknown variable {quoted(value)}", pos)
+                exponents[self.index[value]] += self.exponent()
+            elif kind == "int":
+                self.advance()
+                coefficient *= self.number(value, pos) ** self.exponent()
+            else:
+                group = self.group()
+                if len(group) == 1:  # one term, such as a parenthesised coefficient
+                    ((exps, c),) = group.items()
+                    coefficient *= c
+                    exponents = [x + e for x, e in zip(exponents, exps)]
+                else:
+                    groups.append(group)
+            if self.peek()[0] != "*":
+                break
             self.advance()
-            total = _product(total, self.factor())
+        total = {tuple(exponents): coefficient} if coefficient else {}
+        for group in groups:
+            total = _product(total, group)
         return total
 
-    def factor(self) -> dict:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise PolynomialParseError("exponent must be a non-negative integer", pos)
-            self.advance()
-            return _power(base, _integer(value, pos), self.nvars)
-        return base
-
-    def atom(self) -> dict:
+    def exponent(self) -> int:
+        """The exponent after a '^', or 1 where none follows."""
+        if self.peek()[0] != "^":
+            return 1
+        self.advance()
         kind, value, pos = self.peek()
-        if kind == "int":
-            self.advance()
-            numerator = _integer(value, pos)
-            if self.peek()[0] == "/":
-                self.advance()
-                dkind, dvalue, dpos = self.peek()
-                if dkind != "int":
-                    raise PolynomialParseError("expected integer denominator", dpos)
-                self.advance()
-                denominator = _integer(dvalue, dpos)
-                if denominator == 0:
-                    raise PolynomialParseError("zero denominator", dpos)
-                numerator = Fraction(numerator, denominator)
-            return {(0,) * self.nvars: numerator} if numerator else {}
-        if kind == "name":
-            self.advance()
-            if value not in self.index:
-                raise PolynomialParseError(f"unknown variable {quoted(value)}", pos)
-            exponents = [0] * self.nvars
-            exponents[self.index[value]] = 1
-            return {tuple(exponents): 1}
-        if kind == "(":
-            self.advance()
-            inner = self.expr()
-            ckind, _, cpos = self.peek()
-            if ckind != ")":
-                raise PolynomialParseError("expected ')'", cpos)
-            self.advance()
-            return inner
-        raise PolynomialParseError(
-            "expected a number, variable or '('" if kind != "end" else "unexpected end of input",
-            pos,
-        )
+        if kind != "int":
+            raise PolynomialParseError("exponent must be a non-negative integer", pos)
+        self.advance()
+        return _integer(value, pos)
+
+    def number(self, digits: str, pos: int) -> int | Fraction:
+        """The integer literal ``digits``, or the fraction it starts."""
+        numerator = _integer(digits, pos)
+        if self.peek()[0] != "/":
+            return numerator
+        self.advance()
+        kind, value, dpos = self.peek()
+        if kind != "int":
+            raise PolynomialParseError("expected integer denominator", dpos)
+        self.advance()
+        denominator = _integer(value, dpos)
+        if denominator == 0:
+            raise PolynomialParseError("zero denominator", dpos)
+        return Fraction(numerator, denominator)
+
+    def group(self) -> dict:
+        """A parenthesised expression and its power."""
+        kind, _, pos = self.peek()
+        if kind != "(":
+            raise PolynomialParseError(
+                "expected a number, variable or '('" if kind != "end" else "unexpected end of input",
+                pos,
+            )
+        self.advance()
+        inner = self.expr()
+        kind, _, pos = self.peek()
+        if kind != ")":
+            raise PolynomialParseError("expected ')'", pos)
+        self.advance()
+        power = self.exponent()
+        return inner if power == 1 else _power(inner, power, self.nvars)
 
 
 def _add_terms(total: dict, terms: dict, sign: int) -> None:
@@ -441,8 +464,8 @@ def _product(a: dict, b: dict) -> dict:
 
 
 def _power(base: dict, n: int, nvars: int) -> dict:
-    """base^n; a single term, such as a bare variable, has its exponents
-    multiplied, and any other base is raised by repeated squaring."""
+    """base^n; a single term has its exponents multiplied, and any other
+    base is raised by repeated squaring."""
     if len(base) == 1:
         ((exp, coeff),) = base.items()
         return {tuple(e * n for e in exp): coeff**n}
@@ -485,14 +508,7 @@ def parse_monomial(text: str, variables: Sequence[str]) -> Exponents | None:
         elif kind == "name":
             if value not in parser.index:
                 raise PolynomialParseError(f"unknown variable {quoted(value)}", pos)
-            power = 1
-            if parser.peek()[0] == "^":
-                parser.advance()
-                ekind, evalue, epos = parser.advance()
-                if ekind != "int":
-                    raise PolynomialParseError("exponent must be a non-negative integer", epos)
-                power = _integer(evalue, epos)
-            exponents[parser.index[value]] += power
+            exponents[parser.index[value]] += parser.exponent()
         else:
             return None
         kind = parser.advance()[0]

@@ -380,6 +380,53 @@ def exp_flow_oracle(matrix, t: float, terms: int = 18):
     return result
 
 
+def exp_flow_rows_oracle(columns, t: float, terms: int = 18):
+    """The rows ``exp_flow`` stores for the derivation with ``float_columns``
+    ``columns``, by all ``terms`` Horner steps of the series: the same
+    scaling, then sparse products on dicts, each sum from 0.0 over the
+    middle index ascending with zero factors skipped, and row i of the
+    result as its pairs (j, x) in ascending j.  None where an entry is not
+    finite."""
+    s = len(columns)
+    rows = [[] for _ in range(s)]
+    for q, column in enumerate(columns):
+        for p, x in column.items():
+            rows[p].append((q, x * t))
+    norm = max(plain_sum((abs(x) for _, x in row), 0.0) for row in rows)
+    squarings = 0
+    while norm > 0.5:
+        norm /= 2.0
+        squarings += 1
+    factor = 0.5 ** squarings
+    scaled = [{q: x * factor for q, x in row if x * factor} for row in rows]
+
+    def times(a, b):
+        out = []
+        for row in a:
+            acc = {}
+            for k in sorted(row):
+                if row[k]:
+                    for j, y in b[k].items():
+                        if y:
+                            acc[j] = acc.get(j, 0.0) + row[k] * y
+            out.append(acc)
+        return out
+
+    coeffs = [1.0]
+    for k in range(1, terms + 1):
+        coeffs.append(coeffs[-1] / k)
+    result = [{i: coeffs[terms]} for i in range(s)]
+    for k in range(terms - 1, -1, -1):
+        result = times(scaled, result)
+        for i in range(s):
+            result[i][i] = result[i].get(i, 0.0) + coeffs[k]
+    for _ in range(squarings):
+        result = times(result, result)
+    if not all(math.isfinite(x) for row in result for x in row.values()):
+        return None
+    return [sorted(row.items()) for row in result]
+
+
 def eval_taylor_oracle(point, oracle):
     """Truncated Taylor value of ``oracle`` at ``point`` by the
     per-multi-index loop: every nilpotent power is rebuilt from the unit

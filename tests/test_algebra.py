@@ -515,6 +515,40 @@ def test_float_copy_is_read_by_float_operands_only():
         assert mul(products, u, v) != mul_oracle(products, u, v, Fraction(0))
 
 
+def test_kernel_walks_either_driving_list_bit_for_bit():
+    # For each u_i the kernel walks the shorter of the row's non-empty
+    # products and the non-zero v_j.  Unit vectors v on a dense scrambled
+    # table take the v_j, dense operands on a monomial table the rows (but
+    # the unit's); on exact, float and mixed operands either walk must give
+    # the term-by-term loop, type for type and signed zero for signed zero.
+    rng = random.Random(30)
+    dense = kernel_products("raw-m3-41")
+    monomial = truncated_polynomial_algebra(3, 3).products
+    assert all(len(row) > 1 for row in dense.nonempty)
+    assert [len(row) < len(monomial) for row in monomial.nonempty] == [False] + [True] * 19
+    for products in (dense, monomial):
+        s = len(products)
+        assert products.nonempty == tuple(
+            tuple(j for j in range(s) if products[i][j]) for i in range(s)
+        )
+        for _ in range(3):
+            exact = [rand_fraction(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(s)]
+            floats = [rng.choice([rng.uniform(-2, 2), 0.0, -0.0]) for _ in range(s)]
+            mixed = [rng.choice([rand_fraction(rng), rng.uniform(-1, 1), -0.0]) for _ in range(s)]
+            if products is dense:
+                j = rng.randrange(s)
+                unit, float_unit = [Fraction(0)] * s, [0.0] * s
+                unit[j], float_unit[j] = Fraction(1), 1.0
+                cases = [(exact, unit), (floats, float_unit), (mixed, unit)]
+            else:
+                cases = [(exact, exact[::-1]), (floats, floats[::-1]), (mixed, exact)]
+            for u, v in cases:
+                for a, b in ((u, v), (v, u)):
+                    assert typed(mul(products, a, b)) == typed(
+                        mul_oracle(products, a, b, Fraction(0))
+                    )
+
+
 def test_constant_beyond_float_range_keeps_the_fraction_loop():
     # A constant beyond the float range gets no float copy; float operands
     # then take the loop on the constants, which raises where a term needs

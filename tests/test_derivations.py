@@ -765,9 +765,21 @@ def test_apply_and_compose_match_the_dense_references(name):
             assert float_bits([image.coeffs]) == float_bits([mat_vec(phi.matrix, coords, 0.0)])
 
 
+def chain_degree(matrix, t: float, cap: int = 18) -> int:
+    """The largest k <= cap for which some entry of (tD)^k has a term: the
+    boolean powers of the support of tD, until one is empty."""
+    support = [{q for q, x in enumerate(row) if float(x) * t} for row in matrix]
+    power, k = support, 0
+    while any(power) and k < cap:
+        k += 1
+        power = [set().union(*(support[q] for q in row)) for row in power]
+    return k
+
+
 def test_flows_form_their_products_in_one_place(monkeypatch):
-    # Each of the 18 Horner steps, each squaring and compose are one call of
-    # the sparse product; no flow multiplies anywhere else.
+    # Each Horner step, one per degree of the support of tD up to the
+    # series' 18, each squaring and compose are one call of the sparse
+    # product; no flow multiplies anywhere else.
     calls = []
     product = derivations._product
 
@@ -776,24 +788,27 @@ def test_flows_form_their_products_in_one_place(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(derivations, "_product", counted)
-    squared = 0
+    squared, degrees = 0, set()
     for name in ("truncated-1-1", "truncated-2-3", "scrambled-m3-41"):
         build, args = ORACLE_CORPUS[name]
-        d = derivation_basis(build(*args))[-1]
-        for t in (0.0, 0.37, -1.9, 23.0):
-            norm = max(plain_sum(abs(float(x) * t) for x in row) for row in d.matrix)
-            squarings = 0
-            while norm > 0.5:
-                norm /= 2.0
-                squarings += 1
-            calls.clear()
-            phi = exp_flow(d, t)
-            assert len(calls) == 18 + squarings
-            squared += squarings > 0
-            calls.clear()
-            phi.compose(phi)
-            assert len(calls) == 1
+        for d in derivation_basis(build(*args)):
+            for t in (0.0, 0.37, -1.9, 23.0):
+                norm = max(plain_sum(abs(float(x) * t) for x in row) for row in d.matrix)
+                squarings = 0
+                while norm > 0.5:
+                    norm /= 2.0
+                    squarings += 1
+                calls.clear()
+                phi = exp_flow(d, t)
+                degree = chain_degree(d.matrix, t)
+                assert len(calls) == degree + squarings
+                squared += squarings > 0
+                degrees.add(degree)
+                calls.clear()
+                phi.compose(phi)
+                assert len(calls) == 1
     assert squared >= 3
+    assert degrees == {0, 1, 2, 3, 18}
 
 
 def test_flow_converts_every_coordinate_to_float():

@@ -40,7 +40,7 @@ from weilkit import (
     parse_polynomial,
     truncated_polynomial_algebra,
 )
-from weilkit import derivations, foliation
+from weilkit import derivations, foliation, linalg
 from weilkit.jsonio import derivation_to_json, rational_from_json
 from weilkit.algebra import AlgebraElement
 from weilkit.nearpoints import NearPoint
@@ -243,11 +243,25 @@ def test_distribution_checks_the_algebras_in_order():
     assert distribution_at(A, [], at_b).rank == 0
 
 
-def test_distribution_zero_section_rank_zero():
+def test_distribution_zero_section_rank_zero(monkeypatch):
+    # At an exact point with no nilpotent part every generator is
+    # D(b·1) = b·D(1) = 0, so the exact branch returns rank 0 and zero
+    # generators without an elimination; a float point still ranks.
+    ranked = []
+    rank = linalg.rank_with_tolerance
+    monkeypatch.setattr(linalg, "rank_with_tolerance", lambda *a: ranked.append(a) or rank(*a))
     for A in (D, X3, SQ):
         basis = derivation_basis(A)
         xi = make_near_point(A, [Fraction(1), Fraction(-2)])
-        assert distribution_at(A, basis, xi).rank == 0
+        for tol in (None, 0):
+            sample = distribution_at(A, basis, xi, tol)
+            zero = (Fraction(0),) * (2 * A.dim)
+            assert sample == DistributionSample(xi, (zero,) * len(basis), 0, 0.0)
+            assert [typed(g) for g in sample.generators] == [typed(zero)] * len(basis)
+        assert not ranked
+        assert distribution_at(A, basis, make_near_point(A, [0.5, -2.0])).rank == 0
+        assert ranked
+        ranked.clear()
 
 
 NEAR_POINT_ALGEBRAS = {

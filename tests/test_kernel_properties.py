@@ -1,9 +1,10 @@
 """The exact kernel against independent oracles on random inputs: the
 product kernel against the term-by-term loop, the integer echelon against
 dense Gauss-Jordan elimination, the Lie structure against full
-commutators, the exact distribution rank against the oracle's pivots, and
+commutators, the exact distribution rank against the oracle's pivots,
 polynomial values and field actions at near points against term-by-term
-evaluation.
+evaluation, flows against the full 18-step series, and parsed texts
+against polynomial arithmetic.
 
 Property tests with hypothesis, each with a small example count; the
 module is skipped where hypothesis is not installed, so that the rest of
@@ -21,11 +22,13 @@ import pytest
 import weilkit.linalg as la
 from weilkit import (
     AlgebraElement,
+    Derivation,
     NearPoint,
     Polynomial,
     derivation_basis,
     distribution_at,
     eval_in_algebra,
+    exp_flow,
     field_apply,
     from_structure_constants,
     induced_field,
@@ -36,8 +39,10 @@ from weilkit import (
 )
 from weilkit.algebra import _sparse_products, _sparse_rows, mul
 from support import (
+    ORACLE_CORPUS,
     coprime_denominators,
     coprime_table,
+    exp_flow_rows_oracle,
     float_rank_oracle,
     lie_structure_oracle,
     mat_vec,
@@ -459,3 +464,102 @@ def test_element_chains_match_the_term_by_term_chain(name, seed):
         first = value.coeffs
         assert typed(first) == typed(want)
         assert value.coeffs == first
+
+
+# ------------------------------------------------------------------ flows
+
+
+FLOW_ALGEBRAS = {name: build(*args) for name, (build, args) in ORACLE_CORPUS.items()}
+FLOW_BASES = {name: derivation_basis(A) for name, A in FLOW_ALGEBRAS.items()}
+
+
+@hypothesis.settings(max_examples=80, deadline=None, database=None)
+@hypothesis.given(
+    st.sampled_from(sorted(FLOW_ALGEBRAS)), st.data(), st.floats(1e-300, 50), st.booleans()
+)
+def test_flow_rows_match_the_full_series(name, data, magnitude, negative):
+    # exp_flow starts Horner's rule at the longest chain of entries of tD;
+    # the 18-step series gives the same floats, signed zeros included, and
+    # stores the same entries, for every basis derivation and for 0.
+    A, basis = FLOW_ALGEBRAS[name], FLOW_BASES[name]
+    index = data.draw(st.integers(-1, len(basis) - 1))
+    if index < 0:
+        d = Derivation(A, ((Fraction(0),) * A.dim,) * A.dim)
+    else:
+        d = basis[index]
+    t = -magnitude if negative else magnitude
+    want = exp_flow_rows_oracle(d.float_columns, t)
+    if want is None:
+        with pytest.raises(ValueError, match="overflows floating point"):
+            exp_flow(d, t)
+        return
+    got = exp_flow(d, t)._rows
+    assert [[(j, repr(x)) for j, x in row] for row in got] == [
+        [(j, repr(x)) for j, x in row] for row in want
+    ]
+
+
+# ---------------------------------------------------------------- parsing
+
+
+PARSE_NAMES = ["x", "y", "z1"]
+
+
+@st.composite
+def factor_texts(draw, depth):
+    """(text, polynomial) of one factor: a number, a variable or, above
+    the innermost depth, a parenthesised sum, with a power or without."""
+    nvars = len(PARSE_NAMES)
+    kind = draw(st.sampled_from(["number", "variable", "group"][: 3 if depth < 2 else 2]))
+    if kind == "number":
+        n, d = draw(st.integers(0, 12)), draw(st.one_of(st.none(), st.integers(1, 9)))
+        text, value = (str(n), n) if d is None else (f"{n}/{d}", Fraction(n, d))
+        value = Polynomial.constant(nvars, value)
+    elif kind == "variable":
+        i = draw(st.integers(0, nvars - 1))
+        text, value = PARSE_NAMES[i], Polynomial.variable(nvars, i)
+    else:
+        text, value = draw(sum_texts(depth + 1))
+        text = f"({text})"
+    if draw(st.booleans()):
+        e = draw(st.integers(0, 3))
+        text, value = f"{text}^{e}", value**e
+    return text, value
+
+
+@st.composite
+def sum_texts(draw, depth=0):
+    """(text, polynomial) of a signed sum of products of factors."""
+    nvars = len(PARSE_NAMES)
+    text, value = "", Polynomial.zero(nvars)
+    for t in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+", "-"] if t else ["", "+", "-"]))
+        factors = draw(st.lists(factor_texts(depth), min_size=1, max_size=4))
+        product = Polynomial.constant(nvars, 1)
+        for _, p in factors:
+            product = product * p
+        text += sign + "*".join(f for f, _ in factors)
+        value = value - product if sign == "-" else value + product
+    return text, value
+
+
+_X, _Y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(sum_texts())
+@hypothesis.example(("x*x^2", _X * _X**2))
+@hypothesis.example(("0*(x+y)^2*x", Polynomial.zero(3)))
+@hypothesis.example(("(x-y)^3*3/2*x^0*y", (_X - _Y) ** 3 * Fraction(3, 2) * _Y))
+@hypothesis.example(("2*(x+1)*0^0*x", 2 * (_X + 1) * _X))
+@hypothesis.example(("(16/3)*x*(y)^2*(-x)", Fraction(-16, 3) * _X**2 * _Y**2))
+@hypothesis.example(("(x-x)*y+(x-y)^0", Polynomial.constant(3, 1)))
+def test_parse_matches_polynomial_arithmetic(case):
+    # A term multiplies its numbers, variable powers and parenthesised
+    # single terms into one monomial, and only its parenthesised sums as
+    # polynomials; the parse must be the polynomial that the same
+    # expression builds by arithmetic.
+    text, value = case
+    parsed = parse_polynomial(text, PARSE_NAMES)
+    assert parsed == value, text
+    assert all(type(c) is Fraction for _, c in parsed.terms())

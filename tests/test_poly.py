@@ -311,6 +311,20 @@ def test_parse_polynomial_rejects_overlong_integers():
         assert str(monomial.value) == str(general.value)
 
 
+def test_superscript_digits_are_not_integers():
+    # str.isdigit() accepts "²", which int() does not read; an integer
+    # token is a run of str.isdecimal() characters, exactly what int()
+    # reads, so "²" is a name and each text gets the error of a name.
+    for parse in (parse_polynomial, parse_monomial):
+        with pytest.raises(PolynomialParseError) as exponent:
+            parse("x^²", ["x"])
+        assert str(exponent.value) == "exponent must be a non-negative integer (at position 2)"
+        with pytest.raises(PolynomialParseError) as name:
+            parse("²", ["x"])
+        assert str(name.value) == "unknown variable '²' (at position 0)"
+    assert parse_polynomial("x^٣", ["x"]) == Polynomial.monomial(1, (3,))  # ARABIC-INDIC THREE
+
+
 def test_grlex_term_order():
     p = P("y^2 + x + x^2*y + 1")
     exponents = [e for e, _ in p.terms()]
