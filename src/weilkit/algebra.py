@@ -26,11 +26,14 @@ coordinate 0.  The algebra stores the basis elements that generate m
 (``WeilAlgebra.generators``): the verifier finds them once, and a
 monomial algebra has its variables.  Every product goes through one
 kernel, :func:`mul`, over the sparse structure constants that are
-indexed once per table, and it runs exact coordinates on integer
-numerators over one common denominator, and float coordinates on a
-float copy of the constants.  Since m is nilpotent most products of
-basis elements are zero, and the kernel walks each row's non-zero
-products where they are fewer than an operand's non-zero coordinates.
+indexed once per table.  One loop, :func:`mul_loop`, forms every
+product: exact coordinates on integer numerators over one common
+denominator, float coordinates on a float copy of the constants, from
+the marker :data:`EMPTY_SUM` of a float sum that no term reaches, and
+any other coordinates on the constants themselves.  Since m is nilpotent
+most products of basis elements are zero, and the loop walks each row's
+non-zero products where they are fewer than an operand's non-zero
+coordinates.
 An exact :class:`AlgebraElement` keeps the integer numerators of its
 products, so a chain of exact products (a power, a polynomial value)
 stays on integers and builds its Fractions once, when its coordinates
@@ -446,11 +449,12 @@ class Products(tuple):
     xy.  It is None on a table without an integer form, and :func:`mul`
     then takes the Fraction loop.
     ``floats`` is the index with every constant as a float, built on first
-    use, for float coordinates; None when a constant is beyond the float
-    range.  ``nonempty[i]`` lists, in ascending j, the j whose product
-    e_i·e_j is not zero, built on first use too; it is the same for the
-    table, its ``numerators`` and its ``floats``, and the product kernel
-    walks it where it is shorter than an operand's non-zero coordinates.
+    use, for float coordinates; a plain tuple, and None when a constant is
+    beyond the float range.  ``nonempty[i]`` lists, in ascending j, the j
+    whose product e_i·e_j is not zero, built on first use too; it is the
+    same for the table, its ``numerators`` and its ``floats``, so the one
+    loop :func:`mul_loop` takes it beside the table it runs on, and walks
+    it where it is shorter than an operand's non-zero coordinates.
     In a Weil algebra most products of basis elements of m are zero, so on
     a monomial table row i lists only the e_j of degree at most the height
     less the degree of e_i.  All are plain attributes, so an index
@@ -548,7 +552,8 @@ def _integer_product(products: Products, u: tuple, v: tuple) -> tuple[list[int],
     accumulate in ints through ``products.numerators``, over the product
     du·dv·λ of the two denominators and the table's ``denominator`` λ."""
     (u, du), (v, dv) = u, v
-    return _mul_loop(products.numerators, u, v, 0), du * dv * products.denominator
+    table = products.numerators
+    return mul_loop(table, table.nonempty, u, v, 0), du * dv * products.denominator
 
 
 def _inexact_mul(products: Products, u: Sequence, v: Sequence) -> list:
@@ -556,10 +561,11 @@ def _inexact_mul(products: Products, u: Sequence, v: Sequence) -> list:
     When both are numeric and the non-zero coordinates of one are all
     floats, every term is a float that Fraction's mixed arithmetic forms
     on float() of the exact values, so the loop runs on
-    ``products.floats`` from 0.0.  Other operands, or a table too large
-    for its float copy, run the loop on the constants themselves."""
+    ``products.floats`` (:func:`_float_mul`).  Other operands, or a table
+    too large for its float copy, run the loop on the constants
+    themselves, from Fraction(0)."""
     out = _float_mul(products, u, v)
-    return _mul_loop(products, u, v, _ZERO) if out is None else out
+    return mul_loop(products, products.nonempty, u, v, _ZERO) if out is None else out
 
 
 def from_integer_form(form: tuple[list[int], int], sign: int = 1) -> tuple:
@@ -572,16 +578,32 @@ def from_integer_form(form: tuple[list[int], int], sign: int = 1) -> tuple:
     return tuple(Fraction(x, denominator) if x else _ZERO for x in numerators)
 
 
-def _mul_loop(table: Products, u: Sequence, v: Sequence, start) -> list:
-    """The plain loop of :func:`mul` on the constants of ``table``: out[k]
-    is out[k] + a*b*c from ``start``, over the non-zero u_i, then v_j,
-    then the pairs (k, c) of e_i·e_j.  For each u_i it walks the shorter
-    of the row's ``nonempty`` products and the non-zero v_j, in ascending
-    j either way; a pair left out has e_i·e_j = 0 or v_j = 0, so it adds
-    no term, and every sum is the one the full loop forms."""
+class _EmptySum(float):
+    __slots__ = ()
+
+
+# The start of a float sum that no term has reached yet.  It equals 0.0, and
+# float arithmetic returns plain floats, so EMPTY_SUM + y is the float
+# 0.0 + y: a sum that a term reaches has the bits of a sum from 0.0, and a
+# sum that none reaches is still this object, found by ``is``.  Each reader
+# maps it to Fraction(0) before a value leaves the package.
+EMPTY_SUM = _EmptySum()
+
+
+def mul_loop(table, nonempty, u: Sequence, v: Sequence, start) -> list:
+    """The one product loop: out[k] is out[k] + a*b*c from ``start``,
+    over the non-zero u_i, then v_j, then the pairs (k, c) of e_i·e_j in
+    ``table``.  It runs on ints through ``products.numerators`` from 0,
+    on Fractions through ``products`` from Fraction(0), and on floats
+    through ``products.floats`` from :data:`EMPTY_SUM`; ``nonempty`` is
+    the tables' shared :attr:`Products.nonempty` index.  For each u_i it
+    walks the shorter of the row's non-empty products and the non-zero
+    v_j, in ascending j either way; a pair left out has e_i·e_j = 0 or
+    v_j = 0, so it adds no term, and every sum is the one the full loop
+    forms."""
     out = [start] * len(table)
     nonzero_v = [j for j, b in enumerate(v) if b]
-    count, nonempty = len(nonzero_v), table.nonempty
+    count = len(nonzero_v)
     for i, a in enumerate(u):
         if not a:
             continue
@@ -597,54 +619,35 @@ def _mul_loop(table: Products, u: Sequence, v: Sequence, start) -> list:
 
 def _float_mul(products: Products, u: Sequence, v: Sequence) -> list | None:
     """The float path of :func:`_inexact_mul`, or None where it does not
-    apply; an output no term reaches is Fraction(0)."""
+    apply: :func:`mul_loop` on ``products.floats`` from EMPTY_SUM, and
+    Fraction(0) where no term reaches.  An operand whose non-zero
+    coordinates are all floats goes to the loop as it is, since the loop
+    skips its zeros; only the other is read by
+    :func:`float_coordinates`."""
     table = products.floats
     if table is None or not (
         _NUMERIC_TYPES.issuperset(map(type, u)) and _NUMERIC_TYPES.issuperset(map(type, v))
     ):
         return None
-    if not (all(type(a) is float for a in u if a) or all(type(b) is float for b in v if b)):
+    float_u = all(type(a) is float for a in u if a)
+    float_v = all(type(b) is float for b in v if b)
+    if not (float_u or float_v):
         return None
     try:
-        nonzero_u = [(i, float(a)) for i, a in enumerate(u) if a]
-        nonzero_v = [(j, float(b)) for j, b in enumerate(v) if b]
+        u = u if float_u else float_coordinates(u)
+        v = v if float_v else float_coordinates(v)
     except OverflowError:  # the loop on the constants raises it where a term needs it
         return None
-    out = float_product(table, products.nonempty, nonzero_u, nonzero_v)
-    return [_ZERO if x is None else x for x in out]
+    out = mul_loop(table, products.nonempty, u, v, EMPTY_SUM)
+    return [_ZERO if x is EMPTY_SUM else x for x in out]
 
 
-def float_product(table, nonempty, nonzero_u: Sequence, nonzero_v: Sequence) -> list:
-    """The float loop of :func:`mul` on the non-zero coordinates of u and
-    v, given as pairs (index, float) in ascending index, through a
-    ``table`` such as ``products.floats`` whose ``nonempty`` index is
-    ``nonempty``: out[k] is the sum from 0.0 of a*b*c in the order i, then
-    j, then k, and None where no term reaches.  Like :func:`_mul_loop`,
-    it walks for each u_i the shorter of the row's non-empty products and
-    the non-zero v_j, in ascending j either way."""
-    out = [None] * len(table)
-    count, v = len(nonzero_v), None
-    for i, a in nonzero_u:
-        row, columns = table[i], nonempty[i]
-        if len(columns) < count:
-            if v is None:  # the coordinates of v, None where they are 0
-                v = [None] * len(table)
-                for j, b in nonzero_v:
-                    v[j] = b
-            for j in columns:
-                b = v[j]
-                if b is not None:
-                    ab = a * b
-                    for k, c in row[j]:
-                        x = out[k]
-                        out[k] = (0.0 if x is None else x) + ab * c
-        else:
-            for j, b in nonzero_v:
-                ab = a * b
-                for k, c in row[j]:
-                    x = out[k]
-                    out[k] = (0.0 if x is None else x) + ab * c
-    return out
+def float_coordinates(values: Sequence) -> list:
+    """float() of each value, as mixed arithmetic forms it, but a non-zero
+    value that rounds to 0.0 stays as it is, so the loop still forms its
+    terms: a float times it is that float times 0.0.  OverflowError for a
+    value beyond the float range."""
+    return [float(x) or x for x in values]
 
 
 def monomial_walk(products: Products, unit: Sequence[Fraction], candidates: Iterable[int]):

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .algebra import (
@@ -388,6 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_liou.add_argument("--json", action="store_true", help="emit a JSON report")
     p_liou.set_defaults(func=_cmd_liouville)
 
+    # No option looks like a number, so "-" and a digit, or "-." and a
+    # digit, starts a value: argparse before 3.14 reads -1e-3 as an option.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

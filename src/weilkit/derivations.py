@@ -22,12 +22,12 @@ the restricted basis, r x width*s entries, instead of all s^2 entries.
 A commutator is formed on the ``integer_columns`` of the derivations.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
-k to the non-zero coefficient of basis element k in D(e_q)); the
-``integer_columns`` and the ``float_columns`` are views derived from them
-on first use, and so are their non-empty columns as pairs, the lists the
-near-point images walk (D(1) = 0, and a derivation of a monomial algebra
-moves few basis elements).  The dense ``matrix`` is a view that only
-callers read.
+k to the non-zero coefficient of basis element k in D(e_q)).  Four views
+are derived from them on first use: the ``integer_columns``, their
+non-empty columns as pairs (``integer_nonempty``), the non-empty columns
+as pairs of floats (``float_nonempty``), which the near-point images and
+the flows walk (D(1) = 0, and a derivation of a monomial algebra moves
+few basis elements), and the dense ``matrix``, which only callers read.
 Every entry, like every constant of a ``LieStructure``, is an int or a
 Fraction.  Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
@@ -59,6 +59,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import (
+    EMPTY_SUM,
     AlgebraElement,
     Frozen,
     WeilAlgebra,
@@ -134,16 +135,6 @@ class Derivation(Frozen):
         return [{p: next(flat) for p in column} for column in self.columns], denominator
 
     @cached_property
-    def float_columns(self) -> list[dict] | None:
-        """The columns with every entry as a float, the value that the
-        mixed Fraction-float arithmetic converts it to.  None when an entry
-        is beyond the float range."""
-        try:
-            return [{p: float(c) for p, c in column.items()} for column in self.columns]
-        except OverflowError:
-            return None
-
-    @cached_property
     def integer_nonempty(self) -> tuple[list[tuple[int, tuple]], int]:
         """The non-empty columns of ``integer_columns`` as pairs
         (q, ((p, c), ...)) in ascending q, over the same denominator: the
@@ -155,11 +146,17 @@ class Derivation(Frozen):
 
     @cached_property
     def float_nonempty(self) -> list[tuple[int, tuple]] | None:
-        """The non-empty columns of ``float_columns`` as pairs
-        (q, ((p, c), ...)) in ascending q, the list :func:`float_image`
-        walks; None when ``float_columns`` is."""
-        columns = self.float_columns
-        return None if columns is None else _nonempty(columns)
+        """The non-empty columns with every entry as a float, the value
+        that the mixed Fraction-float arithmetic converts it to, as pairs
+        (q, ((p, c), ...)) in ascending q: the list :func:`float_image`
+        and :func:`exp_flow` walk.  None when an entry is beyond the float
+        range."""
+        try:
+            return [
+                (q, tuple((p, float(c)) for p, c in column)) for q, column in _nonempty(self.columns)
+            ]
+        except OverflowError:
+            return None
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.
@@ -215,8 +212,9 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
 
     An exact u, read in its ``integer_form`` (kept by u), takes
     :func:`integer_image`.  Coordinates that are all floats take
-    :func:`float_image`, from the 0.0 that Fraction(0) + x converts to;
-    an output no entry reaches stays Fraction(0).  Both walk only the
+    :func:`float_image`, from EMPTY_SUM, which adds like the 0.0 that
+    Fraction(0) + x converts to; an output no entry reaches, still
+    EMPTY_SUM, is Fraction(0).  Both walk only the
     derivation's non-empty columns.  Other coordinates run on the columns
     themselves.
     """
@@ -226,7 +224,7 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
     coords = u.coeffs
     columns = d.float_nonempty
     if columns is not None and all(type(x) is float for x in coords):
-        return tuple(_ZERO if y is None else sign * y for y in float_image(columns, [coords]))
+        return tuple(_ZERO if y is EMPTY_SUM else sign * y for y in float_image(columns, [coords]))
     out = [_ZERO] * len(coords)
     for x, column in zip(coords, d.columns):
         for p, c in column.items():
@@ -237,18 +235,17 @@ def signed_image(d: Derivation, u: AlgebraElement, sign: int = 1) -> tuple:
 def float_image(columns: list[tuple[int, tuple]], blocks: Sequence[Sequence[float]]) -> list:
     """D applied to each block of float coordinates, concatenated, for D
     given by its ``float_nonempty`` columns: entry p of a block's image is
-    the sum from 0.0 of c * x over the entries c at row p of its columns,
-    in ascending column order, zero coordinates x included, and None
-    where no entry reaches.  An empty column adds no term, so only the
-    non-empty ones are walked."""
+    the sum from :data:`~weilkit.algebra.EMPTY_SUM` of c * x over the
+    entries c at row p of its columns, in ascending column order, zero
+    coordinates x included, so EMPTY_SUM itself where no entry reaches.
+    An empty column adds no term, so only the non-empty ones are walked."""
     out = []
     for coords in blocks:
-        image = [None] * len(coords)
+        image = [EMPTY_SUM] * len(coords)
         for q, column in columns:
             x = coords[q]
             for p, c in column:
-                y = image[p]
-                image[p] = (0.0 if y is None else y) + c * x
+                image[p] = image[p] + c * x
         out += image
     return out
 
@@ -554,7 +551,8 @@ class Automorphism(Frozen):
     Stored once, as sparse rows: row i lists the pairs (j, x) of the
     entries x = matrix[i][j] that its producer stored, in ascending j, so
     an entry no pair names is 0.0.  The public ``Automorphism(algebra,
-    matrix)`` keeps every entry of ``matrix``; :func:`exp_flow` and
+    matrix)`` raises ValueError unless ``matrix`` is s x s, and keeps
+    every entry of it; :func:`exp_flow` and
     :meth:`compose` keep every sum that :func:`_product` forms.  ``matrix``
     is the dense view, built on first read.  :meth:`apply` and
     :meth:`compose` skip the zero entries, and every float sum they form
@@ -566,6 +564,9 @@ class Automorphism(Frozen):
     algebra: WeilAlgebra
 
     def __init__(self, algebra, matrix):
+        s = algebra.dim
+        if len(matrix) != s or any(len(row) != s for row in matrix):
+            raise ValueError(f"an automorphism matrix must be {s} x {s}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_rows", [list(enumerate(row)) for row in matrix])
 
@@ -598,8 +599,10 @@ class Automorphism(Frozen):
 
 
 def _from_rows(algebra: WeilAlgebra, rows: list[list]) -> Automorphism:
-    """The Automorphism stored as ``rows``, without the dense matrix."""
-    phi = Automorphism(algebra, ())
+    """The Automorphism stored as ``rows``, without the dense matrix or
+    the shape check."""
+    phi = object.__new__(Automorphism)
+    object.__setattr__(phi, "algebra", algebra)
     object.__setattr__(phi, "_rows", rows)
     return phi
 
@@ -640,7 +643,7 @@ def _chain_length(rows: list[list], cap: int) -> int:
 
 def exp_flow(d: Derivation, t: float) -> Automorphism:
     """exp(tD) by scaling and squaring on a truncated exponential series,
-    from ``d.float_columns``; ValueError when D has an entry beyond the
+    from ``d.float_nonempty``; ValueError when D has an entry beyond the
     float range, or when t or t*D is not finite.
 
     Horner's rule starts at degree L, the most entries in a chain of
@@ -663,7 +666,7 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     entries may have overflowed.
     """
     s = d.algebra.dim
-    columns = d.float_columns
+    columns = d.float_nonempty
     if columns is None:
         raise ValueError("a derivation entry overflows floating point")
     try:
@@ -673,8 +676,8 @@ def exp_flow(d: Derivation, t: float) -> Automorphism:
     if not math.isfinite(t):
         raise ValueError("flow time too large: t*D overflows floating point")
     rows = [[] for _ in range(s)]  # row p of tD as (q, entry), q ascending
-    for q, column in enumerate(columns):
-        for p, x in column.items():
+    for q, column in columns:  # the non-empty columns, q ascending
+        for p, x in column:
             rows[p].append((q, x * t))
     # Left to right: sum() compensates float sums from Python 3.12 on.
     norm = max(reduce(add, (abs(x) for _, x in row), 0.0) for row in rows)

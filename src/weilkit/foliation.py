@@ -6,7 +6,10 @@ near point is, componentwise, -D applied to the point's components; acting
 on lifted functions it is f -> -D(point(f)).  The fields induced by a
 derivation basis span a distribution whose rank stratifies the chart: it
 vanishes on the zero section (points with no nilpotent part) and reaches
-the full derivation dimension at generic points.  Their chart brackets
+the full derivation dimension where the classes of the nilpotent parts
+span m/m^2, which needs n >= width; below that even a generic point may
+have a lower rank (on R[x,y]/m^2, r = 4, a rational point has rank 2 at
+n = 1).  Their chart brackets
 reproduce the algebra brackets exactly, so the distribution is involutive
 and integrates to a (possibly singular) foliation whose leaves are orbits
 of the automorphism flows exp(-tD), all inside a single fiber over the base
@@ -26,6 +29,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import (
+    EMPTY_SUM,
     AlgebraElement,
     Frozen,
     WeilAlgebra,
@@ -213,9 +217,11 @@ def distribution_at(
 
     Every other point and tolerance takes the other branch.  At a point
     whose coordinates are all floats, each generator is formed in one pass
-    over the derivation's non-empty ``float_columns`` for all components
+    over the derivation's ``float_nonempty`` columns for all components
     (:func:`~weilkit.derivations.float_image`), and those floats are
-    ranked.  Other generators, the exact ones at ``tol`` > 0 among them,
+    ranked; an entry that no column reaches, left at
+    :data:`~weilkit.algebra.EMPTY_SUM`, ranks as 0.0 and is Fraction(0)
+    among the generators.  Other generators, the exact ones at ``tol`` > 0 among them,
     take :func:`~weilkit.derivations.signed_image`, and a ``tol`` > 0
     ranks their floats.  A generator that leaves the float range, as inf
     or as an exact value that the float arithmetic (a float coordinate, or
@@ -251,10 +257,10 @@ def distribution_at(
         columns = d.float_nonempty
         if floating and columns is not None:
             out = float_image(columns, blocks)
-            row = [0.0 if y is None else -y for y in out]
+            row = [0.0 if y is EMPTY_SUM else -y for y in out]
             if not all(map(math.isfinite, row)):
                 _check_finite(row, what)
-            generators.append(tuple([_ZERO if y is None else x for y, x in zip(out, row)]))
+            generators.append(tuple([_ZERO if y is EMPTY_SUM else x for y, x in zip(out, row)]))
             rows.append(row)
             continue
         try:

@@ -36,12 +36,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (
+    EMPTY_SUM,
     AlgebraElement,
     Frozen,
     WeilAlgebra,
     check_same_algebra,
     eval_in_algebra,
-    float_product,
+    float_coordinates,
+    mul_loop,
     powers,
 )
 from .poly import Exponents, Polynomial
@@ -112,12 +114,13 @@ class NearPoint(Frozen):
         the algebra height because higher nilpotent powers vanish.  Each
         nilpotent part's powers up to the height are formed once, by the
         same products ``**`` makes (:func:`~weilkit.algebra.powers`), kept
-        on integers at an exact point, and their non-zero coordinates are
-        read as floats once (from the integer form where there is one).
-        Each term, the float partial times its powers, is formed by
-        :func:`~weilkit.algebra.float_product` on coordinate lists; the
-        terms are added left to right from 0.0, and a coordinate that no
-        term reaches stays Fraction(0).  That is, bit for bit, the sum of
+        on integers at an exact point, and read as dense float lists once
+        (from the integer form where there is one).  Each term, the float
+        partial times its powers, is a dense list formed by the one product
+        loop :func:`~weilkit.algebra.mul_loop` from
+        :data:`~weilkit.algebra.EMPTY_SUM`; the terms are added left to
+        right, and a coordinate that no term reaches stays EMPTY_SUM and
+        comes back as Fraction(0).  That is, bit for bit, the sum of
         ``from_scalar(partial) * power * ...`` over the multi-indices from
         the zero element.  ValueError naming the component when a power
         that a non-zero term multiplies has a coordinate beyond the float
@@ -138,49 +141,48 @@ class NearPoint(Frozen):
                     f"oracle base {oracle.base} differs from point base {base}"
                 )
         algebra = self.algebra
-        height, products = algebra.height, algebra.products
+        height, products, s = algebra.height, algebra.products, algebra.dim
         # A table beyond the float range multiplies on its constants, with
         # the same floats wherever a term does not overflow.
         table = products if products.floats is None else products.floats
-        # nilpotent[i][e]: the non-zero coordinates of the e-th power of
-        # component i's nilpotent part, or None beyond the float range
+        # nilpotent[i][e]: the e-th power of component i's nilpotent part as
+        # floats, or None beyond the float range
         nilpotent = [
-            [_nonzero_floats(u) for u in powers(c.nilpotent_part(), height)]
+            [_dense_floats(u) for u in powers(c.nilpotent_part(), height)]
             for c in self.components
         ]
-        total = [None] * algebra.dim
+        total = [EMPTY_SUM] * s
         for alpha in _multi_indices(self.n, height):
-            term = [(0, oracle.partial(alpha))]  # reached coordinates, ascending
+            term = [oracle.partial(alpha)] + [EMPTY_SUM] * (s - 1)
             for i, e in enumerate(alpha):
                 if e:
-                    nonzero = [(k, x) for k, x in term if x]
                     power = nilpotent[i][e]
-                    if power is None and nonzero:
+                    if power is None and any(term):
                         raise ValueError(
                             f"component ξ{i + 1} of the point overflows floating point"
                         )
                     try:
-                        out = float_product(table, products.nonempty, nonzero, power or ())
+                        term = mul_loop(table, products.nonempty, term, power or (), EMPTY_SUM)
                     except OverflowError:  # a structure constant beyond the float range
                         raise ValueError("a Taylor term overflows floating point") from None
-                    term = [(k, x) for k, x in enumerate(out) if x is not None]
-            for k, x in term:
-                y = total[k]
-                total[k] = (0.0 if y is None else y) + x
-        return AlgebraElement(algebra, tuple(_ZERO if y is None else y for y in total))
+            for k, x in enumerate(term):
+                if x is not EMPTY_SUM:
+                    total[k] += x
+        return AlgebraElement(algebra, tuple(_ZERO if y is EMPTY_SUM else y for y in total))
 
 
-def _nonzero_floats(u: AlgebraElement) -> list[tuple[int, float]] | None:
-    """The non-zero coordinates of ``u`` as pairs (index, float), each the
-    float() of its value, read off the integer form where ``u`` has one;
-    None when one of them is beyond the float range."""
+def _dense_floats(u: AlgebraElement) -> list | None:
+    """The coordinates of ``u`` as floats, as
+    :func:`~weilkit.algebra.float_coordinates` reads them, read off the
+    integer form where ``u`` has one; None when one of them is beyond the
+    float range."""
     form = u.integer_form()
     try:
         if form:
             numerators, denominator = form
             # int / int rounds correctly, as float(Fraction) does.
-            return [(k, x / denominator) for k, x in enumerate(numerators) if x]
-        return [(k, float(x)) for k, x in enumerate(u.coeffs) if x]
+            return [(x / denominator or Fraction(x, denominator)) if x else 0.0 for x in numerators]
+        return float_coordinates(u.coeffs)
     except OverflowError:
         return None
 

@@ -381,12 +381,12 @@ def exp_flow_oracle(matrix, t: float, terms: int = 18):
 
 
 def exp_flow_rows_oracle(columns, t: float, terms: int = 18):
-    """The rows ``exp_flow`` stores for the derivation with ``float_columns``
-    ``columns``, by all ``terms`` Horner steps of the series: the same
-    scaling, then sparse products on dicts, each sum from 0.0 over the
-    middle index ascending with zero factors skipped, and row i of the
-    result as its pairs (j, x) in ascending j.  None where an entry is not
-    finite."""
+    """The rows ``exp_flow`` stores for the derivation whose columns, with
+    every entry as a float, are ``columns``, by all ``terms`` Horner steps
+    of the series: the same scaling, then sparse products on dicts, each
+    sum from 0.0 over the middle index ascending with zero factors
+    skipped, and row i of the result as its pairs (j, x) in ascending j.
+    None where an entry is not finite."""
     s = len(columns)
     rows = [[] for _ in range(s)]
     for q, column in enumerate(columns):
@@ -425,6 +425,21 @@ def exp_flow_rows_oracle(columns, t: float, terms: int = 18):
     if not all(math.isfinite(x) for row in result for x in row.values()):
         return None
     return [sorted(row.items()) for row in result]
+
+
+def exact_flow_oracle(matrix, t):
+    """exp(tD) for a nilpotent D given by its dense ``matrix``, exactly: the
+    Fraction series sum of t^k D^k / k! over k < s, after asserting that
+    D^s = 0, so that the series is finite."""
+    s = len(matrix)
+    result = [[Fraction(int(i == j)) for j in range(s)] for i in range(s)]
+    term = [row[:] for row in result]
+    for k in range(1, s + 1):
+        term = [[x * t / k for x in row] for row in mat_mul(term, matrix)]
+        if k < s:
+            result = [[x + y for x, y in zip(a, b)] for a, b in zip(result, term)]
+    assert not any(any(row) for row in term), "D is not nilpotent: D^s != 0"
+    return result
 
 
 def eval_taylor_oracle(point, oracle):

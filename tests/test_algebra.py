@@ -515,6 +515,18 @@ def test_float_copy_is_read_by_float_operands_only():
         assert mul(products, u, v) != mul_oracle(products, u, v, Fraction(0))
 
 
+def test_an_exact_value_that_rounds_to_zero_keeps_its_float_terms():
+    # Fraction's mixed arithmetic turns a non-zero value below the float
+    # range into 0.0 and still forms its terms, so the outputs they reach
+    # are the floats of the plain loop, not the Fraction(0) of an output
+    # that no term reaches.
+    products = truncated_polynomial_algebra(1, 2).products
+    tiny = [Fraction(0), Fraction(-1, 10**400), Fraction(0)]
+    for floats in ([0.0, -0.5, 0.0], [2.0, 0.5, -0.0]):
+        for u, v in ((tiny, floats), (floats, tiny)):
+            assert typed(mul(products, u, v)) == typed(mul_oracle(products, u, v, Fraction(0)))
+
+
 def test_kernel_walks_either_driving_list_bit_for_bit():
     # For each u_i the kernel walks the shorter of the row's non-empty
     # products and the non-zero v_j.  Unit vectors v on a dense scrambled
@@ -677,17 +689,17 @@ def test_verifier_multiplies_on_integers_within_the_budget(monkeypatch):
     # A raw table within the integer-form budget is verified on its integer
     # form from the start: the kernel never enters its Fraction loop.
     raw = _corpus_raw_tables()
-    fraction_loop = algebra._mul_loop
+    fraction_loop = algebra.mul_loop
 
-    def integer_loop_only(table, u, v, start):
+    def integer_loop_only(table, nonempty, u, v, start):
         # The integer table is a Products too, its own ``numerators``.
         assert table.numerators is table, "mul entered the Fraction loop"
-        return fraction_loop(table, u, v, start)
+        return fraction_loop(table, nonempty, u, v, start)
 
     indexed = [_sparse_products(_sparse_rows(table)) for table in raw.values()]
     assert all(products.numerators is not None for products in indexed)
     assert any(products.denominator > 1 for products in indexed)
-    monkeypatch.setattr(algebra, "_mul_loop", integer_loop_only)
+    monkeypatch.setattr(algebra, "mul_loop", integer_loop_only)
     for name, table in raw.items():
         A = from_structure_constants([f"f{i}" for i in range(len(table))], table)
         assert A == ORACLE_CORPUS[name][0](*ORACLE_CORPUS[name][1]), name

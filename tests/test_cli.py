@@ -258,6 +258,24 @@ def test_foliation_rejects_bad_tolerance(capsys, files, tol):
     assert "--tol" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("t", ["-1e-3", "-1e3", "-.5", "-2", "-0.001"])
+def test_negative_numbers_are_values_in_every_notation(capsys, files, t):
+    # A negative number in exponent notation, or with no digit before the
+    # point, is a value, as it is after "=", on every Python version.
+    argv = ["flow", files["x3"], "--n", "1", "--point", files["pt_x3"], "--derivation", "1", "--json"]
+    code, out, err = run(capsys, argv + ["--t", t])
+    assert (code, err) == (0, "")
+    assert run(capsys, argv + [f"--t={t}"]) == (0, out, "")
+
+
+def test_a_negative_tolerance_in_exponent_notation_is_read_and_refused(capsys, files):
+    code, out, err = run(
+        capsys, ["foliation", files["dual"], "--n", "1", "--point", files["pt_dual"], "--tol", "-1e-3"]
+    )
+    assert (code, out) == (2, "")
+    assert "argument --tol: must be at least 0" in err
+
+
 @pytest.mark.parametrize("t", ["inf", "-inf", "nan", "1e309"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_flow_rejects_non_finite_time(capsys, files, t, as_json):

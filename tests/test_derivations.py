@@ -732,6 +732,16 @@ def test_automorphism_keeps_every_entry_it_is_given():
     assert float_bits([phi.apply(u).coeffs]) == float_bits([mat_vec(matrix, [0.5, -0.0, 3.0], 0.0)])
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.0]], [[1.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 3, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0] * 3], []],
+)
+def test_automorphism_refuses_a_matrix_that_is_not_s_by_s(matrix):
+    A = truncated_polynomial_algebra(1, 2)
+    with pytest.raises(ValueError, match="^an automorphism matrix must be 3 x 3$"):
+        Automorphism(A, matrix)
+
+
 @pytest.mark.parametrize("name", ["truncated-2-3", "truncated-3-2", "quotient-x3-y2-xy2", "scrambled-m3-41"])
 def test_apply_and_compose_match_the_dense_references(name):
     # Both skip zero entries and add from 0.0 in ascending column order,
@@ -829,8 +839,8 @@ def test_derivation_float_copy_is_read_by_float_coordinates_only():
     A = truncated_polynomial_algebra(2, 2)
     d = derivation_basis(A)[1]
     exact = d.matrix
-    d.__dict__["float_columns"] = [
-        {p: c + 1.0 for p, c in column.items()} for column in d.float_columns
+    d.__dict__["float_nonempty"] = [
+        (q, tuple((p, c + 1.0) for p, c in column)) for q, column in d.float_nonempty
     ]
     rng = random.Random(4)
     x = Polynomial.variable(1, 0)
@@ -851,7 +861,7 @@ def test_derivation_float_copy_is_read_by_float_coordinates_only():
 def test_derivation_entry_beyond_float_range_has_no_float_copy():
     A = truncated_polynomial_algebra(1, 2)
     d = Fraction(10**400) * derivation_basis(A)[0]
-    assert d.float_columns is None
+    assert d.float_nonempty is None
     with pytest.raises(ValueError, match="a derivation entry overflows floating point"):
         exp_flow(d, 0.0)
     u = AlgebraElement(A, (0.5, 0.25, -0.0))

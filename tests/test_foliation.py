@@ -49,6 +49,7 @@ from support import (
     assert_no_dense_products,
     coprime_denominators,
     coprime_table,
+    exact_flow_oracle,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -56,6 +57,7 @@ from support import (
     rand_element,
     rand_fraction,
     rand_near_point,
+    rand_nilpotent,
     rand_poly,
     rref_oracle,
     scrambled,
@@ -770,6 +772,54 @@ def test_distribution_rank_is_constant_along_leaves(name):
             leaf = leaf_sample(A, basis, point, schedule)
             ranks = [distribution_at(A, basis, p, tol=1e-7).rank for p in leaf]
             assert len(set(ranks)) == 1, (n, nilpart, ranks)
+
+
+def _is_nilpotent(matrix) -> bool:
+    power = matrix
+    for _ in range(len(matrix) - 1):
+        power = mat_mul(power, matrix)
+    return not any(any(row) for row in power)
+
+
+# The algebras with s <= 10 and r > 0 that have a nilpotent basis
+# derivation (the dual numbers have only the Liouville derivation).
+EXACT_LEAF_CORPUS = [
+    name
+    for name, (build, args) in ORACLE_CORPUS.items()
+    if build(*args).dim <= 10
+    and any(_is_nilpotent(d.matrix) for d in derivation_basis(build(*args)))
+]
+
+
+@pytest.mark.parametrize("name", EXACT_LEAF_CORPUS)
+def test_exact_rank_is_constant_along_leaves(name):
+    # exp(tN) is an algebra automorphism, and it conjugates Der(A) onto
+    # itself, so the exact rank at exp(tN)·p is the rank at p (the orbit
+    # theorem).  The flows of the nilpotent basis derivations N are exact
+    # finite series, independent of exp_flow.  Points at n = 1..width with
+    # nilpotent parts in m^2, or generic ones, include ranks below r.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    rng = random.Random(A.dim * 31 + len(basis))
+    flows = [
+        exact_flow_oracle(d.matrix, rand_fraction(rng) or Fraction(1, 2))
+        for d in basis
+        if _is_nilpotent(d.matrix)
+    ]
+    for n in range(1, A.width + 1):
+        for deep in (False, True):
+            nilparts = [
+                rand_nilpotent(rng, A) * rand_nilpotent(rng, A) if deep else rand_nilpotent(rng, A)
+                for _ in range(n)
+            ]
+            point = make_near_point(A, [rand_fraction(rng) for _ in range(n)], nilparts)
+            rank = distribution_at(A, basis, point).rank
+            for phi in flows:
+                moved = NearPoint(
+                    tuple(A.element(mat_vec(phi, list(c.coeffs))) for c in point.components)
+                )
+                assert distribution_at(A, basis, moved).rank == rank, (n, deep)
 
 
 def test_flows_refuse_a_time_beyond_the_float_range():

@@ -488,7 +488,7 @@ def test_flow_rows_match_the_full_series(name, data, magnitude, negative):
     else:
         d = basis[index]
     t = -magnitude if negative else magnitude
-    want = exp_flow_rows_oracle(d.float_columns, t)
+    want = exp_flow_rows_oracle([{p: float(c) for p, c in column.items()} for column in d.columns], t)
     if want is None:
         with pytest.raises(ValueError, match="overflows floating point"):
             exp_flow(d, t)

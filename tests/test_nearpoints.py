@@ -186,6 +186,20 @@ def test_taylor_matches_per_multi_index_loop(name):
             assert repr(got) == repr(eval_taylor_oracle(point, oracle).coeffs)
 
 
+def test_taylor_keeps_the_terms_of_an_exact_value_that_rounds_to_zero():
+    # A non-zero nilpotent coordinate below the float range is 0.0 in
+    # float arithmetic, yet its terms are formed, so the coordinates they
+    # reach are floats, as in the per-multi-index loop, not Fraction(0).
+    A = truncated_polynomial_algebra(1, 3)
+    tiny = Fraction(1, 10**400)
+    # Over one shared denominator they have an integer form, read as such.
+    for nilpart in ([0, tiny, 0, 0], [0, tiny, -tiny, tiny], [0, Fraction(1, 2), 0, tiny]):
+        point = make_near_point(A, [Fraction(1)], [A.element(nilpart)])
+        oracle = TaylorOracle([1.0], {(e,): (-1.5) ** e for e in range(4)})
+        got = point.eval_taylor(oracle).coeffs
+        assert repr(got) == repr(eval_taylor_oracle(point, oracle).coeffs)
+
+
 M4 = truncated_polynomial_algebra(2, 3)
 DEEP = parse_polynomial("x^5000*y", ["x", "y"])
 
