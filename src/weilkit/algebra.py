@@ -457,8 +457,9 @@ class Products(tuple):
     it where it is shorter than an operand's non-zero coordinates.
     In a Weil algebra most products of basis elements of m are zero, so on
     a monomial table row i lists only the e_j of degree at most the height
-    less the degree of e_i.  All are plain attributes, so an index
-    compares and hashes by its entries alone.
+    less the degree of e_i.  ``cotangent`` is the projection of m onto
+    m/m^2 of a normalised table, built on first use as well.  All are plain
+    attributes, so an index compares and hashes by its entries alone.
     """
 
     numerators: "Products | None" = None
@@ -476,6 +477,26 @@ class Products(tuple):
     @cached_property
     def nonempty(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(j for j, entry in enumerate(row) if entry) for row in self)
+
+    @cached_property
+    def cotangent(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A w x s integer matrix P, sparse rows of pairs (k, c) in
+        ascending k, whose kernel on m is m^2, for a normalised table (m
+        spanned by e_1..e_{s-1}): the projection of m onto m/m^2, w its
+        dimension.  Column 0 is zero.
+
+        The reduced echelon R of m^2 (:func:`_square_echelon`) has its
+        leading ones at columns L; each of the w other columns f of m
+        gives the row x -> x_f - sum_L x_L R_L[f], scaled to integers.
+        That is the entry at f of x reduced against R, which vanishes at
+        every f exactly when x is in m^2."""
+        square = linalg.back_reduce(_square_echelon(self))
+        rows = []
+        for f in range(1, len(self)):
+            if f not in square:
+                row = {f: 1, **{lead: -r[f] for lead, r in square.items() if f in r}}
+                rows.append(tuple(sorted(linalg.integer_row(row)[0].items())))
+        return tuple(rows)
 
 
 def _sparse_products(rows) -> Products:
@@ -906,25 +927,36 @@ def from_structure_constants(
     return WeilAlgebra(new_labels, new_products, height, generators)
 
 
-def _height_and_generators(products: Products) -> tuple[int, tuple[int, ...]]:
-    """(height, generators) of the normalised table of a local algebra (m
-    spanned by e_1..e_{s-1} and nilpotent).
-
-    The products e_i * e_j of basis elements of m are eliminated into an
-    echelon of m^2; the generators are the basis elements of m that are
-    not combinations of it and of the generators before them, so their
-    classes form a basis of m/m^2.  They generate m, hence the algebra, a
-    derivation is fixed by its values on them, and there are ``width`` of
-    them.  They also generate m as an ideal, so m^(k+1) = m^k * m is
-    spanned by the products g * u over a basis u of m^k; the walk starts
-    from the echelon of m^2, and the height is the number of steps before
-    m^(k+1) = 0.
-    """
+def _square_echelon(products: Products) -> dict:
+    """The sparse integer echelon (:func:`~weilkit.linalg.eliminate`) of
+    m^2, the span of the products e_i * e_j of basis elements of m, for a
+    normalised table: the one elimination of m^2, which
+    :func:`_height_and_generators` extends and ``Products.cotangent``
+    reduces."""
     s = len(products)
     square: dict = {}
     for i in range(1, s):
         for j in range(i, s):
             linalg.eliminate(square, dict(products[i][j]), s)
+    return square
+
+
+def _height_and_generators(products: Products) -> tuple[int, tuple[int, ...]]:
+    """(height, generators) of the normalised table of a local algebra (m
+    spanned by e_1..e_{s-1} and nilpotent).
+
+    The generators are the basis elements of m that are not combinations
+    of the echelon of m^2 (:func:`_square_echelon`) and of the generators
+    before them, so their classes form a basis of m/m^2.  They generate
+    m, hence the algebra, a derivation is fixed by its values on them,
+    and there are ``width`` of them.  They also generate m as an ideal,
+    so m^(k+1) = m^k * m is spanned by the products g * u over a basis u
+    of m^k; the walk starts from the echelon of m^2, and the height is
+    the number of steps before m^(k+1) = 0.  The same echelon, reduced,
+    gives the projection onto m/m^2, ``Products.cotangent``.
+    """
+    s = len(products)
+    square = _square_echelon(products)
     current = [[row.get(k, 0) for k in range(s)] for row in square.values()]  # m^2
     generators = tuple(g for g in range(1, s) if linalg.eliminate(square, {g: Fraction(1)}, s))
     units = linalg.identity(s)

@@ -22,12 +22,14 @@ the restricted basis, r x width*s entries, instead of all s^2 entries.
 A commutator is formed on the ``integer_columns`` of the derivations.
 
 A derivation is stored once, as its sparse matrix columns (column q maps
-k to the non-zero coefficient of basis element k in D(e_q)).  Four views
+k to the non-zero coefficient of basis element k in D(e_q)).  Five views
 are derived from them on first use: the ``integer_columns``, their
 non-empty columns as pairs (``integer_nonempty``), the non-empty columns
 as pairs of floats (``float_nonempty``), which the near-point images and
 the flows walk (D(1) = 0, and a derivation of a monomial algebra moves
-few basis elements), and the dense ``matrix``, which only callers read.
+few basis elements), the ``lead``, the row-major index of the first
+non-zero entry, whose distinct values certify that derivations are
+independent, and the dense ``matrix``, which only callers read.
 Every entry, like every constant of a ``LieStructure``, is an int or a
 Fraction.  Verification happens once, at the trust boundary: the public
 ``Derivation(algebra, matrix)`` constructor checks every matrix exactly.
@@ -157,6 +159,17 @@ class Derivation(Frozen):
             ]
         except OverflowError:
             return None
+
+    @cached_property
+    def lead(self) -> int | None:
+        """The row-major index p*s + q of the first non-zero entry
+        matrix[p][q]; None for the zero derivation.  The canonical basis
+        of :func:`derivation_basis` is in reduced row echelon form over
+        these indices, so its leads are its pivots, pairwise distinct.
+        Derivations with pairwise distinct leads are linearly independent,
+        since sorted by lead they are in echelon form."""
+        s = len(self.columns)
+        return min((p * s + q for q, column in enumerate(self.columns) for p in column), default=None)
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """D(u), with u's coordinates scattered through the sparse columns.

@@ -9,7 +9,12 @@ vanishes on the zero section (points with no nilpotent part) and reaches
 the full derivation dimension where the classes of the nilpotent parts
 span m/m^2, which needs n >= width; below that even a generic point may
 have a lower rank (on R[x,y]/m^2, r = 4, a rational point has rank 2 at
-n = 1).  Their chart brackets
+n = 1).  The rank at u is r less the dimension of the derivations that
+kill the subalgebra R[u] generated by the components; where the
+nilpotent parts span m/m^2, R[u] = A by Nakayama's lemma (Atiyah and
+Macdonald, ch. 2), only D = 0 kills it, and the exact rank of an
+independent basis is its length, read without an elimination.  Their
+chart brackets
 reproduce the algebra brackets exactly, so the distribution is involutive
 and integrates to a (possibly singular) foliation whose leaves are orbits
 of the automorphism flows exp(-tD), all inside a single fiber over the base
@@ -213,7 +218,15 @@ def distribution_at(
     built as Fractions on first read, so a caller that reads only the rank
     builds none.  A point there with no nilpotent part has the rank 0 and
     zero generators without an elimination: each component is b·1, and
-    D(b·1) = b·D(1) = 0.
+    D(b·1) = b·D(1) = 0.  Nor is there one, and the rank is len(basis),
+    when two things hold.  The basis has pairwise distinct ``lead``
+    indices, so it is linearly independent: sorted by lead it is in
+    echelon form, as the canonical basis of ``derivation_basis`` is.  And
+    the classes of the components span m/m^2 (:func:`_spans_cotangent`),
+    so they generate A (Nakayama's lemma), and a combination of the basis
+    that killed them would kill A and be zero.  A zero derivation or a
+    repeated lead, or a point that does not span, is ranked by the
+    elimination; the images are formed either way.
 
     Every other point and tolerance takes the other branch.  At a point
     whose coordinates are all floats, each generator is formed in one pass
@@ -244,8 +257,12 @@ def distribution_at(
         images = [
             [(out, -den) for out, den in (integer_image(d, form) for form in forms)] for d in basis
         ]
-        rows = [[y for out, _ in row for y in out] for row in images]
-        rank = linalg.rank_with_tolerance(rows, 0)
+        leads = {d.lead for d in basis}
+        if None not in leads and len(leads) == len(basis) and _spans_cotangent(algebra, forms):
+            rank = len(basis)  # an independent basis, and only D = 0 kills R[u] = A
+        else:
+            rows = [[y for out, _ in row for y in out] for row in images]
+            rank = linalg.rank_with_tolerance(rows, 0)
         sample = DistributionSample(point, None, rank, tolerance)
         object.__setattr__(sample, "_images", images)  # generators built on first read
         return sample
@@ -278,6 +295,29 @@ def distribution_at(
             rows[k] = _floats(gen, what) if tol else list(gen)
     rank = linalg.rank_with_tolerance(rows, tol)
     return DistributionSample(point=point, generators=tuple(generators), rank=rank, tolerance=tol)
+
+
+def _spans_cotangent(algebra: WeilAlgebra, forms) -> bool:
+    """Whether the classes of the point components, given by their integer
+    ``forms``, span m/m^2: whether the rows P·numerators, for P the
+    algebra's ``products.cotangent``, have rank w = width, in ints.  The
+    scalar parts do not count, since column 0 of P is zero, and neither
+    do the denominators, which scale a row.  Fewer than w components
+    never span."""
+    width = algebra.width
+    if len(forms) < width:
+        return False
+    projection = algebra.products.cotangent
+    echelon: dict = {}
+    for numerators, _ in forms:
+        row = {}
+        for f, pairs in enumerate(projection):
+            y = sum(c * numerators[k] for k, c in pairs)
+            if y:
+                row[f] = y
+        if linalg.eliminate(echelon, row, width) and len(echelon) == width:
+            return True
+    return False
 
 
 def involutivity_check(lie: LieStructure) -> dict:

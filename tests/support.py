@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's solvers: derivation
 dimensions are recomputed from a float constraint matrix via numpy's SVD
 rank, the exact derivation basis from the full s^2-unknown Leibniz system
-rather than from generators, bracket constants from full s x s
+rather than from generators, the exact rank of the distribution at a
+near point from the same system with the rows D(u_i) = 0 added, bracket constants from full s x s
 commutators rather than generator columns, associativity from every basis
 triple rather than a monomial walk, matrix exponentials by direct
 series summation or by scaling and squaring on dense float products, the
@@ -20,6 +21,7 @@ parser, which builds every intermediate result as a Polynomial.
 from __future__ import annotations
 
 import builtins
+import functools
 import importlib
 import itertools
 import math
@@ -74,16 +76,10 @@ def derivation_dim_oracle(algebra: WeilAlgebra) -> int:
     return s * s - int(np.linalg.matrix_rank(matrix))
 
 
-def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
-    """Canonical derivation basis from the full Leibniz system, exactly.
-
-    The unknowns are all s^2 matrix entries; the rows are D(1) = 0 and the
-    Leibniz identity on every basis pair i <= j.  The nullspace is returned
-    as matrices in reduced row echelon form over row-major entries, and for
-    a two-dimensional algebra the generator is rescaled to send the
-    nilpotent basis element to minus itself: the output contract of
-    ``derivation_basis``, computed without its generator walk.
-    """
+def leibniz_rows_oracle(algebra: WeilAlgebra) -> list:
+    """The full Leibniz system, exactly: its unknowns are all s^2 matrix
+    entries, row-major, and its rows are D(1) = 0 and the Leibniz identity
+    on every basis pair i <= j, the zero rows left out."""
     s = algebra.dim
     table = algebra.table
     n_unknowns = s * s
@@ -104,6 +100,22 @@ def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
                     row[m * s + j] -= table[m][i][p]
                 if any(row):
                     rows.append(row)
+    return rows
+
+
+def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
+    """Canonical derivation basis from the full Leibniz system
+    (:func:`leibniz_rows_oracle`), exactly.
+
+    The nullspace is returned as matrices in reduced row echelon form over
+    row-major entries, and for a two-dimensional algebra the generator is
+    rescaled to send the nilpotent basis element to minus itself: the
+    output contract of ``derivation_basis``, computed without its
+    generator walk.
+    """
+    s = algebra.dim
+    n_unknowns = s * s
+    rows = leibniz_rows_oracle(algebra)
     matrices = [
         tuple(tuple(vec[p * s : (p + 1) * s]) for p in range(s))
         for vec in nullspace_oracle(rows, n_unknowns)
@@ -111,6 +123,41 @@ def derivation_basis_oracle(algebra: WeilAlgebra) -> list:
     if s == 2 and len(matrices) == 1 and matrices[0][1][1] > 0:
         matrices = [tuple(tuple(-x for x in row) for row in matrices[0])]
     return matrices
+
+
+@functools.cache
+def _leibniz_echelon(algebra: WeilAlgebra) -> list:
+    """[(pivot, sparse reduced row)] of :func:`leibniz_rows_oracle`, by
+    :func:`rref_oracle`, once per algebra."""
+    reduced, pivots = rref_oracle(leibniz_rows_oracle(algebra))
+    return [(pc, [(j, x) for j, x in enumerate(row) if x]) for pc, row in zip(pivots, reduced)]
+
+
+def stabilizer_dim_oracle(algebra: WeilAlgebra, point) -> int:
+    """The dimension of the derivations that kill every component u_i of
+    ``point``, exactly: the nullity of the full Leibniz system
+    (:func:`leibniz_rows_oracle`, s^2 unknowns) with the n*s rows
+    D(u_i)_p = sum_q D[p][q] u_i[q] = 0 added.  The induced generators
+    are linear in D, so the rank of the distribution there is r minus it.
+
+    The Leibniz system is reduced once per algebra (:func:`_leibniz_echelon`);
+    each added row is cleared at its pivots, and the nullity is s^2 less
+    the two ranks, that of the system and that of the cleared rows, read
+    off the free columns."""
+    s = algebra.dim
+    pivot_rows = _leibniz_echelon(algebra)
+    cleared = []
+    for u in point.components:
+        for p in range(s):
+            row = [Fraction(0)] * (s * s)
+            row[p * s : (p + 1) * s] = u.coeffs
+            for pc, pivot_row in pivot_rows:
+                f = row[pc]
+                if f:
+                    for j, x in pivot_row:
+                        row[j] -= f * x
+            cleared.append(row)
+    return s * s - len(pivot_rows) - len(rref_oracle(cleared)[1])
 
 
 def lie_structure_oracle(basis) -> dict:

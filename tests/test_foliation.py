@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import operator
 import pickle
@@ -61,6 +62,7 @@ from support import (
     rand_poly,
     rref_oracle,
     scrambled,
+    stabilizer_dim_oracle,
     typed,
 )
 
@@ -462,6 +464,150 @@ def test_rank_at_an_exact_point_builds_no_fraction():
     assert generators == eager_generators(basis, point)
 
 
+# ------------------------------------- the rank at points that generate A
+
+
+def _spanning_non_generators(A):
+    """Basis elements of m outside ``A.generators`` whose classes form a
+    basis of m/m^2, chosen on the dense table independently of the
+    library's projection; None when there are not ``width`` of them."""
+    s, table = A.dim, A.table
+    rows = [list(table[i][j]) for i in range(1, s) for j in range(i, s) if any(table[i][j])]
+    rank = len(rref_oracle(rows)[1])
+    chosen = []
+    for k in range(1, s):
+        if k not in A.generators:
+            unit = [Fraction(int(q == k)) for q in range(s)]
+            if len(rref_oracle(rows + [unit])[1]) > rank:
+                rows, rank = rows + [unit], rank + 1
+                chosen.append(k)
+    return chosen if len(chosen) == A.width else None
+
+
+def rank_oracle_points(A, rng):
+    """(kind, point) pairs: generic points and points with nilparts in
+    m^2 at n = 1, 2, width and width + 1, a generic point at n = width - 1
+    < width, and, where basis elements outside ``A.generators`` span
+    m/m^2, a point whose nilparts are those elements plus terms in m^2, so
+    that it spans m/m^2 only through them."""
+    w = A.width
+    points = []
+    for n in sorted({1, 2, max(w, 1), w + 1}):
+        deep = [rand_nilpotent(rng, A) * rand_nilpotent(rng, A) for _ in range(n)]
+        points.append(("generic", rand_near_point(rng, A, n)))
+        points.append(("in m^2", make_near_point(A, [rand_fraction(rng) for _ in deep], deep)))
+    if w > 1:
+        points.append(("n < width", rand_near_point(rng, A, w - 1)))
+    chosen = _spanning_non_generators(A)
+    if chosen:
+        nilparts = [
+            A.basis_element(k) + rand_nilpotent(rng, A) * rand_nilpotent(rng, A) for k in chosen
+        ]
+        base = [rand_fraction(rng) for _ in chosen]
+        points.append(("non-generators", make_near_point(A, base, nilparts)))
+    return points
+
+
+RANK_ORACLE_CORPUS = [name for name, (build, args) in ORACLE_CORPUS.items() if build(*args).dim <= 10]
+
+
+@pytest.mark.parametrize("name", RANK_ORACLE_CORPUS)
+def test_exact_rank_is_r_less_the_stabilizer_in_the_full_leibniz_system(name):
+    # The generators are linear in D, so the rank at u is r less the
+    # dimension of the derivations that kill every u_i, which the oracle
+    # solves for on the full s^2-unknown system: on both sides of the
+    # m/m^2 test, and on scrambled tables through basis elements that are
+    # not the algebra's generators.
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    kinds = set()
+    for kind, point in rank_oracle_points(A, random.Random(name)):
+        rank = distribution_at(A, basis, point).rank
+        assert rank == len(basis) - stabilizer_dim_oracle(A, point), kind
+        if kind == "non-generators":
+            assert rank == len(basis)
+        kinds.add(kind)
+    if name.startswith("scrambled-") and A.dim > 2:
+        assert "non-generators" in kinds
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_leads_are_the_first_non_zero_entries_and_the_canonical_pivots(name):
+    build, args = ORACLE_CORPUS[name]
+    A = build(*args)
+    basis = derivation_basis(A)
+    s = A.dim
+    leads = [d.lead for d in basis]
+    for d, lead in zip(basis, leads):
+        assert lead == next(p * s + q for p in range(s) for q in range(s) if d.matrix[p][q])
+    assert leads == sorted(set(leads))
+    if basis:
+        assert (0 * basis[0]).lead is None
+
+
+def test_a_basis_without_distinct_leads_keeps_the_elimination():
+    # The shortcut needs the basis independent: a repeated derivation, a
+    # combination whose lead repeats another's, or a zero one is ranked.
+    A = truncated_polynomial_algebra(2, 3)
+    basis = derivation_basis(A)
+    point = rand_near_point(random.Random(5), A, 3)
+    assert distribution_at(A, basis, point).rank == len(basis) == 18
+    assert stabilizer_dim_oracle(A, point) == 0  # the point generates A
+    d0, d1 = basis[:2]
+    assert (d0 + d1).lead == d0.lead
+    for derivs, rank in (
+        ([d0, d0], 1),
+        ([d0, d1, d0 + d1], 2),
+        ([0 * d0, d1], 1),
+        ([d1, d0, Fraction(1, 2) * d1], 2),
+    ):
+        assert distribution_at(A, derivs, point).rank == rank
+
+
+def test_points_whose_nilparts_miss_m_mod_m2_keep_the_elimination():
+    # u = 1/2 + x^2 in R[x]/x^4: x^2 is not zero in m but is in m^2, and
+    # D(x) = x^3 kills it, so the rank is 2 < r = 3.  On R[x,y]/m^2 one
+    # component cannot span the two dimensions of m/m^2: rank 2 < r = 4.
+    x4 = truncated_polynomial_algebra(1, 3)
+    for A, nilpart, rank, r in ((x4, [0, 0, 1, 0], 2, 3), (SQ, [0, 1, 2], 2, 4)):
+        basis = derivation_basis(A)
+        point = make_near_point(A, [Fraction(1, 2)], [A.element(nilpart)])
+        assert (distribution_at(A, basis, point).rank, len(basis)) == (rank, r)
+        assert rank == r - stabilizer_dim_oracle(A, point)
+
+
+def test_the_elimination_runs_once_unless_the_point_spans_m_mod_m2(monkeypatch):
+    # At an exact point that spans m/m^2, ranked with the canonical basis
+    # and no tolerance, the rank is r with no elimination; every other
+    # case runs it once.
+    ranked = []
+    rank = linalg.rank_with_tolerance
+    monkeypatch.setattr(linalg, "rank_with_tolerance", lambda *a: ranked.append(a) or rank(*a))
+    A = truncated_polynomial_algebra(2, 3)
+    basis = derivation_basis(A)
+    rng = random.Random(5)
+    spanning = rand_near_point(rng, A, 3)
+    deep = make_near_point(
+        A, [1, 2, 3], [rand_nilpotent(rng, A) * rand_nilpotent(rng, A) for _ in range(3)]
+    )
+    floating = make_near_point(
+        A, [0.5, -1.0], [A.element([0.0] + [rng.uniform(-1, 1) for _ in range(A.dim - 1)]) for _ in range(2)]
+    )
+    for derivs, point, tol, calls in (
+        (basis, spanning, None, 0),
+        (basis, spanning, 0, 0),
+        (basis, deep, None, 1),
+        (basis, rand_near_point(rng, A, 1), None, 1),
+        ([basis[0], basis[0]], spanning, None, 1),
+        (basis, spanning, 1e-9, 1),
+        (basis, floating, None, 1),
+    ):
+        ranked.clear()
+        distribution_at(A, derivs, point, tol)
+        assert len(ranked) == calls, (point, tol, calls)
+
+
 LAZY_READS = {
     "eq": lambda x, eager: (x == eager, eager == x, x != eager, len({x, eager})),
     "hash": lambda x, eager: hash(x) == hash(eager),
@@ -794,10 +940,13 @@ EXACT_LEAF_CORPUS = [
 @pytest.mark.parametrize("name", EXACT_LEAF_CORPUS)
 def test_exact_rank_is_constant_along_leaves(name):
     # exp(tN) is an algebra automorphism, and it conjugates Der(A) onto
-    # itself, so the exact rank at exp(tN)·p is the rank at p (the orbit
-    # theorem).  The flows of the nilpotent basis derivations N are exact
-    # finite series, independent of exp_flow.  Points at n = 1..width with
-    # nilpotent parts in m^2, or generic ones, include ranks below r.
+    # itself, so the exact rank at exp(tN)·p, and at exp(t1 N1)·exp(t2 N2)·p,
+    # is the rank at p (the orbit theorem).  The flows of the nilpotent
+    # basis derivations N are exact finite series, independent of
+    # exp_flow.  Points at n = 1..width with nilpotent parts in m^2, or
+    # generic ones, include ranks below r; a point whose nilparts are the
+    # generators plus terms in m^2 spans m/m^2 and has rank r, where no
+    # elimination runs.
     build, args = ORACLE_CORPUS[name]
     A = build(*args)
     basis = derivation_basis(A)
@@ -807,19 +956,29 @@ def test_exact_rank_is_constant_along_leaves(name):
         for d in basis
         if _is_nilpotent(d.matrix)
     ]
+    pairs = list(itertools.permutations(flows, 2))
+
+    def in_m2():
+        return rand_nilpotent(rng, A) * rand_nilpotent(rng, A)
+
+    points = []
     for n in range(1, A.width + 1):
-        for deep in (False, True):
-            nilparts = [
-                rand_nilpotent(rng, A) * rand_nilpotent(rng, A) if deep else rand_nilpotent(rng, A)
-                for _ in range(n)
-            ]
-            point = make_near_point(A, [rand_fraction(rng) for _ in range(n)], nilparts)
-            rank = distribution_at(A, basis, point).rank
-            for phi in flows:
-                moved = NearPoint(
-                    tuple(A.element(mat_vec(phi, list(c.coeffs))) for c in point.components)
-                )
-                assert distribution_at(A, basis, moved).rank == rank, (n, deep)
+        for kind, nilpart in (("generic", lambda: rand_nilpotent(rng, A)), ("in m^2", in_m2)):
+            points.append((n, kind, [nilpart() for _ in range(n)]))
+    points.append((A.width, "spanning", [A.basis_element(g) + in_m2() for g in A.generators]))
+    ranks = set()
+    for n, kind, nilparts in points:
+        point = make_near_point(A, [rand_fraction(rng) for _ in range(n)], nilparts)
+        rank = distribution_at(A, basis, point).rank
+        ranks.add(rank)
+        moves = [[phi] for phi in flows] + [list(p) for p in rng.sample(pairs, min(4, len(pairs)))]
+        for composed in moves:
+            coords = [list(c.coeffs) for c in point.components]
+            for phi in reversed(composed):  # the last flow acts first
+                coords = [mat_vec(phi, u) for u in coords]
+            moved = NearPoint(tuple(A.element(u) for u in coords))
+            assert distribution_at(A, basis, moved).rank == rank, (n, kind, len(composed))
+    assert len(basis) in ranks and min(ranks) < len(basis), ranks
 
 
 def test_flows_refuse_a_time_beyond_the_float_range():
